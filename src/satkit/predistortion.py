@@ -3,8 +3,8 @@
 The amplifier is a memoryless third-order Volterra model y = a*r +
 b*|r|^2*r whose drive is clipped at the AM/AM peak r_sat; output
 back-off (OBO) is defined against that peak. The SPD is a third-order
-polynomial fitted by direct-learning gradient descent; a LUT path
-offers a quantised implementation.
+polynomial fitted by direct-learning least squares (scipy's trust-region
+solver); a LUT path offers a quantised implementation.
 """
 from __future__ import annotations
 
@@ -12,13 +12,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.signal import butter, lfilter
 
 from .scenario import ConfigurationError
 
 
 class FitError(RuntimeError):
-    """Raised when a model fit is ill-posed or diverges."""
+    """Raised when a model fit is ill-posed."""
 
 
 @dataclass(frozen=True)
@@ -159,49 +160,57 @@ def spd_apply_lut(params: SpdParams, x: np.ndarray) -> np.ndarray:
 
 def fit_spd(hpa: HpaParams, training_waveform: np.ndarray,
             sigma_j: float = 0.0, noise_std: float = 0.0,
-            n_iter: int = 300, step: float = 0.3,
             rng: Optional[np.random.Generator] = None,
             target_gain: Optional[complex] = None):
-    """Direct-learning gradient descent for the SPD coefficients.
+    """Direct-learning least-squares fit of the SPD coefficients.
 
     Minimises the mean squared error between the amplifier output and a
     linear response ``target_gain * input`` over the training waveform,
     observed through the jitter/noise sampling model when ``sigma_j`` or
-    ``noise_std`` is nonzero (jitter-cognizant training). Returns the
-    fitted parameters and the per-iteration MSE trace.
+    ``noise_std`` is nonzero (jitter-cognizant training), with scipy's
+    trust-region least squares. Returns the fitted parameters and the
+    MSE trace: the starting value, then one entry per iteration.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     x = np.asarray(training_waveform, complex)
     if sigma_j > 0 or noise_std > 0:
         x = jitter_sample(x, sigma_j, rng, noise_std)
+    if not np.isfinite(x).all():
+        raise ConfigurationError("training waveform must be finite")
+    if not np.any(x):
+        raise ConfigurationError("training waveform is all zero")
     a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
     tgt = a if target_gain is None else target_gain
-    g, d = 1.0 / a, 0.0 + 0.0j
-    p2 = np.mean(np.abs(x) ** 2)
-    p6 = np.mean(np.abs(x) ** 6)
-    if p2 == 0:
-        raise ConfigurationError("training waveform is all zero")
-    trace = []
     x2x = np.abs(x) ** 2 * x
-    for _ in range(n_iter):
-        u = g * x + d * x2x
-        y = hpa_apply(hpa, u)
-        e = y - tgt * x
-        mse = float(np.mean(np.abs(e) ** 2))
-        trace.append(mse)
-        if mse > 10.0 * trace[0] or not np.isfinite(mse):
-            raise FitError("gradient descent diverged; reduce the step size")
-        dy_du = a + 2 * b * np.abs(u) ** 2
-        dy_duc = b * u ** 2
-        mask = np.abs(u) <= rs if np.isfinite(rs) else 1.0
-        gg = np.mean((e * np.conj(dy_du * x)
-                      + np.conj(e) * dy_duc * np.conj(x)) * mask) / p2
-        gd = np.mean((e * np.conj(dy_du * x2x)
-                      + np.conj(e) * dy_duc * np.conj(x2x)) * mask) / (p6 + 1e-300)
-        g -= step * gg
-        d -= step * gd
-    return SpdParams(gamma=complex(g), delta=complex(d)), np.array(trace)
+    # SPD output u = du_dp @ p for p = (Re gamma, Im gamma, Re delta, Im delta)
+    du_dp = np.stack([x, 1j * x, x2x, 1j * x2x], axis=1)
+    # above r_sat the amplifier gives y = c_sat * u/|u|; a linear one never clips
+    c_sat = a * rs + b * rs ** 3 if np.isfinite(rs) else 0.0
+
+    def residual(p):
+        e = hpa_apply(hpa, du_dp @ p) - tgt * x
+        return np.concatenate([e.real, e.imag])
+
+    def jacobian(p):
+        # analytic, from the Wirtinger derivatives dy/du and dy/d(conj u)
+        u = du_dp @ p
+        m = np.abs(u)
+        dy_du, dy_duc = a + 2 * b * m ** 2, b * u ** 2
+        over = m > rs
+        dy_du[over] = c_sat / (2 * m[over])
+        dy_duc[over] = -c_sat * u[over] ** 2 / (2 * m[over] ** 3)
+        jc = dy_du[:, None] * du_dp + dy_duc[:, None] * du_dp.conj()
+        return np.concatenate([jc.real, jc.imag])
+
+    def record(intermediate_result):
+        trace.append(2 * intermediate_result.cost / x.size)
+
+    p0 = np.array([(1 / a).real, (1 / a).imag, 0.0, 0.0])
+    trace = [2 * float(np.mean(residual(p0) ** 2))]
+    p = least_squares(residual, p0, jac=jacobian, callback=record).x
+    return (SpdParams(gamma=complex(p[0], p[1]), delta=complex(p[2], p[3])),
+            np.array(trace))
 
 
 @dataclass(frozen=True)
@@ -237,8 +246,6 @@ class ChainConfig:
     train_seed: int = 10_007
     jitter_aware: bool = True
     eq_taps: int = 11
-    fit_iters: int = 300
-    fit_step: float = 0.3
 
     def __post_init__(self):
         if self.spd_location not in ("onboard", "onground", "none"):
@@ -308,8 +315,7 @@ def _train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
             x = config.imux.apply(x)
         if config.jitter_aware:
             sigma_j = config.sigma_j
-    params, _ = fit_spd(hpa, x, sigma_j=sigma_j, rng=rng,
-                        n_iter=config.fit_iters, step=config.fit_step)
+    params, _ = fit_spd(hpa, x, sigma_j=sigma_j, rng=rng)
     return params
 
 
