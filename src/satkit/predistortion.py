@@ -405,19 +405,24 @@ def obo_vs_drive(config: ChainConfig, hpa: HpaParams,
     return np.array(out)
 
 
-def drive_for_obo(config: ChainConfig, hpa: HpaParams, obo_target_db: float,
+def drive_for_obo(config: ChainConfig, hpa: HpaParams,
+                  obo_target_db: float | Sequence[float],
                   drive_grid: Optional[Sequence[float]] = None,
-                  n_symbols: int = 800, seed: int = 3) -> float:
-    """Drive level reaching a target OBO, via a monotone interpolated curve."""
+                  n_symbols: int = 800, seed: int = 3) -> float | np.ndarray:
+    """Drive level reaching a target OBO, via a monotone interpolated curve.
+
+    ``obo_target_db`` is one target (a float is returned) or a sequence
+    of them (an array of drives is returned).
+    """
     if drive_grid is None:
         drive_grid = np.geomspace(0.15, 6.0, 12)
     drive_grid = np.asarray(drive_grid, float)
     obo = obo_vs_drive(config, hpa, drive_grid, n_symbols, seed)
     order = np.argsort(obo)
-    if not obo[order[0]] <= obo_target_db <= obo[order[-1]]:
+    target = np.asarray(obo_target_db, float)
+    if not np.all((obo[order[0]] <= target) & (target <= obo[order[-1]])):
         raise ConfigurationError("OBO target outside the drive grid's range")
-    log_drive = np.interp(obo_target_db, obo[order], np.log(drive_grid)[order])
-    return float(np.exp(log_drive))
+    return np.exp(np.interp(target, obo[order], np.log(drive_grid)[order]))
 
 
 def spd_benchmark(hpa: HpaParams, obo_grid_db: Sequence[float],
@@ -428,17 +433,11 @@ def spd_benchmark(hpa: HpaParams, obo_grid_db: Sequence[float],
     if base_config is None:
         base_config = ChainConfig()
     rows = []
-    drive_grid = np.geomspace(0.15, 6.0, 12)
     for mode in modes:
         cfg0 = replace(base_config, spd_location=mode)
-        obo = obo_vs_drive(cfg0, hpa, drive_grid)
-        order = np.argsort(obo)
-        for target in obo_grid_db:
-            if not obo[order[0]] <= target <= obo[order[-1]]:
-                raise ConfigurationError("OBO target outside the drive range")
-            dr = float(np.exp(np.interp(float(target), obo[order],
-                                        np.log(drive_grid)[order])))
-            cfg = replace(cfg0, drive=dr)
+        drives = drive_for_obo(cfg0, hpa, obo_grid_db)
+        for target, dr in zip(obo_grid_db, drives):
+            cfg = replace(cfg0, drive=float(dr))
             res = evaluate_chain(cfg, None, hpa, n_symbols=n_symbols,
                                  rng=np.random.default_rng(seed))
             rows.append({"spd_location": mode,

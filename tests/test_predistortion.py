@@ -265,6 +265,9 @@ class TestChain:
                                 None, hpa, n_symbols=600,
                                 rng=np.random.default_rng(3))
         assert res.obo_db == pytest.approx(4.0, abs=0.3)
+        # a sequence of targets gives the same drive per target
+        both = pd.drive_for_obo(cfg, hpa, [4.0, 6.0], n_symbols=600)
+        assert both[0] == dr and both[1] < dr
 
     def test_obo_target_out_of_range(self):
         with pytest.raises(ConfigurationError):
