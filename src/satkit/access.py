@@ -180,11 +180,18 @@ def hk_region(ch: TwoUserChannel,
     return RateRegion(points=tuple(points))
 
 
+STRATEGIES = ("ian", "scd", "snd", "fdm", "hk")
+
+
 def region_sweep(template: TwoUserChannel, p_values: Sequence[float],
-                 strategies: Sequence[str] = ("ian", "scd", "snd", "fdm", "hk"),
+                 strategies: Sequence[str] = STRATEGIES,
                  lam_grid: Optional[Sequence[float]] = None,
                  fdm_grid: Optional[Sequence[float]] = None) -> Dict[str, RateRegion]:
     """Rate region per strategy while sweeping both powers over p_values."""
+    unknown = sorted(set(strategies) - set(STRATEGIES))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown strategies {unknown}; choose from {list(STRATEGIES)}")
     if fdm_grid is None:
         fdm_grid = np.linspace(0.05, 0.95, 19)
     out: Dict[str, List[RatePoint]] = {s: [] for s in strategies}

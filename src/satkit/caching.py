@@ -8,7 +8,6 @@ minimising the total transmission time is found exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

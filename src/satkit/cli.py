@@ -44,6 +44,16 @@ def write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\r\n")
 
 
+def _env_int(name: str):
+    """Integer value of ``$SATKIT_<name>``, or None when it is unset."""
+    raw = os.environ.get(ENV_PREFIX + name)
+    try:
+        return None if raw is None else int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{ENV_PREFIX}{name} must be an integer, not {raw!r}") from None
+
+
 def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
     cfg = dict(defaults)
     if args.config:
@@ -59,9 +69,9 @@ def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    env_seed = os.environ.get(ENV_PREFIX + "SEED")
+    env_seed = _env_int("SEED")
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        cfg["seed"] = env_seed
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -168,7 +178,7 @@ def cmd_spd_bench(cfg: dict, out: Path, jobs: int):
                 r["sinr_db"], r["seed"]) for r in rows])
     if cfg["lut_bins"]:
         cfg_fit = replace(base, spd_location="onboard", drive=1.0)
-        spd = predistortion._train_spd(cfg_fit, hpa)
+        spd = predistortion.train_spd(cfg_fit, hpa)
         spd = predistortion.build_lut(spd, dynamic_range=hpa.r_sat,
                                       n_bins=cfg["lut_bins"])
         write_csv(out / "spd_lut.csv",
@@ -282,7 +292,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(defaults, args, args.subcommand)
         out = Path(args.out or os.environ.get(ENV_PREFIX + "OUT", "."))
-        jobs = args.jobs or int(os.environ.get(ENV_PREFIX + "JOBS", "1"))
+        jobs = args.jobs or _env_int("JOBS") or 1
         out.mkdir(parents=True, exist_ok=True)
         func(cfg, out, jobs)
         _write_manifest(out, args.subcommand, cfg)

@@ -8,8 +8,8 @@ a linear assignment problem.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment

@@ -8,8 +8,8 @@ solver); a LUT path offers a quantised implementation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -303,7 +303,7 @@ def _shape(symbols: np.ndarray, taps: np.ndarray, oversampling: int) -> np.ndarr
     return np.convolve(x, taps)
 
 
-def _train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
+def train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
     """Fit SPD coefficients on a training burst seen at the SPD's location."""
     rng = np.random.default_rng(config.train_seed)
     taps = rrc_taps(config.rolloff, config.span, config.oversampling)
@@ -348,7 +348,7 @@ def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
     if rng is None:
         rng = np.random.default_rng(0)
     if config.spd_location != "none" and spd is None:
-        spd = _train_spd(config, hpa)
+        spd = train_spd(config, hpa)
     os_, taps = config.oversampling, rrc_taps(config.rolloff, config.span,
                                               config.oversampling)
     s = _draw_symbols(config.modulation, rng, n_symbols)

@@ -7,7 +7,7 @@ into the channel entries so the receiver noise has unit variance.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

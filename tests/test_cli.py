@@ -104,6 +104,31 @@ class TestConfigResolution:
         assert (target / "caching_threshold.csv").exists()
 
 
+class TestConfigFaults:
+    """Each bad input exits 1 with one error line and writes no CSV."""
+
+    def fails_cleanly(self, tmp_path, capsys, sub, cfg):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = cli.main([sub, "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not list(out.glob("*.csv"))
+
+    def test_unknown_rate_region_strategy(self, tmp_path, capsys):
+        self.fails_cleanly(tmp_path, capsys, "rate-region",
+                           {**FAST_CONFIGS["rate-region"],
+                            "strategies": ["bogus"]})
+
+    @pytest.mark.parametrize("var", ["SATKIT_SEED", "SATKIT_JOBS"])
+    def test_non_integer_env(self, tmp_path, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        self.fails_cleanly(tmp_path, capsys, "carrier-assign",
+                           FAST_CONFIGS["carrier-assign"])
+
+
 class TestCsvContracts:
     def test_crlf_and_headers_channel_report(self, tmp_path):
         out = run(tmp_path, "channel-report", FAST_CONFIGS["channel-report"],
