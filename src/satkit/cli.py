@@ -2,7 +2,8 @@
 
 Each subcommand resolves its configuration (defaults, then --config
 JSON, then flag/environment overrides), writes its result CSVs and a
-``manifest.json`` capturing the fully resolved configuration. Re-running
+``manifest.json`` capturing the fully resolved configuration. A run that
+fails leaves none of its files behind. Re-running
 a subcommand with ``--config manifest.json`` reproduces the CSVs
 byte-for-byte, except for measured wall-clock columns.
 """
@@ -13,6 +14,7 @@ import concurrent.futures
 import json
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,6 +56,17 @@ def _env_int(name: str):
             f"{ENV_PREFIX}{name} must be an integer, not {raw!r}") from None
 
 
+def _check_type(key: str, value, default):
+    """A loaded value must have its default's type; a float also takes an int."""
+    if default is None:
+        return
+    want = (int, float) if isinstance(default, float) else type(default)
+    if (isinstance(value, bool) != isinstance(default, bool)
+            or not isinstance(value, want)):
+        raise ConfigurationError(f"config key {key!r} must be "
+                                 f"{type(default).__name__}, not {value!r}")
+
+
 def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
     cfg = dict(defaults)
     if args.config:
@@ -68,6 +81,8 @@ def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_type(key, value, defaults[key])
         cfg.update(loaded)
     env_seed = _env_int("SEED")
     if env_seed is not None:
@@ -294,7 +309,11 @@ def main(argv=None) -> int:
         out = Path(args.out or os.environ.get(ENV_PREFIX + "OUT", "."))
         jobs = args.jobs or _env_int("JOBS") or 1
         out.mkdir(parents=True, exist_ok=True)
-        func(cfg, out, jobs)
+        # outputs appear only once the whole run has succeeded
+        with tempfile.TemporaryDirectory(dir=out, prefix=".satkit-") as tmp:
+            func(cfg, Path(tmp), jobs)
+            for path in Path(tmp).iterdir():
+                os.replace(path, out / path.name)
         _write_manifest(out, args.subcommand, cfg)
     except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ Frames follow the binary hypothesis model x~(n) = h*s(n) + eta(n)
 (+ p(n) under H1) with pilot-aided signal cancellation. Noise variance
 is nominally unity with a per-frame uncertainty of +/- eps dB; the
 interferer is complex Gaussian scaled to the target ISNR, defined as
-interference power over (signal power + noise power).
+interference power over (signal power + noise power). Threshold
+calibration and Pd curves draw each statistic from its exact law;
+``_gen_batch`` synthesises whole frames and is the reference for it.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .scenario import ConfigurationError
 N_DATA_DEFAULT = 460
 N_PILOT_DEFAULT = 56
 DETECTOR_KINDS = ("ced", "edscp", "edscd")
+_EDSCD_CHUNK = 2000                 # frames per EDSCD block, bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,53 @@ def _stats_batch(kind: str, x: np.ndarray, s: np.ndarray, amp: float,
     return res / x.shape[-1]
 
 
+def _sample_stats(kind: str, hypothesis: int, h: np.ndarray, snr_db: float,
+                  isnr_db: float, eps_db: float, rng: np.random.Generator,
+                  n_mc: int, n_data: int, n_pilot: int,
+                  noise_var_db: Optional[float] = None) -> np.ndarray:
+    """Draw the (n_mc,) statistics of `_gen_batch` + `_stats_batch` from their laws.
+
+    With v the per-frame noise (plus interference) variance, CED is
+    v/(2N) * ncx2(2N, 2N|h|^2 a^2 / v) (Urkowitz 1967) and the pilot
+    residual is (v/2) * chi2(2(Np - 1)), independent of h and of the
+    channel-estimate error e ~ CN(0, v / (a^2 Np)). EDSCD simulates only
+    the data samples: the QPSK decision regions and the noise are
+    invariant under 90-degree rotations and the residual under a common
+    phase, so every data symbol is (1+j)/sqrt(2) and the channel is |h|.
+    """
+    n = n_data + n_pilot
+    a2 = 10 ** (snr_db / 10)
+    if noise_var_db is None:
+        v = 10 ** (rng.uniform(-eps_db, eps_db, n_mc) / 10)
+    else:
+        v = np.full(n_mc, 10 ** (noise_var_db / 10))
+    if hypothesis == 1:
+        v = v + 10 ** (isnr_db / 10) * (a2 + 1.0)
+    if kind == "ced":
+        return v / (2 * n) * rng.noncentral_chisquare(
+            2 * n, 2 * n * np.abs(h) ** 2 * a2 / v)
+    pilot_res = v / 2 * rng.chisquare(2 * (n_pilot - 1), n_mc)
+    if kind == "edscp":
+        return pilot_res / n_pilot
+    data_res = np.empty(n_mc)
+    for lo in range(0, n_mc, _EDSCD_CHUNK):
+        hi = min(lo + _EDSCD_CHUNK, n_mc)
+        m, g, vc = hi - lo, np.abs(h[lo:hi]), v[lo:hi]
+        e_sd = np.sqrt(vc / (2 * a2 * n_pilot))
+        h_hat = (g + e_sd * rng.standard_normal(m)
+                 + 1j * e_sd * rng.standard_normal(m))
+        xd = (np.sqrt(vc / 2)[:, None] * rng.standard_normal((m, 2 * n_data))
+              ).view(complex) + (g * np.sqrt(a2 / 2) * (1 + 1j))[:, None]
+        # With sd = (sign Re z + j sign Im z)/sqrt(2) decided on
+        # z = xd conj(h_hat), sum |xd - h_hat a sd|^2 expands to
+        # sum |xd|^2 - sqrt(2) a sum(|Re z| + |Im z|) + N_d a^2 |h_hat|^2.
+        z = (xd * np.conj(h_hat)[:, None]).view(float)
+        data_res[lo:hi] = (np.sum(xd.view(float) ** 2, axis=-1)
+                           - np.sqrt(2 * a2) * np.sum(np.abs(z), axis=-1)
+                           + n_data * a2 * np.abs(h_hat) ** 2)
+    return (pilot_res + data_res) / n
+
+
 def _stat_frame(kind: str, frame: FramedSignal) -> float:
     amp = 10 ** (frame.snr_db / 20)
     # reorder pilots-first in case of a custom mask
@@ -165,11 +215,12 @@ def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
     """
     if not 0.0 < pfa_target < 1.0:
         raise ConfigurationError("pfa_target must lie in (0,1)")
+    if n_mc < 1:
+        raise ConfigurationError("calibration needs n_mc >= 1 frames")
     rng = np.random.default_rng(seed)
     h = _draw_channels(rng, n_mc, fade_db)
-    x, s = _gen_batch(0, h, snr_db, -np.inf, eps_db, rng, n_mc,
+    t = _sample_stats(detector.kind, 0, h, snr_db, -np.inf, eps_db, rng, n_mc,
                       n_data, n_pilot, noise_var_db=eps_db)
-    t = _stats_batch(detector.kind, x, s, 10 ** (snr_db / 20), n_pilot)
     return float(np.quantile(t, 1.0 - pfa_target))
 
 
@@ -195,14 +246,15 @@ def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
     Grid points use independent child seeds so results do not depend on
     evaluation order.
     """
+    if len(isnr_grid_db) == 0:
+        raise ConfigurationError("isnr_grid_db must hold at least one ISNR")
     children = np.random.SeedSequence(seed).spawn(len(isnr_grid_db))
     rows = []
     for isnr_db, ss in zip(isnr_grid_db, children):
         rng = np.random.default_rng(ss)
         h = _draw_channels(rng, n_mc, fade_db)
-        x, s = _gen_batch(1, h, snr_db, float(isnr_db), eps_db, rng, n_mc,
-                          n_data, n_pilot)
-        t = _stats_batch(detector.kind, x, s, 10 ** (snr_db / 20), n_pilot)
+        t = _sample_stats(detector.kind, 1, h, snr_db, float(isnr_db), eps_db,
+                          rng, n_mc, n_data, n_pilot)
         hits = int(np.sum(t > detector.threshold))
         lo, hi = wilson_interval(hits, n_mc)
         rows.append({"detector": detector.kind, "eps_db": eps_db,

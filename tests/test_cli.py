@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +109,7 @@ class TestConfigResolution:
 
 
 class TestConfigFaults:
-    """Each bad input exits 1 with one error line and writes no CSV."""
+    """Each bad input exits 1 with one error line and leaves no output."""
 
     def fails_cleanly(self, tmp_path, capsys, sub, cfg):
         cfg_path = tmp_path / "c.json"
@@ -115,18 +119,73 @@ class TestConfigFaults:
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error:")
-        assert not list(out.glob("*.csv"))
+        assert not out.exists() or not list(out.iterdir())
 
     def test_unknown_rate_region_strategy(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "rate-region",
                            {**FAST_CONFIGS["rate-region"],
                             "strategies": ["bogus"]})
 
+    @pytest.mark.parametrize("cfg", [{"n_mc_calib": 0}, {"isnr_grid_db": []}])
+    def test_empty_detection_run(self, tmp_path, capsys, cfg):
+        self.fails_cleanly(tmp_path, capsys, "detection-pd",
+                           {"detectors": ["ced"], "n_mc": 20,
+                            "n_mc_calib": 100, **cfg})
+
+    @pytest.mark.parametrize("sub", ["channel-report", "detection-pd"])
+    @pytest.mark.parametrize("value", ["10", 10.0, True])
+    def test_non_integer_count(self, tmp_path, capsys, sub, value):
+        self.fails_cleanly(tmp_path, capsys, sub, {"n_mc": value})
+
+    @pytest.mark.parametrize("cfg", [{"rate_bc": "1"}, {"alphas": 1.2}])
+    def test_mistyped_float_and_list(self, tmp_path, capsys, cfg):
+        self.fails_cleanly(tmp_path, capsys, "caching-threshold",
+                           {**FAST_CONFIGS["caching-threshold"], **cfg})
+
+    def test_failure_part_way_leaves_no_files(self, tmp_path, capsys):
+        self.fails_cleanly(tmp_path, capsys, "caching-threshold",
+                           {**FAST_CONFIGS["caching-threshold"],
+                            "alphas": [0.8, -1]})
+
     @pytest.mark.parametrize("var", ["SATKIT_SEED", "SATKIT_JOBS"])
     def test_non_integer_env(self, tmp_path, capsys, monkeypatch, var):
         monkeypatch.setenv(var, "abc")
         self.fails_cleanly(tmp_path, capsys, "carrier-assign",
                            FAST_CONFIGS["carrier-assign"])
+
+
+class TestConfigTypes:
+    def test_int_accepted_for_float_and_none_unchecked(self, tmp_path):
+        out = run(tmp_path, "caching-threshold",
+                  {**FAST_CONFIGS["caching-threshold"], "rate_bc": 2}, "f")
+        assert json.loads((out / "manifest.json").read_text())["config"]["rate_bc"] == 2
+        cli._check_type("rem_csv", "stations.csv", None)
+
+    def test_failed_run_keeps_earlier_outputs(self, tmp_path, capsys):
+        out = run(tmp_path, "caching-threshold",
+                  FAST_CONFIGS["caching-threshold"], "o")
+        before = csv_bytes(out)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"alphas": [0.8, -1]}))
+        rc = cli.main(["caching-threshold", "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 1 and "error:" in capsys.readouterr().err
+        assert csv_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*before, "manifest.json"])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half a second to import, which every CLI run
+    # would pay before doing any work
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, satkit.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path}, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 class TestCsvContracts:

@@ -114,6 +114,50 @@ class TestCalibration:
         with pytest.raises(ConfigurationError):
             dt.calibrate_threshold(det, 1.5, 100, 0.0)
 
+    def test_no_calibration_frames(self):
+        with pytest.raises(ConfigurationError):
+            dt.calibrate_threshold(dt.DetectorConfig(kind="ced"), 0.01, 0, 0.0)
+
+
+# (hypothesis, ISNR dB, pinned noise dB): H0 as calibrated, H1 as pd_curve
+SAMPLER_CASES = {"h0": (0, -np.inf, 2.0), "h1-4dB": (1, -4.0, None),
+                 "h1+2dB": (1, 2.0, None)}
+
+
+@pytest.fixture(scope="module", params=sorted(SAMPLER_CASES))
+def frame_oracle(request):
+    """Statistics of 4000 synthesised frames per detector, eps = 2 dB."""
+    hyp, isnr, noise_db = SAMPLER_CASES[request.param]
+    rng = np.random.default_rng(40)
+    h = dt._draw_channels(rng, 4000, 4.0)
+    x, s = dt._gen_batch(hyp, h, 6.0, isnr, 2.0, rng, 4000, 460, 56,
+                         noise_var_db=noise_db)
+    return request.param, {kind: dt._stats_batch(kind, x, s, 10 ** 0.3, 56)
+                           for kind in dt.DETECTOR_KINDS}
+
+
+class TestExactSampler:
+    @staticmethod
+    def sample(case, kind):
+        hyp, isnr, noise_db = SAMPLER_CASES[case]
+        rng = np.random.default_rng(41)
+        h = dt._draw_channels(rng, 4000, 4.0)
+        return dt._sample_stats(kind, hyp, h, 6.0, isnr, 2.0, rng, 4000, 460,
+                                56, noise_var_db=noise_db)
+
+    @pytest.mark.parametrize("kind", dt.DETECTOR_KINDS)
+    def test_matches_frame_simulation(self, frame_oracle, kind):
+        case, oracle = frame_oracle
+        t = self.sample(case, kind)
+        assert t.shape == (4000,)
+        assert stats.ks_2samp(t, oracle[kind]).pvalue > 0.001
+
+    def test_edscd_partial_last_chunk(self, frame_oracle, monkeypatch):
+        monkeypatch.setattr(dt, "_EDSCD_CHUNK", 1500)     # 1500 + 1500 + 1000
+        case, oracle = frame_oracle
+        assert stats.ks_2samp(self.sample(case, "edscd"),
+                              oracle["edscd"]).pvalue > 0.001
+
 
 @pytest.fixture(scope="module")
 def curves():
@@ -157,6 +201,10 @@ class TestPdCurve:
         for isnr in (-6.0, -4.0, -2.0, 0.0):
             assert pd_of["edscd"][isnr] >= pd_of["edscp"][isnr] - 0.03
             assert pd_of["edscp"][isnr] >= pd_of["ced"][isnr] - 0.03
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ConfigurationError):
+            dt.pd_curve(dt.DetectorConfig(kind="ced", threshold=1.0), [])
 
     def test_order_independent_of_grid(self):
         det = dt.DetectorConfig(kind="edscp", threshold=1.3,
