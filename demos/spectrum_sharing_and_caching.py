@@ -29,12 +29,8 @@ for m, k in assignment.pairs():
 print(f"sum rate: {assignment.objective:.2f} bit/s/Hz")
 
 # baseline: only carriers free of incumbent interference everywhere
-clean = np.nonzero(interference.sum(axis=1) == 0)[0]
-if len(clean):
-    base = cognitive.assign_hungarian(rates[clean])
-    print(f"exclusive-band baseline ({len(clean)} clean carriers): "
-          f"{base.objective:.2f} bit/s/Hz "
-          f"-> gain x{assignment.objective / base.objective:.2f}")
+exclusive, gain = cognitive.throughput_report(rates, interference, assignment)
+print(f"exclusive-band baseline: {exclusive:.2f} bit/s/Hz -> gain x{gain:.2f}")
 
 # ------------------------------------------------------------ caching threshold
 print("\nbroadcast/unicast threshold, K=500 stations, I=100 files, "

@@ -20,9 +20,9 @@ curves = {}
 for kind in detection.DETECTOR_KINDS:
     det = detection.DetectorConfig(kind=kind, noise_uncertainty_db=EPS_DB)
     # worst-case calibration keeps Pfa <= target across the uncertainty
-    tau = detection.calibrate_threshold(det, PFA, 10000, EPS_DB, seed=0)
+    tau = detection.calibrate_threshold(det, PFA, 10000, seed=0)
     curves[kind] = detection.pd_curve(replace(det, threshold=tau), grid,
-                                      eps_db=EPS_DB, n_mc=N_MC, seed=0)
+                                      n_mc=N_MC, seed=0)
 
 header = "  ".join(f"{k:>6}" for k in curves)
 print(f"Pd vs ISNR (Pfa = {PFA}, eps = {EPS_DB} dB):\n")

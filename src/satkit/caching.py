@@ -68,6 +68,11 @@ def zipf_pmf(library_size: int, alpha: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _check_link(file_size_bits, n_stations, rate_uc, rate_bc):
+    if min(file_size_bits, rate_uc, rate_bc) <= 0 or n_stations < 1:
+        raise ConfigurationError("sizes, rates and station count must be positive")
+
+
 def delivery_times(threshold: int, model: PopularityModel, file_size_bits: float,
                    n_stations: int, rate_uc: float, rate_bc: float) -> DeliveryPlan:
     """Exact delivery times for a given threshold.
@@ -77,8 +82,7 @@ def delivery_times(threshold: int, model: PopularityModel, file_size_bits: float
     i_max = model.library_size + 1
     if not 1 <= threshold <= i_max:
         raise ConfigurationError("threshold must lie in 1..I+1")
-    if min(file_size_bits, rate_uc, rate_bc) <= 0 or n_stations < 1:
-        raise ConfigurationError("sizes, rates and station count must be positive")
+    _check_link(file_size_bits, n_stations, rate_uc, rate_bc)
     f = model.pmf
     tail = float(f[threshold - 1:].sum())
     head = float(f[: threshold - 1].sum())
@@ -95,6 +99,7 @@ def delivery_times(threshold: int, model: PopularityModel, file_size_bits: float
 def total_time_curve(model: PopularityModel, file_size_bits: float,
                      n_stations: int, rate_uc: float, rate_bc: float) -> np.ndarray:
     """T_tot over every threshold 1..I+1 (index 0 = pure unicast)."""
+    _check_link(file_size_bits, n_stations, rate_uc, rate_bc)
     f = model.pmf
     tails = np.concatenate([[1.0], 1.0 - np.cumsum(f)])
     tails = np.clip(tails, 0.0, None)

@@ -3,16 +3,16 @@
 Each subcommand resolves its configuration (defaults, then --config
 JSON, then flag/environment overrides), writes its result CSVs and a
 ``manifest.json`` capturing the fully resolved configuration. A run that
-fails leaves none of its files behind. Re-running
-a subcommand with ``--config manifest.json`` reproduces the CSVs
-byte-for-byte, except for measured wall-clock columns.
+fails leaves none of its files behind, nor an output directory it made.
+Re-running a subcommand with ``--config manifest.json`` reproduces the
+CSVs byte-for-byte, except for measured wall-clock columns.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import replace
@@ -57,14 +57,25 @@ def _env_int(name: str):
 
 
 def _check_type(key: str, value, default):
-    """A loaded value must have its default's type; a float also takes an int."""
+    """A loaded value must have its default's type; a float also takes an int.
+
+    A list must be non-empty, with each element of the type of the
+    default's first element. A ``None`` default takes null or a string.
+    """
     if default is None:
-        return
-    want = (int, float) if isinstance(default, float) else type(default)
+        want, name = (type(None), str), "null or str"
+    else:
+        want = (int, float) if isinstance(default, float) else type(default)
+        name = type(default).__name__
     if (isinstance(value, bool) != isinstance(default, bool)
             or not isinstance(value, want)):
-        raise ConfigurationError(f"config key {key!r} must be "
-                                 f"{type(default).__name__}, not {value!r}")
+        raise ConfigurationError(f"config key {key!r} must be {name}, "
+                                 f"not {value!r}")
+    if isinstance(value, list):
+        if not value:
+            raise ConfigurationError(f"config key {key!r} must not be empty")
+        for item in value:
+            _check_type(key, item, default[0])
 
 
 def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
@@ -89,6 +100,8 @@ def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
         cfg["seed"] = env_seed
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if cfg["seed"] < 0:
+        raise ConfigurationError(f"seed must be >= 0, not {cfg['seed']}")
     return cfg
 
 
@@ -101,7 +114,7 @@ def _write_manifest(out: Path, subcommand: str, cfg: dict):
 
 # ---------------------------------------------------------------- subcommands
 
-def cmd_channel_report(cfg: dict, out: Path, jobs: int):
+def cmd_channel_report(cfg: dict, out: Path):
     scn = default_scenario(n_beams=cfg["n_beams"], n_u=cfg["n_u"],
                            seed=cfg["seed"])
     rows = []
@@ -113,9 +126,12 @@ def cmd_channel_report(cfg: dict, out: Path, jobs: int):
               ["reuse_factor", "avg_cir_db", "n_mc", "seed"], rows)
 
 
-def cmd_precoding_bench(cfg: dict, out: Path, jobs: int):
+def cmd_precoding_bench(cfg: dict, out: Path):
     rows = []
-    for case_i, (k, n, nu) in enumerate(cfg["cases"]):
+    for case_i, case in enumerate(cfg["cases"]):
+        if len(case) != 3:
+            raise ConfigurationError(f"a case is [K, N, Nu], not {case!r}")
+        k, n, nu = case
         if n != k:
             raise ConfigurationError("benchmark cases use N == K layouts")
         scn = default_scenario(n_beams=k, n_u=nu, seed=cfg["seed"] + case_i)
@@ -127,11 +143,13 @@ def cmd_precoding_bench(cfg: dict, out: Path, jobs: int):
               ["K", "N", "Nu", "sr_per_beam", "cpu_ms"], rows)
 
 
-def cmd_rate_region(cfg: dict, out: Path, jobs: int):
+def cmd_rate_region(cfg: dict, out: Path):
     direct = 10 ** (cfg["direct_db"] / 10)
     cross = 10 ** (cfg["cross_db"] / 10)
     template = access.TwoUserChannel(g11=direct, g21=cross, g12=cross,
                                      g22=direct, p1=1.0, p2=1.0)
+    if cfg["lam_points"] < 1:
+        raise ConfigurationError("lam_points must be >= 1")
     lam_grid = np.linspace(0.0, 1.0, cfg["lam_points"])
     regions = access.region_sweep(template, cfg["p_values"],
                                   strategies=tuple(cfg["strategies"]),
@@ -147,28 +165,18 @@ def cmd_rate_region(cfg: dict, out: Path, jobs: int):
                   rows)
 
 
-def cmd_detection_pd(cfg: dict, out: Path, jobs: int):
+def cmd_detection_pd(cfg: dict, out: Path):
     rows = []
-
-    def one(kind):
+    for kind in cfg["detectors"]:
         det = detection.DetectorConfig(kind=kind,
                                        noise_uncertainty_db=cfg["eps_db"])
         tau = detection.calibrate_threshold(
-            det, cfg["pfa"], cfg["n_mc_calib"], cfg["eps_db"],
-            snr_db=cfg["snr_db"], seed=cfg["seed"], fade_db=cfg["fade_db"])
+            det, cfg["pfa"], cfg["n_mc_calib"], snr_db=cfg["snr_db"],
+            seed=cfg["seed"], fade_db=cfg["fade_db"])
         det = replace(det, threshold=tau)
-        return detection.pd_curve(det, cfg["isnr_grid_db"],
-                                  snr_db=cfg["snr_db"], eps_db=cfg["eps_db"],
-                                  n_mc=cfg["n_mc"], seed=cfg["seed"],
-                                  fade_db=cfg["fade_db"])
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
-            results = list(pool.map(one, cfg["detectors"]))
-    else:
-        results = [one(kind) for kind in cfg["detectors"]]
-    for curve in results:
-        for r in curve:
+        for r in detection.pd_curve(det, cfg["isnr_grid_db"],
+                                    snr_db=cfg["snr_db"], n_mc=cfg["n_mc"],
+                                    seed=cfg["seed"], fade_db=cfg["fade_db"]):
             rows.append((r["detector"], r["eps_db"], r["isnr_db"], r["pd"],
                          r["pd_lo"], r["pd_hi"], r["n_mc"], cfg["pfa"],
                          cfg["seed"]))
@@ -177,7 +185,7 @@ def cmd_detection_pd(cfg: dict, out: Path, jobs: int):
                "n_mc", "pfa_target", "seed"], rows)
 
 
-def cmd_spd_bench(cfg: dict, out: Path, jobs: int):
+def cmd_spd_bench(cfg: dict, out: Path):
     hpa = predistortion.HpaParams(alpha=complex(cfg["alpha_re"], cfg["alpha_im"]),
                                   beta=complex(cfg["beta_re"], cfg["beta_im"]))
     base = predistortion.ChainConfig(sigma_j=cfg["sigma_j"],
@@ -202,9 +210,11 @@ def cmd_spd_bench(cfg: dict, out: Path, jobs: int):
                     float(g.imag)) for lo, hi, g in spd.lut])
 
 
-def cmd_carrier_assign(cfg: dict, out: Path, jobs: int):
+def cmd_carrier_assign(cfg: dict, out: Path):
     rng = np.random.default_rng(cfg["seed"])
     m, k = cfg["n_carriers"], cfg["n_terminals"]
+    if k < 1 or cfg["area_km"] < 0:
+        raise ConfigurationError("need n_terminals >= 1 and area_km >= 0")
     terminals = rng.uniform(-cfg["area_km"] / 2, cfg["area_km"] / 2, (k, 2))
     if cfg["rem_csv"]:
         stations = cognitive.load_rem(cfg["rem_csv"], m)
@@ -220,19 +230,13 @@ def cmd_carrier_assign(cfg: dict, out: Path, jobs: int):
     rows = [(mm, kk, rates[mm, kk]) for mm, kk in assign.pairs()]
     write_csv(out / "carrier_assign.csv",
               ["carrier", "terminal", "rate_bpshz"], rows)
-    clean = np.nonzero(interf.sum(axis=1) == 0)[0]
-    if len(clean):
-        base = cognitive.assign_hungarian(rates[clean])
-        gain = assign.objective / base.objective if base.objective > 0 else np.inf
-    else:
-        base, gain = None, np.inf
+    exclusive, gain = cognitive.throughput_report(rates, interf, assign)
     write_csv(out / "carrier_assign_summary.csv",
               ["sum_rate", "exclusive_sum_rate", "gain_factor"],
-              [(assign.objective,
-                base.objective if base is not None else 0.0, gain)])
+              [(assign.objective, exclusive, gain)])
 
 
-def cmd_caching_threshold(cfg: dict, out: Path, jobs: int):
+def cmd_caching_threshold(cfg: dict, out: Path):
     rows = []
     rate_bc = cfg["rate_bc"]
     rate_uc = rate_bc * cfg["rate_ratio"]
@@ -297,25 +301,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config or a previous run's manifest.json")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--jobs", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func, defaults = SUBCOMMANDS[args.subcommand]
+    out = Path(args.out or os.environ.get(ENV_PREFIX + "OUT", "."))
+    made = [p for p in (out, *out.parents) if not p.exists()]
     try:
         cfg = _resolve_config(defaults, args, args.subcommand)
-        out = Path(args.out or os.environ.get(ENV_PREFIX + "OUT", "."))
-        jobs = args.jobs or _env_int("JOBS") or 1
         out.mkdir(parents=True, exist_ok=True)
         # outputs appear only once the whole run has succeeded
         with tempfile.TemporaryDirectory(dir=out, prefix=".satkit-") as tmp:
-            func(cfg, Path(tmp), jobs)
+            func(cfg, Path(tmp))
             for path in Path(tmp).iterdir():
                 os.replace(path, out / path.name)
         _write_manifest(out, args.subcommand, cfg)
     except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
+        if made:                    # the outermost directory this run made
+            shutil.rmtree(made[-1], ignore_errors=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

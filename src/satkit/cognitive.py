@@ -139,12 +139,18 @@ def assign_hungarian(rates: np.ndarray, tie_break: bool = True) -> Assignment:
     return Assignment(terminal_of=terminal_of, objective=objective)
 
 
-def throughput_report(assignment: Assignment,
-                      baseline_exclusive: Assignment) -> float:
-    """Shared-band over exclusive-band sum-rate gain factor."""
-    if baseline_exclusive.objective <= 0:
-        raise ConfigurationError("baseline objective must be positive")
-    return assignment.objective / baseline_exclusive.objective
+def throughput_report(rates: np.ndarray, interference: np.ndarray,
+                      assignment: Assignment) -> Tuple[float, float]:
+    """Exclusive-band sum rate and the shared band's gain factor over it.
+
+    The exclusive band is the carriers free of incumbent interference at
+    every terminal; the gain is ``inf`` when that band carries no rate.
+    """
+    clean = np.nonzero(interference.sum(axis=1) == 0)[0]
+    if len(clean) == 0:
+        return 0.0, np.inf
+    base = assign_hungarian(rates[clean]).objective
+    return base, assignment.objective / base if base > 0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,8 @@ def load_rem(path, n_carriers: int) -> list:
 
     Each station occupies carrier ``station_id mod n_carriers``.
     """
+    if n_carriers < 1:
+        raise ConfigurationError("need n_carriers >= 1")
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -180,6 +188,9 @@ def load_rem(path, n_carriers: int) -> list:
 def synthetic_rem(n_stations: int, n_carriers: int, area_km: float,
                   rng: np.random.Generator, tx_dbw: float = 10.0) -> list:
     """Random FS deployment over a square area."""
+    if n_stations < 0 or n_carriers < 1 or area_km < 0:
+        raise ConfigurationError("need n_stations >= 0, n_carriers >= 1 "
+                                 "and area_km >= 0")
     out = []
     for sid in range(n_stations):
         out.append(FsStation(

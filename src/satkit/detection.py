@@ -24,34 +24,12 @@ _EDSCD_CHUNK = 2000                 # frames per EDSCD block, bounds peak memory
 
 
 @dataclass(frozen=True)
-class FramedSignal:
-    """One received frame: samples, pilots-first symbol layout, metadata."""
-
-    samples: np.ndarray             # (N,) complex
-    pilot_mask: np.ndarray          # (N,) bool, pilots first
-    symbols: np.ndarray             # (N,) unit-energy QPSK
-    h: complex
-    snr_db: float
-    isnr_db: float
-    hypothesis: int                 # 0 or 1
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_pilot(self) -> int:
-        return int(self.pilot_mask.sum())
-
-
-@dataclass(frozen=True)
 class DetectorConfig:
     """Detector kind, decision threshold and assumed noise uncertainty."""
 
     kind: str
     threshold: float = 0.0
     noise_uncertainty_db: float = 0.0
-    noise_var: float = 1.0
 
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
@@ -66,6 +44,8 @@ def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _draw_channels(rng: np.random.Generator, n: int, fade_db: float) -> np.ndarray:
+    if n < 1 or fade_db < 0:
+        raise ConfigurationError("need n_mc >= 1 frames and fade_db >= 0")
     amp = 10 ** (rng.uniform(-fade_db, fade_db, n) / 20)
     return amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
 
@@ -89,23 +69,6 @@ def _gen_batch(hypothesis: int, h: np.ndarray, snr_db: float, isnr_db: float,
         x = x + np.sqrt(p_pow / 2) * (rng.standard_normal((n_mc, n))
                                       + 1j * rng.standard_normal((n_mc, n)))
     return x, s
-
-
-def gen_frame(hypothesis: int, h: complex, snr_db: float, isnr_db: float,
-              eps_db: float, rng: np.random.Generator,
-              n_data: int = N_DATA_DEFAULT,
-              n_pilot: int = N_PILOT_DEFAULT) -> FramedSignal:
-    """Synthesise one frame under H0 or H1."""
-    if hypothesis not in (0, 1):
-        raise ConfigurationError("hypothesis must be 0 or 1")
-    if eps_db < 0:
-        raise ConfigurationError("noise uncertainty must be >= 0 dB")
-    x, s = _gen_batch(hypothesis, np.array([h]), snr_db, isnr_db, eps_db,
-                      rng, 1, n_data, n_pilot)
-    mask = np.zeros(n_data + n_pilot, bool)
-    mask[:n_pilot] = True
-    return FramedSignal(samples=x[0], pilot_mask=mask, symbols=s[0], h=h,
-                        snr_db=snr_db, isnr_db=isnr_db, hypothesis=hypothesis)
 
 
 def _stats_batch(kind: str, x: np.ndarray, s: np.ndarray, amp: float,
@@ -174,51 +137,24 @@ def _sample_stats(kind: str, hypothesis: int, h: np.ndarray, snr_db: float,
     return (pilot_res + data_res) / n
 
 
-def _stat_frame(kind: str, frame: FramedSignal) -> float:
-    amp = 10 ** (frame.snr_db / 20)
-    # reorder pilots-first in case of a custom mask
-    order = np.argsort(~frame.pilot_mask, kind="stable")
-    x = frame.samples[order][None, :]
-    s = frame.symbols[order][None, :]
-    return float(_stats_batch(kind, x, s, amp, frame.n_pilot)[0])
-
-
-def stat_ced(frame: FramedSignal) -> float:
-    """Conventional energy detector: mean squared sample magnitude."""
-    return _stat_frame("ced", frame)
-
-
-def stat_edscp(frame: FramedSignal) -> float:
-    """Energy detector with pilot-aided signal cancellation."""
-    return _stat_frame("edscp", frame)
-
-
-def stat_edscd(frame: FramedSignal) -> float:
-    """Energy detector with pilot + decided-data signal cancellation."""
-    return _stat_frame("edscd", frame)
-
-
-STATISTICS = {"ced": stat_ced, "edscp": stat_edscp, "edscd": stat_edscd}
-
-
 def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
-                        n_mc: int, eps_db: float, snr_db: float = 6.0,
+                        n_mc: int, snr_db: float = 6.0,
                         seed: int = 0, fade_db: float = 4.0,
                         n_data: int = N_DATA_DEFAULT,
                         n_pilot: int = N_PILOT_DEFAULT) -> float:
-    """Empirical threshold at the worst-case (+eps dB) noise level.
+    """Empirical threshold at the worst-case noise level, +eps dB.
 
     Returns the (1 - pfa_target) quantile of the H0 statistic with the
-    noise variance pinned at its upper uncertainty edge, which keeps the
-    realised false-alarm rate at or below the target for any noise level
-    inside the uncertainty interval.
+    noise variance pinned at the upper edge of the detector's
+    ``noise_uncertainty_db`` (eps), which keeps the realised false-alarm
+    rate at or below the target for any noise level inside the
+    uncertainty interval.
     """
     if not 0.0 < pfa_target < 1.0:
         raise ConfigurationError("pfa_target must lie in (0,1)")
-    if n_mc < 1:
-        raise ConfigurationError("calibration needs n_mc >= 1 frames")
     rng = np.random.default_rng(seed)
     h = _draw_channels(rng, n_mc, fade_db)
+    eps_db = detector.noise_uncertainty_db
     t = _sample_stats(detector.kind, 0, h, snr_db, -np.inf, eps_db, rng, n_mc,
                       n_data, n_pilot, noise_var_db=eps_db)
     return float(np.quantile(t, 1.0 - pfa_target))
@@ -237,18 +173,20 @@ def wilson_interval(successes: int, trials: int,
 
 
 def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
-             snr_db: float = 6.0, eps_db: float = 2.0, n_mc: int = 5000,
+             snr_db: float = 6.0, n_mc: int = 5000,
              seed: int = 0, fade_db: float = 4.0,
              n_data: int = N_DATA_DEFAULT,
              n_pilot: int = N_PILOT_DEFAULT) -> list:
     """Monte Carlo detection probability per ISNR point with Wilson CIs.
 
-    Grid points use independent child seeds so results do not depend on
-    evaluation order.
+    Each frame's noise level is drawn within the detector's
+    ``noise_uncertainty_db``. Grid points use independent child seeds so
+    results do not depend on evaluation order.
     """
     if len(isnr_grid_db) == 0:
         raise ConfigurationError("isnr_grid_db must hold at least one ISNR")
     children = np.random.SeedSequence(seed).spawn(len(isnr_grid_db))
+    eps_db = detector.noise_uncertainty_db
     rows = []
     for isnr_db, ss in zip(isnr_grid_db, children):
         rng = np.random.default_rng(ss)

@@ -240,6 +240,8 @@ def geographic_scheduler(user_set: UserSet, frame_size: int) -> FramePlan:
 def benchmark_mmse(channel_set: ChannelSet, power_cap: float,
                    n_rep: int = 3) -> dict:
     """Sum rate plus wall-clock cost of the precoder computation."""
+    if n_rep < 1:
+        raise ConfigurationError("n_rep must be >= 1")
     h_avg = average_channel(channel_set)
     t0 = time.perf_counter()
     for _ in range(n_rep):

@@ -279,8 +279,8 @@ class ChainConfig:
             raise ConfigurationError("unknown spd_location")
         if self.modulation not in ("qpsk", "16apsk"):
             raise ConfigurationError("unknown modulation")
-        if self.drive <= 0 or self.oversampling < 2:
-            raise ConfigurationError("bad drive or oversampling")
+        if self.drive <= 0 or self.oversampling < 2 or self.sigma_j < 0:
+            raise ConfigurationError("bad drive, oversampling or jitter")
 
 
 @dataclass(frozen=True)
@@ -372,6 +372,8 @@ def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
     symbol-spaced equalizer. ``spd`` may be None when spd_location is
     "none"; it is fitted internally when omitted otherwise.
     """
+    if n_symbols < 1:
+        raise ConfigurationError("n_symbols must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
     if config.spd_location != "none" and spd is None:

@@ -139,6 +139,8 @@ class ChannelSet:
 
 def hex_layout(n_beams: int, spacing_km: float):
     """Axial coordinates and planar centers of a hexagonal beam spiral."""
+    if n_beams < 1:
+        raise ConfigurationError("need at least one beam")
     coords = [(0, 0)]
     ring = 1
     dirs = [(-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)]
@@ -293,6 +295,8 @@ def average_cir(scenario: Scenario, reuse_pattern, n_mc: int = 200,
     """
     if scenario.N != scenario.K:
         raise ConfigurationError("nominal single-feed CIR needs N == K")
+    if n_mc < 1:
+        raise ConfigurationError("n_mc must be >= 1")
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
     if np.isscalar(reuse_pattern):

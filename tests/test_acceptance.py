@@ -109,7 +109,7 @@ class TestAcceptance:
         for kind in ("ced", "edscp"):
             det = detection.DetectorConfig(kind=kind,
                                            noise_uncertainty_db=eps)
-            tau = detection.calibrate_threshold(det, pfa, 20000, eps, seed=0)
+            tau = detection.calibrate_threshold(det, pfa, 20000, seed=0)
             det = replace(det, threshold=tau)
             # realised Pfa at the calibration (worst-case) noise level
             rng = np.random.default_rng(99)
@@ -120,8 +120,7 @@ class TestAcceptance:
             hits = int(np.sum(stat > tau))
             lo, hi = detection.wilson_interval(hits, n_mc)
             assert lo <= pfa <= hi
-            rows = detection.pd_curve(det, grid, eps_db=eps, n_mc=n_mc,
-                                      seed=0)
+            rows = detection.pd_curve(det, grid, n_mc=n_mc, seed=0)
             walls[kind] = detection.wall_crossing(rows, 0.9)
         assert np.isfinite(walls["ced"]) and np.isfinite(walls["edscp"])
         assert walls["ced"] - walls["edscp"] >= 5.0

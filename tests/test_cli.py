@@ -1,7 +1,9 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,15 @@ FAST_CONFIGS = {
                        "area_km": 50.0},
     "rate-region": {"p_values": [1.0, 10.0], "lam_points": 3,
                     "strategies": ["ian", "hk"]},
+}
+# every subcommand at a small size, so each config sweep run is quick
+SMALL_CONFIGS = {
+    **FAST_CONFIGS,
+    "precoding-bench": {"cases": [[4, 4, 1]], "n_rep": 1},
+    "detection-pd": {"detectors": ["ced"], "n_mc": 100, "n_mc_calib": 500,
+                     "isnr_grid_db": [0.0, 4.0]},
+    "spd-bench": {"obo_grid_db": [4.0], "modes": ["none"], "n_symbols": 300,
+                  "lut_bins": 8},
 }
 
 
@@ -119,7 +130,7 @@ class TestConfigFaults:
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error:")
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_unknown_rate_region_strategy(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "rate-region",
@@ -132,6 +143,13 @@ class TestConfigFaults:
                            {"detectors": ["ced"], "n_mc": 20,
                             "n_mc_calib": 100, **cfg})
 
+    @pytest.mark.parametrize("sub, cfg", [
+        ("channel-report", {**FAST_CONFIGS["channel-report"], "n_mc": 0}),
+        ("spd-bench", {**SMALL_CONFIGS["spd-bench"], "sigma_j": -0.01})])
+    def test_out_of_range(self, tmp_path, capsys, sub, cfg):
+        # both used to exit 0: C/I of inf, and no jitter at all
+        self.fails_cleanly(tmp_path, capsys, sub, cfg)
+
     @pytest.mark.parametrize("sub", ["channel-report", "detection-pd"])
     @pytest.mark.parametrize("value", ["10", 10.0, True])
     def test_non_integer_count(self, tmp_path, capsys, sub, value):
@@ -142,16 +160,61 @@ class TestConfigFaults:
         self.fails_cleanly(tmp_path, capsys, "caching-threshold",
                            {**FAST_CONFIGS["caching-threshold"], **cfg})
 
+    @pytest.mark.parametrize("sub, cfg", [
+        ("caching-threshold", {"alphas": ["x"]}),
+        ("rate-region", {"p_values": [1.0, True]}),
+        ("precoding-bench", {"cases": [["a", "a", 1]]}),
+        ("precoding-bench", {"cases": [[4, 4]]}),
+        ("precoding-bench", {"cases": [[]]})])
+    def test_bad_list_element(self, tmp_path, capsys, sub, cfg):
+        self.fails_cleanly(tmp_path, capsys, sub, {**SMALL_CONFIGS[sub], **cfg})
+
     def test_failure_part_way_leaves_no_files(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "caching-threshold",
                            {**FAST_CONFIGS["caching-threshold"],
                             "alphas": [0.8, -1]})
 
-    @pytest.mark.parametrize("var", ["SATKIT_SEED", "SATKIT_JOBS"])
+    @pytest.mark.parametrize("var", ["SATKIT_SEED"])
     def test_non_integer_env(self, tmp_path, capsys, monkeypatch, var):
         monkeypatch.setenv(var, "abc")
         self.fails_cleanly(tmp_path, capsys, "carrier-assign",
                            FAST_CONFIGS["carrier-assign"])
+
+
+SWEEP_VALUES = [0, -1, [], "x", None, True, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
+def test_config_fault_sweep(tmp_path, capsys, sub):
+    """Each key set to each sweep value either runs or fails cleanly.
+
+    A run exits 0 with a manifest and no header-only CSV, or exits 1 with
+    one ``error:`` line (a warning counts as a line) and no --out directory.
+    """
+    keys = cli.SUBCOMMANDS[sub][1]
+    broken = []
+    for i, (key, value) in enumerate(itertools.product(keys, SWEEP_VALUES)):
+        cfg_path, out = tmp_path / f"{i}.json", tmp_path / f"o{i}"
+        cfg_path.write_text(json.dumps({**SMALL_CONFIGS[sub], key: value}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = cli.main([sub, "--config", str(cfg_path),
+                               "--out", str(out)])
+            except Exception as exc:                # a traceback
+                rc = repr(exc)
+        err = (capsys.readouterr().err.splitlines()
+               + [str(w.message) for w in caught])
+        if rc == 0:
+            ok = (not err and (out / "manifest.json").exists()
+                  and all(p.read_bytes().count(b"\r\n") > 1
+                          for p in out.glob("*.csv")))
+        else:
+            ok = (rc == 1 and len(err) == 1 and err[0].startswith("error:")
+                  and not out.exists())
+        if not ok:
+            broken.append(f"{key}={value!r}: exit {rc}, stderr {err}")
+    assert not broken, "\n".join(broken)
 
 
 class TestConfigTypes:

@@ -140,14 +140,21 @@ class TestAssignment:
 
 class TestThroughputReport:
     def test_gain_factor(self):
-        a = cg.Assignment(terminal_of=(0, 1), objective=6.0)
-        b = cg.Assignment(terminal_of=(0, 1), objective=4.0)
-        assert cg.throughput_report(a, b) == pytest.approx(1.5)
+        # carriers 0 and 2 are clean: exclusive band 3 + 0, shared 5 + 3
+        rates = np.array([[1.0, 3.0], [5.0, 0.0], [0.0, 1.0]])
+        interf = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+        shared = cg.assign_hungarian(rates)
+        assert cg.throughput_report(rates, interf, shared) == (
+            pytest.approx(3.0), pytest.approx(8.0 / 3.0))
 
-    def test_zero_baseline_rejected(self):
-        z = cg.Assignment(terminal_of=(0,), objective=0.0)
-        with pytest.raises(ConfigurationError):
-            cg.throughput_report(z, z)
+    def test_zero_baseline_gives_inf(self):
+        rates = np.array([[1.0, 3.0], [5.0, 0.0]])
+        shared = cg.assign_hungarian(rates)
+        none_clean = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert cg.throughput_report(rates, none_clean, shared) == (0.0, np.inf)
+        all_clean_no_rate = np.zeros((2, 2))
+        assert cg.throughput_report(all_clean_no_rate, all_clean_no_rate,
+                                    shared) == (0.0, np.inf)
 
 
 class TestRem:
@@ -162,6 +169,8 @@ class TestRem:
         assert stations[0].x_km == 1.0 and stations[0].carrier == 0
         assert stations[1].carrier == 1          # 5 mod 4
         assert stations[1].tx_dbw == 12.5
+        with pytest.raises(ConfigurationError):       # no carrier to occupy
+            cg.load_rem(path, n_carriers=0)
 
     def test_synthetic_rem_fields(self):
         stations = cg.synthetic_rem(20, 4, 100.0, np.random.default_rng(0))

@@ -8,36 +8,41 @@ from satkit import detection as dt
 from satkit.scenario import ConfigurationError
 
 
-def frame(hyp, isnr=-30.0, eps=0.0, seed=0, h=1.0 + 0j, snr=6.0):
-    return dt.gen_frame(hyp, h, snr, isnr, eps, np.random.default_rng(seed))
+AMP = 10 ** (6.0 / 20)                  # signal amplitude at 6 dB SNR
+
+
+def frame(hyp, isnr=-30.0, seed=0):
+    """One 516-sample frame at h = 1, 56 pilots first: (samples, symbols)."""
+    x, s = dt._gen_batch(hyp, np.array([1.0 + 0j]), 6.0, isnr, 0.0,
+                         np.random.default_rng(seed), 1, 460, 56)
+    return x[0], s[0]
+
+
+def stat(kind, x, s):
+    return dt._stats_batch(kind, x[None], s[None], AMP, 56)[0]
 
 
 class TestGenFrame:
     def test_layout(self):
-        f = frame(0)
-        assert f.n == 516
-        assert f.n_pilot == 56
-        assert f.pilot_mask[:56].all() and not f.pilot_mask[56:].any()
-        np.testing.assert_allclose(np.abs(f.symbols), 1.0, atol=1e-12)
+        x, s = frame(0)
+        assert x.shape == s.shape == (516,)
+        np.testing.assert_allclose(np.abs(s), 1.0, atol=1e-12)
 
     def test_h0_noise_variance(self):
-        f = frame(0, seed=1)
-        amp = 10 ** (f.snr_db / 20)
-        resid = f.samples - f.h * amp * f.symbols
-        var = np.mean(np.abs(resid) ** 2)
+        x, s = frame(0, seed=1)
+        var = np.mean(np.abs(x - AMP * s) ** 2)
         # sample variance of N=516 complex Gaussians, 3 sigma bounds
         assert abs(var - 1.0) < 3 / np.sqrt(516)
 
     def test_vanishing_interference_matches_h0(self):
-        x0 = np.concatenate([frame(0, seed=s).samples.real
-                             for s in range(20)])
-        x1 = np.concatenate([frame(1, isnr=-80.0, seed=200 + s).samples.real
+        x0 = np.concatenate([frame(0, seed=s)[0].real for s in range(20)])
+        x1 = np.concatenate([frame(1, isnr=-80.0, seed=200 + s)[0].real
                              for s in range(20)])
         assert stats.ks_2samp(x0, x1).pvalue > 0.001
 
     def test_determinism(self):
-        np.testing.assert_array_equal(frame(1, isnr=0.0, seed=3).samples,
-                                      frame(1, isnr=0.0, seed=3).samples)
+        np.testing.assert_array_equal(frame(1, isnr=0.0, seed=3)[0],
+                                      frame(1, isnr=0.0, seed=3)[0])
 
     def test_isnr_definition(self):
         # interferer power = 10^(isnr/10) * (signal + noise power)
@@ -48,38 +53,30 @@ class TestGenFrame:
         p_meas = np.mean(np.abs(x - amp * s) ** 2) - 1.0
         assert p_meas == pytest.approx(10 ** 0.3 * (amp ** 2 + 1), rel=0.05)
 
-    def test_bad_hypothesis(self):
-        with pytest.raises(ConfigurationError):
-            dt.gen_frame(2, 1.0, 6.0, 0.0, 0.0, np.random.default_rng(0))
-
 
 class TestStatistics:
     def test_ced_is_mean_energy(self):
-        f = frame(0)
-        assert dt.stat_ced(f) == pytest.approx(
-            np.mean(np.abs(f.samples) ** 2), rel=1e-12)
+        x, s = frame(0)
+        assert stat("ced", x, s) == pytest.approx(np.mean(np.abs(x) ** 2),
+                                                  rel=1e-12)
 
     def test_edscp_matches_scalar_oracle(self):
-        f = frame(1, isnr=2.0, seed=5)
-        amp = 10 ** (f.snr_db / 20)
-        xp = f.samples[f.pilot_mask]
-        sp = amp * f.symbols[f.pilot_mask]
+        x, s = frame(1, isnr=2.0, seed=5)
+        xp, sp = x[:56], AMP * s[:56]
         h_hat = np.sum(np.conj(sp) * xp) / np.sum(np.abs(sp) ** 2)
         want = np.mean(np.abs(xp - h_hat * sp) ** 2)
-        assert dt.stat_edscp(f) == pytest.approx(want, rel=1e-12)
+        assert stat("edscp", x, s) == pytest.approx(want, rel=1e-12)
 
     def test_edscd_matches_scalar_oracle(self):
-        f = frame(1, isnr=2.0, seed=6)
-        amp = 10 ** (f.snr_db / 20)
-        xp = f.samples[f.pilot_mask]
-        sp = amp * f.symbols[f.pilot_mask]
+        x, s = frame(1, isnr=2.0, seed=6)
+        xp, sp = x[:56], AMP * s[:56]
         h_hat = np.sum(np.conj(sp) * xp) / np.sum(np.abs(sp) ** 2)
-        xd = f.samples[~f.pilot_mask]
+        xd = x[56:]
         z = xd / h_hat
         sd = (np.sign(z.real) + 1j * np.sign(z.imag)) / np.sqrt(2)
         want = (np.sum(np.abs(xp - h_hat * sp) ** 2)
-                + np.sum(np.abs(xd - h_hat * amp * sd) ** 2)) / f.n
-        assert dt.stat_edscd(f) == pytest.approx(want, rel=1e-12)
+                + np.sum(np.abs(xd - h_hat * AMP * sd) ** 2)) / x.size
+        assert stat("edscd", x, s) == pytest.approx(want, rel=1e-12)
 
     def test_edscp_unbiased_with_long_pilot_block(self):
         # perfect-cancellation limit: statistic mean equals noise variance
@@ -94,7 +91,7 @@ class TestCalibration:
     def test_pfa_at_zero_uncertainty(self):
         for kind in dt.DETECTOR_KINDS:
             det = dt.DetectorConfig(kind=kind)
-            tau = dt.calibrate_threshold(det, 0.01, 20000, 0.0, seed=11)
+            tau = dt.calibrate_threshold(det, 0.01, 20000, seed=11)
             det = replace(det, threshold=tau)
             pfa, (lo, hi) = dt.measured_pfa(det, eps_db=0.0, n_mc=5000,
                                             seed=12)
@@ -103,7 +100,7 @@ class TestCalibration:
 
     def test_worst_case_keeps_pfa_below_target(self):
         det = dt.DetectorConfig(kind="ced", noise_uncertainty_db=2.0)
-        tau = dt.calibrate_threshold(det, 0.01, 20000, 2.0, seed=13)
+        tau = dt.calibrate_threshold(det, 0.01, 20000, seed=13)
         det = replace(det, threshold=tau)
         # nominal (0 dB) noise inside the interval: realised Pfa <= target
         pfa, _ = dt.measured_pfa(det, eps_db=0.0, n_mc=5000, seed=14)
@@ -112,11 +109,11 @@ class TestCalibration:
     def test_invalid_pfa(self):
         det = dt.DetectorConfig(kind="ced")
         with pytest.raises(ConfigurationError):
-            dt.calibrate_threshold(det, 1.5, 100, 0.0)
+            dt.calibrate_threshold(det, 1.5, 100)
 
     def test_no_calibration_frames(self):
         with pytest.raises(ConfigurationError):
-            dt.calibrate_threshold(dt.DetectorConfig(kind="ced"), 0.01, 0, 0.0)
+            dt.calibrate_threshold(dt.DetectorConfig(kind="ced"), 0.01, 0)
 
 
 # (hypothesis, ISNR dB, pinned noise dB): H0 as calibrated, H1 as pd_curve
@@ -164,7 +161,7 @@ def curves():
     out = {}
     for kind in dt.DETECTOR_KINDS:
         det = dt.DetectorConfig(kind=kind, noise_uncertainty_db=2.0)
-        tau = dt.calibrate_threshold(det, 0.01, 8000, 2.0, seed=0)
+        tau = dt.calibrate_threshold(det, 0.01, 8000, seed=0)
         det = replace(det, threshold=tau)
         out[kind] = dt.pd_curve(det, np.arange(-12.0, 7.0, 2.0),
                                 n_mc=2000, seed=0)
@@ -175,16 +172,16 @@ class TestPdCurve:
     def test_strong_interference_detected(self, curves):
         for kind in dt.DETECTOR_KINDS:
             det = dt.DetectorConfig(kind=kind, noise_uncertainty_db=2.0)
-            tau = dt.calibrate_threshold(det, 0.01, 8000, 2.0, seed=0)
+            tau = dt.calibrate_threshold(det, 0.01, 8000, seed=0)
             rows = dt.pd_curve(replace(det, threshold=tau), [20.0],
                                n_mc=2000, seed=1)
             assert rows[0]["pd"] >= 0.99
 
     def test_vanishing_interference_near_pfa(self):
         det = dt.DetectorConfig(kind="ced", noise_uncertainty_db=0.0)
-        tau = dt.calibrate_threshold(det, 0.01, 20000, 0.0, seed=2)
+        tau = dt.calibrate_threshold(det, 0.01, 20000, seed=2)
         rows = dt.pd_curve(replace(det, threshold=tau), [-30.0],
-                           eps_db=0.0, n_mc=5000, seed=3)
+                           n_mc=5000, seed=3)
         assert rows[0]["pd_lo"] <= 0.015 and rows[0]["pd"] <= 0.02
 
     def test_monotone_after_smoothing(self, curves):
