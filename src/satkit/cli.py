@@ -309,6 +309,7 @@ def main(argv=None) -> int:
     func, defaults = SUBCOMMANDS[args.subcommand]
     out = Path(args.out or os.environ.get(ENV_PREFIX + "OUT", "."))
     made = [p for p in (out, *out.parents) if not p.exists()]
+    done = False
     try:
         cfg = _resolve_config(defaults, args, args.subcommand)
         out.mkdir(parents=True, exist_ok=True)
@@ -318,11 +319,14 @@ def main(argv=None) -> int:
             for path in Path(tmp).iterdir():
                 os.replace(path, out / path.name)
         _write_manifest(out, args.subcommand, cfg)
+        done = True
     except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
-        if made:                    # the outermost directory this run made
-            shutil.rmtree(made[-1], ignore_errors=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # any other exception propagates, so that a program fault shows
+        if not done and made:       # the outermost directory this run made
+            shutil.rmtree(made[-1], ignore_errors=True)
     return 0
 
 

@@ -6,12 +6,11 @@ into the channel entries so the receiver noise has unit variance.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import j1, jv
+from scipy.special import j0, j1, jv
 
 SPEED_OF_LIGHT = 299_792_458.0
 BOLTZMANN = 1.380649e-23
@@ -186,7 +185,13 @@ def _taper(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, float)
     small = np.abs(u) < 1e-9
     us = np.where(small, 1.0, u)
-    b = j1(us) / (2 * us) + 36.0 * jv(3, us) / us ** 3
+    j_1 = j1(us)
+    # J3 from the upward recurrence, which is accurate for |u| >= 2;
+    # below that it cancels, so those entries take jv
+    j_3 = np.asarray((8.0 / us ** 2 - 1.0) * j_1 - 4.0 / us * j0(us))
+    near = np.abs(us) < 2.0
+    j_3[near] = jv(3, us[near])
+    b = j_1 / (2 * us) + 36.0 * j_3 / us ** 3
     return np.where(small, 1.0, b)
 
 
@@ -226,27 +231,9 @@ def draw_users(scenario: Scenario, rng: np.random.Generator) -> UserSet:
     return UserSet(positions=scenario.beam_centers[:, None, :] + offs)
 
 
-def load_gain_table(path, n_feeds: int, n_users: int) -> np.ndarray:
-    """Load a (n_users, n_feeds) complex gain override from CSV.
-
-    Columns: ``feed,user,amp,phase_rad``.
-    """
-    table = np.zeros((n_users, n_feeds), complex)
-    seen = np.zeros((n_users, n_feeds), bool)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            f, u = int(row["feed"]), int(row["user"])
-            table[u, f] = float(row["amp"]) * np.exp(1j * float(row["phase_rad"]))
-            seen[u, f] = True
-    if not seen.all():
-        raise ConfigurationError("gain table does not cover all (feed,user) pairs")
-    return table
-
-
 def build_channel(scenario: Scenario, user_set: UserSet,
                   fading: FadingModel = FadingModel(),
-                  rng: Optional[np.random.Generator] = None,
-                  gain_table: Optional[np.ndarray] = None) -> ChannelSet:
+                  rng: Optional[np.random.Generator] = None) -> ChannelSet:
     """Synthesise the noise-normalised channel matrices.
 
     Entry (k, n) of user slot i is
@@ -262,21 +249,13 @@ def build_channel(scenario: Scenario, user_set: UserSet,
     pos = user_set.positions.reshape(K * Nu, 2)
     slant = np.hypot(np.linalg.norm(pos, axis=1),
                      scenario.sat_altitude_km) * 1e3          # m
-    if gain_table is None:
-        amps = _gain_amplitudes(scenario, pos)                # (K*Nu, N)
-        psi = rng.uniform(0, 2 * np.pi, (K * Nu, N))
-        gains = amps * np.exp(1j * psi)
-    else:
-        if gain_table.shape != (K * Nu, N):
-            raise ConfigurationError("gain table shape mismatch")
-        gains = np.asarray(gain_table, complex)
+    amps = _gain_amplitudes(scenario, pos)                    # (K*Nu, N)
+    psi = rng.uniform(0, 2 * np.pi, (K * Nu, N))
+    gains = amps * np.exp(1j * psi)
     denom = 4 * np.pi * (slant / scenario.wavelength_m) * np.sqrt(
         scenario.boltzmann * scenario.noise_temp_k * scenario.bandwidth_hz)
     rows = scenario.rx_gain * gains / denom[:, None]          # (K*Nu, N)
-    hbar = np.zeros((Nu, K, N), complex)
-    for k in range(K):
-        for i in range(Nu):
-            hbar[i, k, :] = rows[k * Nu + i]
+    hbar = rows.reshape(K, Nu, N).transpose(1, 0, 2)          # row k*Nu+i -> [i, k]
     fad = fading.draw(rng, (Nu, K))
     h = fad[:, :, None] * hbar
     if not np.isfinite(h).all():
@@ -307,18 +286,19 @@ def average_cir(scenario: Scenario, reuse_pattern, n_mc: int = 200,
             raise ConfigurationError("reuse pattern must have one colour per beam")
     if all((colors == colors[k]).sum() == 1 for k in range(scenario.K)):
         return np.inf
-    ratios = []
-    for _ in range(n_mc):
-        k = int(rng.integers(scenario.K))
-        r = scenario.beam_radius_km * np.sqrt(rng.uniform())
-        ph = rng.uniform(0, 2 * np.pi)
-        pos = scenario.beam_centers[k] + [r * np.cos(ph), r * np.sin(ph)]
-        g = _gain_amplitudes(scenario, pos[None, :])[0] ** 2
-        co = colors == colors[k]
-        co[k] = False
-        if not co.any():
-            continue
-        ratios.append(g[k] / g[co].sum())
-    if not ratios:
+    # scalar draws, in this order per sample, fix the RNG stream
+    draws = [(rng.integers(scenario.K), rng.uniform(), rng.uniform(0, 2 * np.pi))
+             for _ in range(n_mc)]
+    k, u, ph = map(np.array, zip(*draws))
+    r = scenario.beam_radius_km * np.sqrt(u)
+    pos = scenario.beam_centers[k] + np.stack([r * np.cos(ph),
+                                               r * np.sin(ph)], axis=1)
+    g = _gain_amplitudes(scenario, pos) ** 2                  # (n_mc, K)
+    own = np.arange(n_mc)
+    co = colors[None, :] == colors[k][:, None]
+    co[own, k] = False
+    hit = co.any(axis=1)
+    if not hit.any():
         return np.inf
+    ratios = g[own, k][hit] / np.where(co, g, 0.0).sum(axis=1)[hit]
     return float(10 * np.log10(np.mean(ratios)))

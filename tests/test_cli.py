@@ -174,6 +174,19 @@ class TestConfigFaults:
                            {**FAST_CONFIGS["caching-threshold"],
                             "alphas": [0.8, -1]})
 
+    def test_program_fault_propagates_and_leaves_no_output(self, tmp_path,
+                                                             monkeypatch):
+        def fault(cfg, out):
+            (out / "partial.csv").write_text("x\r\n")
+            raise RuntimeError("program fault")
+        sub = "channel-report"
+        monkeypatch.setitem(cli.SUBCOMMANDS, sub,
+                            (fault, cli.SUBCOMMANDS[sub][1]))
+        out = tmp_path / "made" / "o"
+        with pytest.raises(RuntimeError, match="program fault"):
+            cli.main([sub, "--out", str(out)])
+        assert not (tmp_path / "made").exists()
+
     @pytest.mark.parametrize("var", ["SATKIT_SEED"])
     def test_non_integer_env(self, tmp_path, capsys, monkeypatch, var):
         monkeypatch.setenv(var, "abc")

@@ -22,6 +22,31 @@ def mmse_oracle(h_avg, p):
     return beta * w_raw
 
 
+def check_p2_feasibility(channel_set, precoder, gamma_targets):
+    """Report SINR-target and per-feed power violations."""
+    gamma = np.asarray(gamma_targets, float)
+    table = pc.sinr_all(channel_set, precoder)
+    bad_sinr = [(k, i, float(table[i, k]))
+                for i in range(table.shape[0])
+                for k in range(table.shape[1])
+                if table[i, k] < gamma[k]]
+    fp = precoder.feed_powers()
+    bad_feeds = [(n, float(fp[n])) for n in range(len(fp))
+                 if fp[n] > precoder.power_cap * (1 + 1e-9)]
+    return {"feasible": not bad_sinr and not bad_feeds,
+            "sinr_violations": bad_sinr, "feed_violations": bad_feeds}
+
+
+def gram_with_condition(rng, n, cond):
+    """A channel whose regularised Gram matrix at P = 1e30 has about ``cond``."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        return q
+    s = np.sqrt(np.logspace(0.0, -np.log10(cond), n))
+    return (unitary() * s) @ unitary().conj().T
+
+
 class TestAverageChannel:
     def test_singleton_average(self):
         rng = np.random.default_rng(0)
@@ -95,6 +120,25 @@ class TestMmse:
         w = pc.mmse_multicast(h, 1e18)
         assert w.ill_conditioned
 
+    def test_guard_against_svd_condition_number(self):
+        rng = np.random.default_rng(13)
+        flags = []
+        for cond in np.logspace(2, 16, 50):
+            n = int(rng.integers(2, 13))
+            h = gram_with_condition(rng, n, cond)
+            p = 1e30
+            w = pc.mmse_multicast(h, p)
+            gram = h.conj().T @ h + np.eye(n) / p
+            # the pivot-ratio guard never flags a well-conditioned matrix
+            if w.ill_conditioned:
+                assert np.linalg.cond(gram) > pc.COND_LIMIT
+            flags.append(w.ill_conditioned)
+            x = w.W / w.beta            # solves gram x = h^H
+            resid = np.linalg.norm(gram @ x - h.conj().T)
+            scale = np.linalg.norm(gram) * np.linalg.norm(x)
+            assert resid <= 1e-10 * scale
+        assert any(flags) and not all(flags)
+
 
 class TestEnforcePerFeed:
     def test_unit_when_already_at_cap(self):
@@ -138,17 +182,18 @@ class TestSinrSumRate:
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(8)
-        ch = random_channel_set(rng, 2, 4, 5)
-        w = pc.enforce_per_feed(
-            rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)), 3.0)
-        table = pc.sinr_all(ch, w)
-        for i in range(2):                     # naive double loop oracle
-            for k in range(4):
-                sig = abs(np.dot(ch.H[i, k], w.W[:, k])) ** 2
-                interf = sum(abs(np.dot(ch.H[i, k], w.W[:, j])) ** 2
-                             for j in range(4) if j != k)
-                assert table[i, k] == pytest.approx(sig / (interf + 1),
-                                                    rel=1e-12)
+        for n_u, k, n in ((2, 4, 5), (2, 37, 37)):
+            ch = random_channel_set(rng, n_u, k, n)
+            w = pc.enforce_per_feed(rng.standard_normal((n, k))
+                                    + 1j * rng.standard_normal((n, k)), 3.0)
+            table = pc.sinr_all(ch, w)
+            for i in range(n_u):               # naive double loop oracle
+                for kk in range(k):
+                    sig = abs(np.dot(ch.H[i, kk], w.W[:, kk])) ** 2
+                    interf = sum(abs(np.dot(ch.H[i, kk], w.W[:, j])) ** 2
+                                 for j in range(k) if j != kk)
+                    assert table[i, kk] == pytest.approx(sig / (interf + 1),
+                                                         rel=1e-12)
 
     def test_sum_rate_trivia(self):
         sr, per_beam = pc.sum_rate(np.ones((1, 3)))
@@ -176,10 +221,10 @@ class TestFeasibilityChecker:
         w = pc.mmse_multicast(pc.average_channel(ch), 2.0)
         table = pc.sinr_all(ch, w)
         gamma = table[0] + 1.0      # unreachable targets
-        rep = pc.check_p2_feasibility(ch, w, gamma)
+        rep = check_p2_feasibility(ch, w, gamma)
         assert not rep["feasible"]
         assert len(rep["sinr_violations"]) == 3
-        ok = pc.check_p2_feasibility(ch, w, table[0] * 0.5)
+        ok = check_p2_feasibility(ch, w, table[0] * 0.5)
         assert ok["feasible"]
 
 

@@ -1,11 +1,46 @@
 import numpy as np
 import pytest
+from scipy.special import j1, jv
 
 from satkit import scenario as sc
 
 
 def make_scenario(n_beams=19, n_u=2, seed=0, **kw):
     return sc.default_scenario(n_beams, n_u, seed=seed, **kw)
+
+
+def hbar_double_loop(scn, users, rng):
+    """Line-of-sight channel with the per-(beam, user) row copy, as an oracle."""
+    K, N, Nu = scn.K, scn.N, scn.N_u
+    pos = users.positions.reshape(K * Nu, 2)
+    slant = np.hypot(np.linalg.norm(pos, axis=1), scn.sat_altitude_km) * 1e3
+    amps = sc._gain_amplitudes(scn, pos)
+    psi = rng.uniform(0, 2 * np.pi, (K * Nu, N))
+    gains = amps * np.exp(1j * psi)
+    denom = 4 * np.pi * (slant / scn.wavelength_m) * np.sqrt(
+        scn.boltzmann * scn.noise_temp_k * scn.bandwidth_hz)
+    rows = scn.rx_gain * gains / denom[:, None]
+    hbar = np.zeros((Nu, K, N), complex)
+    for k in range(K):
+        for i in range(Nu):
+            hbar[i, k, :] = rows[k * Nu + i]
+    return hbar
+
+
+def cir_per_sample(scn, colors, n_mc, rng):
+    """Average C/I in dB, one sample at a time, as an oracle."""
+    ratios = []
+    for _ in range(n_mc):
+        k = int(rng.integers(scn.K))
+        r = scn.beam_radius_km * np.sqrt(rng.uniform())
+        ph = rng.uniform(0, 2 * np.pi)
+        pos = scn.beam_centers[k] + [r * np.cos(ph), r * np.sin(ph)]
+        g = sc._gain_amplitudes(scn, pos[None, :])[0] ** 2
+        co = colors == colors[k]
+        co[k] = False
+        if co.any():
+            ratios.append(g[k] / g[co].sum())
+    return float(10 * np.log10(np.mean(ratios))) if ratios else np.inf
 
 
 class TestScenarioValidation:
@@ -56,6 +91,16 @@ class TestBeamGain:
         assert all(a1 > a2 or a1 <= floor
                    for a1, a2 in zip(amps, amps[1:]))
 
+    def test_taper_matches_direct_bessel_formula(self):
+        # J3 switches from jv to the recurrence at u = 2
+        u = np.concatenate([np.linspace(0.0, 200.0, 20001),
+                            2.0 + np.linspace(-1e-3, 1e-3, 201),
+                            np.nextafter(2.0, [0.0, 4.0])])
+        us = np.where(u == 0.0, 1.0, u)
+        direct = np.where(u == 0.0, 1.0,
+                          j1(us) / (2 * us) + 36.0 * jv(3, us) / us ** 3)
+        np.testing.assert_allclose(sc._taper(u), direct, rtol=0, atol=1e-14)
+
     def test_sidelobe_floor(self):
         scn = make_scenario()
         far = scn.feed_centers[0] + [40 * scn.beam_radius_km, 0.0]
@@ -75,15 +120,15 @@ class TestUsersAndChannel:
         assert users.beam_of_user(scn.N_u) == 1
 
     def test_unit_substitution_entry_magnitude(self):
-        # all link constants 1 and slant distance = wavelength -> |h| = 1/(4 pi)
+        # all link constants 1, a boresight user (taper 1) and slant
+        # distance = wavelength -> |h| = 1/(4 pi)
         lam = sc.SPEED_OF_LIGHT / 20e9
         scn = sc.Scenario(K=1, N=1, N_u=1, beam_centers=np.zeros((1, 2)),
                           sat_altitude_km=lam / 1e3, rx_gain=1.0,
                           noise_temp_k=1.0, bandwidth_hz=1.0, boltzmann=1.0,
                           boresight_gain=1.0)
         users = sc.UserSet(positions=np.zeros((1, 1, 2)))
-        ch = sc.build_channel(scn, users,
-                              gain_table=np.ones((1, 1), complex))
+        ch = sc.build_channel(scn, users)
         assert abs(ch.Hbar[0, 0, 0]) == pytest.approx(1 / (4 * np.pi), rel=1e-12)
 
     def test_identity_fading_keeps_hbar(self):
@@ -114,14 +159,21 @@ class TestUsersAndChannel:
         np.testing.assert_array_equal(a.H, b.H)
 
     def test_path_loss_halves_with_double_distance(self):
+        # a boresight user sees the same antenna gain at both altitudes
         base = dict(K=1, N=1, N_u=1, beam_centers=np.zeros((1, 2)))
         users = sc.UserSet(positions=np.zeros((1, 1, 2)))
-        g = np.ones((1, 1), complex)
         h1 = sc.build_channel(sc.Scenario(sat_altitude_km=1000.0, **base),
-                              users, gain_table=g).Hbar[0, 0, 0]
+                              users).Hbar[0, 0, 0]
         h2 = sc.build_channel(sc.Scenario(sat_altitude_km=2000.0, **base),
-                              users, gain_table=g).Hbar[0, 0, 0]
+                              users).Hbar[0, 0, 0]
         assert abs(h1) == pytest.approx(2 * abs(h2), rel=1e-12)
+
+    def test_hbar_matches_double_loop_oracle(self):
+        scn = make_scenario(n_u=3)
+        users = sc.draw_users(scn, np.random.default_rng(3))
+        ch = sc.build_channel(scn, users, rng=np.random.default_rng(4))
+        np.testing.assert_array_equal(
+            ch.Hbar, hbar_double_loop(scn, users, np.random.default_rng(4)))
 
     def test_dimension_mismatch_rejected(self):
         scn = make_scenario()
@@ -166,19 +218,15 @@ class TestReuseAndCir:
         b = sc.average_cir(scn, 2, n_mc=50, rng=np.random.default_rng(0))
         assert a == b
 
-
-class TestGainTable:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "gains.csv"
-        path.write_text("feed,user,amp,phase_rad\n"
-                        "0,0,2.0,0.0\n0,1,1.0,1.5707963267948966\n"
-                        "1,0,0.5,3.141592653589793\n1,1,1.0,0.0\n")
-        table = sc.load_gain_table(path, 2, 2)
-        assert table[0, 0] == pytest.approx(2.0)
-        assert table[1, 0] == pytest.approx(1j, abs=1e-12)
-
-    def test_incomplete_table_rejected(self, tmp_path):
-        path = tmp_path / "gains.csv"
-        path.write_text("feed,user,amp,phase_rad\n0,0,1.0,0.0\n")
-        with pytest.raises(sc.ConfigurationError):
-            sc.load_gain_table(path, 2, 1)
+    @pytest.mark.parametrize("pattern", [1, 2, 3, 4, "lone beam"])
+    def test_matches_per_sample_oracle(self, pattern):
+        scn = make_scenario(n_beams=37)
+        if pattern == "lone beam":          # beam 0 has no co-channel peer
+            colors = sc.reuse_colors(scn, 3)
+            colors[0] = 3
+        else:
+            colors = sc.reuse_colors(scn, pattern)
+        got = sc.average_cir(scn, colors, n_mc=120,
+                             rng=np.random.default_rng(11))
+        want = cir_per_sample(scn, colors, 120, np.random.default_rng(11))
+        assert got == pytest.approx(want, rel=1e-13)
