@@ -89,22 +89,41 @@ def rate_matrix(sinr: SinrMatrix, mapping: str = "shannon",
     return out
 
 
-def _solve_max(rates: np.ndarray) -> Tuple[np.ndarray, float]:
-    rows, cols = linear_sum_assignment(rates, maximize=True)
-    value = float(rates[rows, cols].sum())
-    out = np.full(rates.shape[0], -1, int)
-    out[rows] = cols
-    return out, value
+def _tight_edges(w: np.ndarray, col_of: np.ndarray, eps: float) -> np.ndarray:
+    """``tight[i, j]``: edge (i, j) of the square ``w`` has reduced cost <= eps.
+
+    The dual potentials are Bellman-Ford distances on the residual graph
+    of the optimal matching ``col_of``, contracted to its rows: the arc
+    i -> j costs ``w[j, col_of[j]] - w[i, col_of[j]]``, the rate lost when
+    row i takes row j's column. Optimality leaves no negative cycle.
+    """
+    arc = w[:, col_of]
+    arc = np.diagonal(arc)[None, :] - arc
+    p = np.zeros(len(w))
+    for _ in range(len(w)):
+        relaxed = np.minimum(p, (p[:, None] + arc).min(axis=0))
+        if np.array_equal(relaxed, p):
+            break
+        p = relaxed
+    tight = np.empty(w.shape, bool)
+    tight[:, col_of] = arc + p[:, None] - p[None, :] <= eps
+    return tight
 
 
-def assign_hungarian(rates: np.ndarray, tie_break: bool = True) -> Assignment:
+def assign_hungarian(rates: np.ndarray) -> Assignment:
     """Optimal one-to-one carrier-to-terminal assignment.
 
     Maximises the summed rate. When M > K the matrix is padded with
-    zero-rate dummy terminals, reported as unassigned. With
-    ``tie_break`` the lexicographically smallest optimal map is
-    returned: scanning carriers in order, each takes the lowest terminal
-    index that preserves optimality of the remainder.
+    zero-rate dummy terminals, reported as unassigned.
+
+    Ties go to the lexicographically smallest map made of tight edges.
+    One assignment solve gives an optimum and its dual potentials; an
+    edge is tight when its reduced cost is at most ``tol / n``, with
+    ``tol = 1e-9 * max(1, |best|)`` and n the padded size, so every such
+    map is within ``tol`` of the optimum. Each carrier in turn takes the
+    lowest tight terminal that is its partner or lies on an alternating
+    cycle through the carriers not yet fixed, and the matching is
+    rotated along that cycle.
     """
     r = np.asarray(rates, float)
     if r.ndim != 2:
@@ -112,28 +131,41 @@ def assign_hungarian(rates: np.ndarray, tie_break: bool = True) -> Assignment:
     if not np.isfinite(r).all():
         raise ConfigurationError("non-finite rate entries")
     m, k = r.shape
-    n_dummy = max(0, m - k)
-    work = np.concatenate([r, np.zeros((m, n_dummy))], axis=1) if n_dummy else r
-    base_map, best = _solve_max(work)
-    if tie_break:
-        fixed_cols: list = []
-        chosen = []
-        for carrier in range(m):
-            free = [c for c in range(work.shape[1]) if c not in fixed_cols]
-            for cand in free:
-                rest_rows = np.arange(carrier + 1, m)
-                rest_cols = [c for c in free if c != cand]
-                sub = work[np.ix_(rest_rows, rest_cols)]
-                if sub.shape[0] > min(sub.shape):
-                    continue
-                rest = _solve_max(sub)[1] if sub.size else 0.0
-                head = sum(chosen_val for chosen_val in chosen)
-                if head + work[carrier, cand] + rest >= best - 1e-9 * max(1.0, abs(best)):
-                    fixed_cols.append(cand)
-                    chosen.append(work[carrier, cand])
-                    break
-        base_map = np.array(fixed_cols, int)
-    terminal_of = tuple(int(c) if c < k else -1 for c in base_map)
+    n = max(m, k)
+    w = np.zeros((n, n))                 # dummy terminals and carriers rate 0
+    w[:m, :k] = r
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    col_of = cols[np.argsort(rows)]
+    best = float(w[rows, cols].sum())
+    tight = _tight_edges(w, col_of, 1e-9 * max(1.0, abs(best)) / max(n, 1))
+    row_of = np.argsort(col_of)
+    free = np.ones(n, bool)              # carriers whose column may still move
+    for carrier in range(m):
+        free[carrier] = False
+        target = col_of[carrier]
+        movable = free[row_of]
+        if not (tight[carrier, :target] & movable[:target]).any():
+            continue                     # no lower terminal to try
+        # reverse BFS: columns that reach ``target`` by an alternating path
+        # of tight edges through free carriers; step[j] is the next column
+        into_col = tight[row_of]         # [j, j']: j's carrier may take j'
+        reached = np.zeros(n, bool)
+        reached[target] = True
+        step = np.full(n, -1)
+        frontier = np.array([target])
+        while frontier.size:
+            into = into_col[:, frontier]
+            new = movable & ~reached & into.any(axis=1)
+            step[new] = frontier[into[new].argmax(axis=1)]
+            reached |= new
+            frontier = np.nonzero(new)[0]
+        col, owner = int(np.argmax(tight[carrier] & reached)), carrier
+        while col != target:             # rotate the matching along the cycle
+            mover = row_of[col]
+            row_of[col], col_of[owner] = owner, col
+            owner, col = mover, step[col]
+        row_of[target], col_of[owner] = owner, target
+    terminal_of = tuple(int(c) if c < k else -1 for c in col_of[:m])
     objective = float(sum(r[mm, kk] for mm, kk in enumerate(terminal_of)
                           if kk >= 0))
     return Assignment(terminal_of=terminal_of, objective=objective)
@@ -215,11 +247,14 @@ def interference_table(stations: Sequence[FsStation],
     """
     xy = np.asarray(terminal_xy_km, float)
     out = np.zeros((n_carriers, xy.shape[0]))
-    for st in stations:
-        d = np.hypot(xy[:, 0] - st.x_km, xy[:, 1] - st.y_km)
-        az = np.degrees(np.arctan2(xy[:, 1] - st.y_km, xy[:, 0] - st.x_km))
-        off = np.abs((az - st.azimuth_deg + 180) % 360 - 180)
-        gain_db = np.where(off <= st.beamwidth_deg / 2, 0.0, -mask_db)
-        p = 10 ** ((st.tx_dbw + gain_db) / 10) * (ref_km / np.maximum(d, ref_km)) ** 2
-        out[st.carrier] += p
+    st = np.array([(s.x_km, s.y_km, s.tx_dbw, s.azimuth_deg, s.beamwidth_deg)
+                   for s in stations], float).reshape(-1, 5, 1)
+    x, y, tx_dbw, azimuth, beamwidth = st.transpose(1, 0, 2)     # each (S, 1)
+    d = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
+    az = np.degrees(np.arctan2(xy[:, 1] - y, xy[:, 0] - x))
+    off = np.abs((az - azimuth + 180) % 360 - 180)
+    gain_db = np.where(off <= beamwidth / 2, 0.0, -mask_db)
+    p = 10 ** ((tx_dbw + gain_db) / 10) * (ref_km / np.maximum(d, ref_km)) ** 2
+    # unbuffered, in station order: the same sums as adding station by station
+    np.add.at(out, np.array([s.carrier for s in stations], int), p)
     return out

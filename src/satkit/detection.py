@@ -201,19 +201,6 @@ def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
     return rows
 
 
-def measured_pfa(detector: DetectorConfig, snr_db: float = 6.0,
-                 eps_db: float = 0.0, n_mc: int = 5000, seed: int = 1,
-                 fade_db: float = 4.0) -> Tuple[float, Tuple[float, float]]:
-    """Realised false-alarm rate under H0 with its Wilson interval."""
-    rng = np.random.default_rng(seed)
-    h = _draw_channels(rng, n_mc, fade_db)
-    x, s = _gen_batch(0, h, snr_db, -np.inf, eps_db, rng, n_mc,
-                      N_DATA_DEFAULT, N_PILOT_DEFAULT)
-    t = _stats_batch(detector.kind, x, s, 10 ** (snr_db / 20), N_PILOT_DEFAULT)
-    hits = int(np.sum(t > detector.threshold))
-    return hits / n_mc, wilson_interval(hits, n_mc)
-
-
 def wall_crossing(rows: Sequence[dict], level: float = 0.9) -> float:
     """ISNR (dB) where a Pd curve first crosses `level`, by interpolation.
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from satkit import cognitive as cg
 from satkit.scenario import ConfigurationError
@@ -19,6 +20,40 @@ def brute_force_best(rates):
         val = pad[np.arange(m), list(perm)].sum()
         best = max(best, val)
     return best
+
+
+def lsap_optimum(rates):
+    rows, cols = linear_sum_assignment(rates, maximize=True)
+    return float(rates[rows, cols].sum())
+
+
+def greedy_lex_oracle(rates):
+    """Lexicographic tie-break by repeated solves, against one global tolerance.
+
+    Scanning carriers in order, each takes the lowest free terminal for
+    which the carriers fixed so far, this pair and an optimal completion
+    of the rest sum to at least ``best - 1e-9 * max(1, |best|)``. One
+    assignment solve per candidate; carriers beyond K take zero-rate
+    dummy terminals, reported as -1.
+    """
+    m, k = rates.shape
+    work = np.concatenate([rates, np.zeros((m, max(0, m - k)))], axis=1)
+    best = lsap_optimum(work)
+    fixed, head = [], 0.0
+    for carrier in range(m):
+        free = [c for c in range(work.shape[1]) if c not in fixed]
+        for cand in free:
+            sub = work[np.ix_(np.arange(carrier + 1, m),
+                              [c for c in free if c != cand])]
+            rest = lsap_optimum(sub) if sub.size else 0.0
+            if head + work[carrier, cand] + rest >= best - 1e-9 * max(1.0, abs(best)):
+                fixed.append(cand)
+                head += work[carrier, cand]
+                break
+    return tuple(c if c < k else -1 for c in fixed)
+
+
+STAIRCASE_RATES = np.array([0.0] + [r for _, r in cg.MODCOD_TABLE])
 
 
 class TestSinrMatrix:
@@ -131,6 +166,78 @@ class TestAssignment:
         assert a.objective == pytest.approx(brute_force_best(rates),
                                             abs=1e-9)
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 19, 40])
+    def test_matches_greedy_oracle_on_exact_ties(self, m):
+        # staircase-valued rates: many exactly tied optima, M > K and M < K
+        rng = np.random.default_rng(m)
+        for k in (1, 3, 8, 20, 40):
+            rates = STAIRCASE_RATES[rng.integers(0, 6, (m, k))]
+            assert (cg.assign_hungarian(rates).terminal_of
+                    == greedy_lex_oracle(rates)), (m, k)
+
+    def test_tie_break_ignores_row_and_column_offsets(self):
+        # a constant added to a whole row or column of a square matrix
+        # shifts every map's sum alike, so the tied optima stay the same
+        rng = np.random.default_rng(9)
+        for n in (2, 5, 12, 30):
+            rates = rng.integers(0, 3, (n, n)).astype(float)
+            shifted = (rates + rng.integers(0, 50, (n, 1))
+                       + rng.integers(0, 50, (1, n)))
+            want = greedy_lex_oracle(rates)
+            assert cg.assign_hungarian(rates).terminal_of == want
+            assert cg.assign_hungarian(shifted).terminal_of == want
+
+    def test_matches_greedy_oracle_on_continuous_rates(self):
+        rng = np.random.default_rng(11)
+        for m, k in [(5, 5), (9, 4), (4, 9), (25, 25), (30, 12), (12, 30)]:
+            rates = rng.uniform(0, 6, (m, k))
+            assert (cg.assign_hungarian(rates).terminal_of
+                    == greedy_lex_oracle(rates)), (m, k)
+
+    def test_one_assignment_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linear_sum_assignment(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "linear_sum_assignment", counted)
+        rates = STAIRCASE_RATES[np.random.default_rng(6).integers(0, 4, (60, 60))]
+        a = cg.assign_hungarian(rates)
+        assert len(calls) == 1
+        assert a.objective == pytest.approx(lsap_optimum(rates), rel=1e-12)
+
+    def test_near_tie_keeps_the_exact_optimum(self):
+        # Carriers 0 and 1 are interference-free, so their rows are
+        # identical; carrier 2 is nearly clean and gains delta on terminal
+        # 0. The optimum gives terminal 0 to carrier 2: map (1, 2, 0),
+        # 4 + delta. Map (0, 1, 2) loses delta, which lies inside the
+        # global tolerance 1e-9 * best but above its per-edge share
+        # tol / n: the greedy oracle drifts to it, the one-solve rule keeps
+        # the optimum. A loss at or below tol / n per edge would count as a
+        # tie for both.
+        delta = 3e-9
+        rates = np.array([[2.0, 1.0, 1.0], [2.0, 1.0, 1.0], [2.0 + delta, 1.0, 1.0]])
+        best = lsap_optimum(rates)
+        assert greedy_lex_oracle(rates) == (0, 1, 2)
+        assert sum(rates[i, c] for i, c in enumerate((0, 1, 2))) < best
+        a = cg.assign_hungarian(rates)
+        assert a.terminal_of == (1, 2, 0)
+        assert a.objective == pytest.approx(best, rel=1e-12, abs=0)
+
+    def test_tight_maps_stay_within_tolerance(self):
+        # clean carriers (identical rows) next to carriers with incumbent
+        # interference over 10 decades, down to near-ties
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            interf = 10 ** rng.uniform(-9, 1, (20, 20))
+            interf[:6] = 0.0
+            rates = np.log2(1 + rng.uniform(5, 50, 20) / (interf + 1.5))
+            best = lsap_optimum(rates)
+            a = cg.assign_hungarian(rates)
+            assert sorted(a.terminal_of) == list(range(20))
+            assert best - 1e-9 * best <= a.objective <= best + 1e-12 * best
+
     def test_rejects_bad_input(self):
         with pytest.raises(ConfigurationError):
             cg.assign_hungarian(np.ones(3))
@@ -200,6 +307,29 @@ class TestRem:
         near = cg.interference_table([st_], np.array([[0.1, 0.0]]), 1)
         at_ref = cg.interference_table([st_], np.array([[1.0, 0.0]]), 1)
         assert near[0, 0] == pytest.approx(at_ref[0, 0], rel=1e-12)
+
+    def test_interference_matches_station_loop(self):
+        def station_loop(stations, xy, n_carriers, mask_db=25.0, ref_km=1.0):
+            out = np.zeros((n_carriers, xy.shape[0]))
+            for s in stations:
+                d = np.hypot(xy[:, 0] - s.x_km, xy[:, 1] - s.y_km)
+                az = np.degrees(np.arctan2(xy[:, 1] - s.y_km, xy[:, 0] - s.x_km))
+                off = np.abs((az - s.azimuth_deg + 180) % 360 - 180)
+                gain_db = np.where(off <= s.beamwidth_deg / 2, 0.0, -mask_db)
+                p = (10 ** ((s.tx_dbw + gain_db) / 10)
+                     * (ref_km / np.maximum(d, ref_km)) ** 2)
+                out[s.carrier] += p
+            return out
+
+        rng = np.random.default_rng(8)
+        for n_st, m, k, area in [(120, 30, 40, 50.0), (60, 3, 25, 200.0),
+                                 (0, 4, 5, 10.0), (7, 5, 0, 10.0)]:
+            stations = cg.synthetic_rem(n_st, m, area, rng)
+            xy = rng.uniform(-area / 2, area / 2, (k, 2))
+            got = cg.interference_table(stations, xy, m)
+            want = station_loop(stations, xy, m)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)       # bit for bit
 
     def test_end_to_end_shared_band_gain(self):
         # full pipeline: REM -> interference -> SINR -> rates -> assignment
