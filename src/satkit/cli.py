@@ -95,6 +95,10 @@ def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
         for key, value in loaded.items():
             _check_type(key, value, defaults[key])
         cfg.update(loaded)
+    if "seed" not in cfg:                   # a subcommand that draws nothing
+        if args.seed is not None:
+            raise ConfigurationError(f"{subcommand} takes no seed")
+        return cfg
     env_seed = _env_int("SEED")
     if env_seed is not None:
         cfg["seed"] = env_seed
@@ -262,15 +266,14 @@ def cmd_caching_threshold(cfg: dict, out: Path):
 
 SUBCOMMANDS = {
     "channel-report": (cmd_channel_report, {
-        "n_beams": 71, "n_u": 2, "n_mc": 200, "seed": 0}),
+        "n_beams": 71, "n_u": 2, "n_mc": 2000, "seed": 0}),
     "precoding-bench": (cmd_precoding_bench, {
         "cases": [[16, 16, 2], [32, 32, 2], [32, 32, 4]],
         "power_w": 55.0, "n_rep": 3, "seed": 0}),
     "rate-region": (cmd_rate_region, {
         "direct_db": 0.0, "cross_db": -2.0,
         "p_values": [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
-        "lam_points": 21, "strategies": ["ian", "scd", "snd", "fdm", "hk"],
-        "seed": 0}),
+        "lam_points": 21, "strategies": ["ian", "scd", "snd", "fdm", "hk"]}),
     "detection-pd": (cmd_detection_pd, {
         "detectors": ["ced", "edscp", "edscd"], "eps_db": 2.0, "snr_db": 6.0,
         "pfa": 0.01, "n_mc": 2000, "n_mc_calib": 20000, "fade_db": 4.0,
@@ -287,7 +290,7 @@ SUBCOMMANDS = {
         "rem_csv": None, "seed": 0}),
     "caching-threshold": (cmd_caching_threshold, {
         "alphas": [0.8, 1.2, 1.6], "n_stations": 500, "library_size": 100,
-        "rate_ratio": 3.0, "rate_bc": 1.0, "file_size_bits": 1.0, "seed": 0}),
+        "rate_ratio": 3.0, "rate_bc": 1.0, "file_size_bits": 1.0}),
 }
 
 

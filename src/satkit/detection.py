@@ -5,8 +5,11 @@ Frames follow the binary hypothesis model x~(n) = h*s(n) + eta(n)
 is nominally unity with a per-frame uncertainty of +/- eps dB; the
 interferer is complex Gaussian scaled to the target ISNR, defined as
 interference power over (signal power + noise power). Threshold
-calibration and Pd curves draw each statistic from its exact law;
-``_gen_batch`` synthesises whole frames and is the reference for it.
+calibration and Pd curves draw each statistic from its exact law: CED
+and EDSCP from closed-form laws, EDSCD by simulating only its data
+samples, rotated into the phase of the channel estimate and drawn in
+blocks whose size does not change the output. ``_gen_batch`` synthesises
+whole frames and is the reference for all three.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from .scenario import ConfigurationError
 N_DATA_DEFAULT = 460
 N_PILOT_DEFAULT = 56
 DETECTOR_KINDS = ("ced", "edscp", "edscd")
-_EDSCD_CHUNK = 2000                 # frames per EDSCD block, bounds peak memory
+_EDSCD_CHUNK = 256      # EDSCD frames per block of data normals (1.9 MB);
+                        # outputs do not depend on it
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,16 @@ def _sample_stats(kind: str, hypothesis: int, h: np.ndarray, snr_db: float,
     With v the per-frame noise (plus interference) variance, CED is
     v/(2N) * ncx2(2N, 2N|h|^2 a^2 / v) (Urkowitz 1967) and the pilot
     residual is (v/2) * chi2(2(Np - 1)), independent of h and of the
-    channel-estimate error e ~ CN(0, v / (a^2 Np)). EDSCD simulates only
-    the data samples: the QPSK decision regions and the noise are
-    invariant under 90-degree rotations and the residual under a common
-    phase, so every data symbol is (1+j)/sqrt(2) and the channel is |h|.
+    channel-estimate error e ~ CN(0, v / (a^2 Np)). EDSCD has no closed
+    form, so its data samples are simulated: the QPSK decision regions and
+    the noise are invariant under 90-degree rotations and the residual under
+    a common phase, so every data symbol is (1+j)/sqrt(2) and the channel
+    is |h|. The circular noise is also invariant under the rotation by
+    -arg(h_hat), which turns each data sample into y with i.i.d. real parts
+    around the rotated data mean; the decision variable is then |h_hat| y.
+    The errors e are drawn for all frames first, then the data normals in
+    blocks of ``_EDSCD_CHUNK`` frames from the same stream, so the output
+    does not depend on the block size.
     """
     n = n_data + n_pilot
     a2 = 10 ** (snr_db / 10)
@@ -118,22 +128,29 @@ def _sample_stats(kind: str, hypothesis: int, h: np.ndarray, snr_db: float,
     pilot_res = v / 2 * rng.chisquare(2 * (n_pilot - 1), n_mc)
     if kind == "edscp":
         return pilot_res / n_pilot
-    data_res = np.empty(n_mc)
+    g, sd = np.abs(h), np.sqrt(v / 2)
+    e = rng.standard_normal((n_mc, 2)).view(complex)[:, 0]
+    h_hat = g + np.sqrt(v / (2 * a2 * n_pilot)) * e
+    h_abs = np.abs(h_hat)
+    # data mean rotated by -arg(h_hat), in units of sd: (re, im) per frame
+    mu = (g * np.sqrt(a2 / 2) * (1 + 1j) * np.conj(h_hat) / (h_abs * sd)
+          ).view(float).reshape(n_mc, 2, 1)
+    sq, ab = np.empty(n_mc), np.empty(n_mc)
+    # (re, im) along axis 1, so that adding mu runs along contiguous rows
+    buf = np.empty((min(_EDSCD_CHUNK, n_mc), 2, n_data))
     for lo in range(0, n_mc, _EDSCD_CHUNK):
         hi = min(lo + _EDSCD_CHUNK, n_mc)
-        m, g, vc = hi - lo, np.abs(h[lo:hi]), v[lo:hi]
-        e_sd = np.sqrt(vc / (2 * a2 * n_pilot))
-        h_hat = (g + e_sd * rng.standard_normal(m)
-                 + 1j * e_sd * rng.standard_normal(m))
-        xd = (np.sqrt(vc / 2)[:, None] * rng.standard_normal((m, 2 * n_data))
-              ).view(complex) + (g * np.sqrt(a2 / 2) * (1 + 1j))[:, None]
-        # With sd = (sign Re z + j sign Im z)/sqrt(2) decided on
-        # z = xd conj(h_hat), sum |xd - h_hat a sd|^2 expands to
-        # sum |xd|^2 - sqrt(2) a sum(|Re z| + |Im z|) + N_d a^2 |h_hat|^2.
-        z = (xd * np.conj(h_hat)[:, None]).view(float)
-        data_res[lo:hi] = (np.sum(xd.view(float) ** 2, axis=-1)
-                           - np.sqrt(2 * a2) * np.sum(np.abs(z), axis=-1)
-                           + n_data * a2 * np.abs(h_hat) ** 2)
+        w = buf[:hi - lo]
+        rng.standard_normal(out=w)
+        w += mu[lo:hi]
+        sq[lo:hi] = np.einsum("ijk,ijk->i", w, w)
+        ab[lo:hi] = np.abs(w, out=w).sum(axis=(1, 2))
+    # With y = sd w the rotated data samples, z = xd conj(h_hat) = |h_hat| y
+    # and the decisions s_d = (sign Re z + j sign Im z)/sqrt(2),
+    # sum |xd - h_hat a s_d|^2 expands to sum |y|^2
+    # - sqrt(2) a |h_hat| sum(|Re y| + |Im y|) + N_d a^2 |h_hat|^2.
+    data_res = (sd ** 2 * sq - np.sqrt(2 * a2) * h_abs * sd * ab
+                + n_data * a2 * h_abs ** 2)
     return (pilot_res + data_res) / n
 
 

@@ -109,6 +109,22 @@ class TestConfigResolution:
                   "c", extra=("--seed", "7"))
         assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 7
 
+    @pytest.mark.parametrize("sub", ["caching-threshold", "rate-region"])
+    def test_seedless_subcommand_ignores_env_seed(self, tmp_path, monkeypatch,
+                                                  sub):
+        a = run(tmp_path, sub, FAST_CONFIGS[sub], "a")
+        monkeypatch.setenv("SATKIT_SEED", "abc")
+        b = run(tmp_path, sub, FAST_CONFIGS[sub], "b")
+        assert "seed" not in json.loads((b / "manifest.json").read_text())["config"]
+        assert csv_bytes(a) == csv_bytes(b)
+
+    @pytest.mark.parametrize("sub", ["caching-threshold", "rate-region"])
+    def test_seed_flag_rejected_without_seed_key(self, tmp_path, capsys, sub):
+        rc = cli.main([sub, "--seed", "3", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1 and "takes no seed" in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_env_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("SATKIT_OUT", str(target))

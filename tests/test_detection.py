@@ -162,11 +162,50 @@ class TestExactSampler:
         assert t.shape == (4000,)
         assert stats.ks_2samp(t, oracle[kind]).pvalue > 0.001
 
-    def test_edscd_partial_last_chunk(self, frame_oracle, monkeypatch):
-        monkeypatch.setattr(dt, "_EDSCD_CHUNK", 1500)     # 1500 + 1500 + 1000
-        case, oracle = frame_oracle
-        assert stats.ks_2samp(self.sample(case, "edscd"),
-                              oracle["edscd"]).pvalue > 0.001
+    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+    def test_edscd_partial_last_chunk(self, case, monkeypatch):
+        # one stream of data normals: the block size changes no bit
+        want = self.sample(case, "edscd")
+        for chunk in (1, 7, 1500, 4000, 5000):        # 1500 + 1500 + 1000, ...
+            monkeypatch.setattr(dt, "_EDSCD_CHUNK", chunk)
+            assert np.array_equal(self.sample(case, "edscd"), want), chunk
+
+    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+    def test_edscd_rotation_identity(self, case):
+        """The rotated residual equals the decision residual of the unrotated
+        data samples, rebuilt from the same draws."""
+        hyp, isnr, noise_db = SAMPLER_CASES[case]
+        n_mc, nd, n_p, a2 = 6, 460, 56, 10 ** 0.6
+        h = dt._draw_channels(np.random.default_rng(3), n_mc, 4.0)
+        t = dt._sample_stats("edscd", hyp, h, 6.0, isnr, 2.0,
+                             np.random.default_rng(42), n_mc, nd, n_p,
+                             noise_var_db=noise_db)
+        rng = np.random.default_rng(42)
+        v = (10 ** (rng.uniform(-2.0, 2.0, n_mc) / 10) if noise_db is None
+             else np.full(n_mc, 10 ** (noise_db / 10)))
+        if hyp:
+            v = v + 10 ** (isnr / 10) * (a2 + 1)
+        pilot_res = v / 2 * rng.chisquare(2 * (n_p - 1), n_mc)
+        e = rng.standard_normal((n_mc, 2))
+        h_hat = (np.abs(h)
+                 + np.sqrt(v / (2 * a2 * n_p)) * (e[:, 0] + 1j * e[:, 1]))
+        w = rng.standard_normal((n_mc, 2, nd))          # (re, im) rows
+        rot = np.exp(1j * np.angle(h_hat))[:, None]
+        y = (np.sqrt(v / 2)[:, None] * (w[:, 0] + 1j * w[:, 1])
+             + (np.abs(h) * np.sqrt(a2 / 2) * (1 + 1j))[:, None] / rot)
+        xd = y * rot
+        z = xd * np.conj(h_hat)[:, None]
+        old = (np.sum(np.abs(xd) ** 2, axis=1)
+               - np.sqrt(2 * a2) * np.sum(np.abs(z.real) + np.abs(z.imag),
+                                          axis=1)
+               + nd * a2 * np.abs(h_hat) ** 2)
+        s_d = (np.sign(z.real) + 1j * np.sign(z.imag)) / np.sqrt(2)
+        direct = np.sum(np.abs(xd - h_hat[:, None] * np.sqrt(a2) * s_d) ** 2,
+                        axis=1)
+        np.testing.assert_allclose(t, (pilot_res + old) / (nd + n_p),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(t, (pilot_res + direct) / (nd + n_p),
+                                   rtol=1e-12)
 
 
 @pytest.fixture(scope="module")
