@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scenario import ChannelSet, ConfigurationError
+from .scenario import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,17 @@ def rate_scd(ch: TwoUserChannel, order: int = 1) -> RatePoint:
     raise ConfigurationError("order must be 1 or 2")
 
 
-def rate_snd(ch: TwoUserChannel, m1: Optional[float] = None,
-             m2: Optional[float] = None):
+def rate_snd(ch: TwoUserChannel):
     """Simultaneous non-unique decoding rates plus per-receiver decode flags.
 
     Receiver i jointly decodes the interfering stream (without caring
     about its errors) under two-user MAC constraints, unless the
-    interferer's rate M_j already exceeds its single-user capacity at
-    receiver i — the skip condition — in which case receiver i falls
-    back to treating interference as noise.
+    interferer's rate M_j, its rate when interference is treated as
+    noise, already exceeds its single-user capacity at receiver i — the
+    skip condition — in which case receiver i falls back to treating
+    interference as noise.
     """
     ian = rate_ian(ch)
-    m1 = ian.r1 if m1 is None else m1
-    m2 = ian.r2 if m2 is None else m2
 
     def rx(own_p, own_g, int_p, int_g, noise, m_int, ian_own):
         skip = m_int >= _c(int_p * int_g / noise)
@@ -119,8 +117,8 @@ def rate_snd(ch: TwoUserChannel, m1: Optional[float] = None,
         sum_cap = _c((own_p * own_g + int_p * int_g) / noise)
         return max(ian_own, min(own_cap, sum_cap - m_int)), True
 
-    r1, dec1 = rx(ch.p1, ch.g11, ch.p2, ch.g21, ch.sigma1_sq, m2, ian.r1)
-    r2, dec2 = rx(ch.p2, ch.g22, ch.p1, ch.g12, ch.sigma2_sq, m1, ian.r2)
+    r1, dec1 = rx(ch.p1, ch.g11, ch.p2, ch.g21, ch.sigma1_sq, ian.r2, ian.r1)
+    r2, dec2 = rx(ch.p2, ch.g22, ch.p1, ch.g12, ch.sigma2_sq, ian.r1, ian.r2)
     return RatePoint(max(r1, 0.0), max(r2, 0.0), "snd"), (dec1, dec2)
 
 
@@ -185,15 +183,13 @@ STRATEGIES = ("ian", "scd", "snd", "fdm", "hk")
 
 def region_sweep(template: TwoUserChannel, p_values: Sequence[float],
                  strategies: Sequence[str] = STRATEGIES,
-                 lam_grid: Optional[Sequence[float]] = None,
-                 fdm_grid: Optional[Sequence[float]] = None) -> Dict[str, RateRegion]:
+                 lam_grid: Optional[Sequence[float]] = None) -> Dict[str, RateRegion]:
     """Rate region per strategy while sweeping both powers over p_values."""
     unknown = sorted(set(strategies) - set(STRATEGIES))
     if unknown:
         raise ConfigurationError(
             f"unknown strategies {unknown}; choose from {list(STRATEGIES)}")
-    if fdm_grid is None:
-        fdm_grid = np.linspace(0.05, 0.95, 19)
+    fdm_grid = np.linspace(0.05, 0.95, 19)
     out: Dict[str, List[RatePoint]] = {s: [] for s in strategies}
     for p in p_values:
         ch = replace(template, p1=float(p), p2=float(p))
@@ -232,48 +228,3 @@ def frontier_dominates(frontier_a: Sequence[RatePoint],
     """True when every point of frontier_b is dominated by some point of a."""
     return all(any(a.dominates(b, tol) for a in frontier_a) for b in frontier_b)
 
-
-def overloaded_unicast_rates(channel_set: ChannelSet,
-                             precoders: Sequence[np.ndarray],
-                             sic_policy: str = "noise") -> np.ndarray:
-    """Per-user unicast rates with two users per beam and MUD receivers.
-
-    ``precoders[i]`` is the N x K precoder serving user slot i of every
-    beam. Intra-beam interference is handled per ``sic_policy``:
-    "noise" treats the co-beam stream as noise; "sic" lets each user
-    cancel the co-beam stream first when it can decode that stream at
-    its own SINR (decode-order check), otherwise falls back to noise.
-    Inter-beam terms always enter the denominator. Returns rates of
-    shape (N_u, K).
-    """
-    h = channel_set.H
-    n_u, K, _ = h.shape
-    if len(precoders) != n_u:
-        raise ConfigurationError("need one precoder per user slot")
-    if sic_policy not in ("noise", "sic"):
-        raise ConfigurationError("unknown SIC policy")
-    # power[i, k, j, m] = |h_k^[i]H w_m^[j]|^2: slot-i user of beam k
-    # receiving the stream meant for slot j of beam m
-    p = np.empty((n_u, K, n_u, K))
-    for j, w in enumerate(precoders):
-        # channel rows are the receive vectors h_k^[i],H
-        g = np.einsum("ikn,nm->ikm", h, np.asarray(w, complex))
-        p[:, :, j, :] = np.abs(g) ** 2
-    rates = np.zeros((n_u, K))
-    for i in range(n_u):
-        for k in range(K):
-            own = p[i, k, i, k]
-            total = p[i, k].sum()
-            inter = total - p[i, k, :, k].sum()       # other beams, all slots
-            intra = p[i, k, :, k].sum() - own         # same beam, other slots
-            if sic_policy == "sic" and n_u == 2:
-                j = 1 - i
-                cross = p[i, k, j, k]
-                # decodable at this receiver if the co-beam stream's rate
-                # (set by its own user) fits within our observation of it
-                r_j = _c(p[j, k, j, k] /
-                         (p[j, k].sum() - p[j, k, j, k] + 1.0))
-                if _c(cross / (own + inter + 1.0)) >= r_j:
-                    intra = 0.0
-            rates[i, k] = _c(own / (intra + inter + 1.0))
-    return rates

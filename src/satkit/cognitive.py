@@ -29,7 +29,6 @@ class SinrMatrix:
     """Linear SINR per (carrier m, terminal k)."""
 
     values: np.ndarray
-    scenario_id: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, float)
@@ -56,8 +55,7 @@ class Assignment:
 
 
 def build_sinr_matrix(rx_powers: np.ndarray, interference: np.ndarray,
-                      i_co: float = 0.0, n0: float = 1.0,
-                      scenario_id: str = "") -> SinrMatrix:
+                      i_co: float = 0.0, n0: float = 1.0) -> SinrMatrix:
     """SINR(m,k) = P(k) / (I_k(m) + I_co + N0), elementwise."""
     p = np.asarray(rx_powers, float)
     i_t = np.asarray(interference, float)
@@ -65,8 +63,7 @@ def build_sinr_matrix(rx_powers: np.ndarray, interference: np.ndarray,
         raise ConfigurationError("need interference (M,K) and powers (K,)")
     if n0 <= 0 or i_co < 0 or (p < 0).any() or (i_t < 0).any():
         raise ConfigurationError("powers must be >= 0 and noise > 0")
-    return SinrMatrix(values=p[None, :] / (i_t + i_co + n0),
-                      scenario_id=scenario_id)
+    return SinrMatrix(values=p[None, :] / (i_t + i_co + n0))
 
 
 def rate_matrix(sinr: SinrMatrix, mapping: str = "shannon",
@@ -207,13 +204,17 @@ def load_rem(path, n_carriers: int) -> list:
         raise ConfigurationError("need n_carriers >= 1")
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            sid = int(row["station_id"])
-            out.append(FsStation(
-                station_id=sid, x_km=float(row["x_km"]), y_km=float(row["y_km"]),
-                tx_dbw=float(row["tx_dbw"]), azimuth_deg=float(row["azimuth_deg"]),
-                beamwidth_deg=float(row["beamwidth_deg"]),
-                carrier=sid % n_carriers))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                sid = int(row["station_id"])
+                fields = {f: float(row[f]) for f in ("x_km", "y_km", "tx_dbw",
+                                                     "azimuth_deg", "beamwidth_deg")}
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"{path} line {reader.line_num}: missing or non-numeric "
+                    f"field ({exc!r})") from None
+            out.append(FsStation(station_id=sid, carrier=sid % n_carriers, **fields))
     return out
 
 

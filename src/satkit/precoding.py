@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .scenario import ChannelSet, ConfigurationError, UserSet
+from .scenario import ChannelSet, ConfigurationError
 
 COND_LIMIT = 1e12
 
@@ -30,66 +30,9 @@ class PrecodeMatrix:
         return np.einsum("nk,nk->n", self.W, self.W.conj()).real
 
 
-@dataclass(frozen=True)
-class FramePlan:
-    """Per-beam grouping of user slots into multicast frames.
-
-    ``frames[f][k]`` lists the user-slot indices of beam k served in
-    frame f. Every slot appears in exactly one frame of its own beam.
-    """
-
-    frames: Tuple[Tuple[Tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        if not self.frames:
-            raise ConfigurationError("frame plan has no frames")
-        n_beams = len(self.frames[0])
-        for fr in self.frames:
-            if len(fr) != n_beams:
-                raise ConfigurationError("inconsistent beam count across frames")
-            if any(len(g) == 0 for g in fr):
-                raise ConfigurationError("empty frame group")
-        for k in range(n_beams):
-            seen = [i for fr in self.frames for i in fr[k]]
-            if len(seen) != len(set(seen)):
-                raise ConfigurationError("user slot repeated across frames")
-
-
-@dataclass(frozen=True)
-class GwPartition:
-    """Feed/beam index blocks, one per gateway."""
-
-    feed_blocks: Tuple[Tuple[int, ...], ...]
-    beam_blocks: Tuple[Tuple[int, ...], ...]
-
-    def validate(self, n_feeds: int, n_beams: int):
-        feeds = sorted(i for b in self.feed_blocks for i in b)
-        beams = sorted(i for b in self.beam_blocks for i in b)
-        if feeds != list(range(n_feeds)) or beams != list(range(n_beams)):
-            raise ConfigurationError("blocks must partition feeds and beams")
-        if len(self.feed_blocks) != len(self.beam_blocks):
-            raise ConfigurationError("feed and beam block counts differ")
-
-
-def average_channel(channel_set: ChannelSet,
-                    frame: Optional[Sequence[Sequence[int]]] = None) -> np.ndarray:
-    """Per-frame averaged channel, the arithmetic mean over frame users.
-
-    ``frame``, if given, lists per beam the user-slot indices in the
-    frame; by default every slot participates.
-    """
-    h = channel_set.H
-    if frame is None:
-        return h.mean(axis=0)
-    K = h.shape[1]
-    if len(frame) != K:
-        raise ConfigurationError("frame must list user groups for every beam")
-    out = np.zeros(h.shape[1:], complex)
-    for k, grp in enumerate(frame):
-        if len(grp) == 0:
-            raise ConfigurationError("empty frame group")
-        out[k] = h[list(grp), k, :].mean(axis=0)
-    return out
+def average_channel(channel_set: ChannelSet) -> np.ndarray:
+    """Per-frame averaged channel, the arithmetic mean over frame users."""
+    return channel_set.H.mean(axis=0)
 
 
 def enforce_per_feed(w_raw: np.ndarray, power_cap: float,
@@ -168,68 +111,6 @@ def sum_rate(sinr_table: np.ndarray) -> Tuple[float, np.ndarray]:
         raise ConfigurationError("negative SINR entries")
     per_beam = np.log2(1.0 + sinr_table.min(axis=0))
     return float(per_beam.sum()), per_beam
-
-
-def block_diag_assemble(partition: GwPartition,
-                        blocks: Sequence[np.ndarray],
-                        power_cap: float) -> PrecodeMatrix:
-    """Assemble per-gateway precoder blocks into one N x K matrix.
-
-    Entries outside the diagonal blocks are zero; the per-feed constraint
-    is re-enforced globally.
-    """
-    n = sum(len(b) for b in partition.feed_blocks)
-    k = sum(len(b) for b in partition.beam_blocks)
-    partition.validate(n, k)
-    w = np.zeros((n, k), complex)
-    for fb, bb, blk in zip(partition.feed_blocks, partition.beam_blocks, blocks):
-        blk = np.asarray(blk, complex)
-        if blk.shape != (len(fb), len(bb)):
-            raise ConfigurationError("block shape mismatch")
-        w[np.ix_(fb, bb)] = blk
-    return enforce_per_feed(w, power_cap)
-
-
-def multi_gateway_mmse(channel_set: ChannelSet, partition: GwPartition,
-                       power_cap: float) -> PrecodeMatrix:
-    """Block-diagonal precoder: per-gateway regularised inverse on its block."""
-    h_avg = average_channel(channel_set)
-    partition.validate(h_avg.shape[1], h_avg.shape[0])
-    blocks = []
-    for fb, bb in zip(partition.feed_blocks, partition.beam_blocks):
-        sub = h_avg[np.ix_(list(bb), list(fb))]
-        blocks.append(mmse_multicast(sub, power_cap).W)
-    return block_diag_assemble(partition, blocks, power_cap)
-
-
-def geographic_scheduler(user_set: UserSet, frame_size: int) -> FramePlan:
-    """Group each beam's users into frames of ``frame_size`` by proximity.
-
-    Greedy nearest-neighbour clustering seeded at the unserved user
-    closest to the beam centroid; ties broken by lowest user index.
-    """
-    K, nu = user_set.n_beams, user_set.users_per_beam
-    if nu % frame_size != 0:
-        raise ConfigurationError("users per beam must be a multiple of frame size")
-    n_frames = nu // frame_size
-    groups = [[] for _ in range(K)]
-    for k in range(K):
-        pos = user_set.positions[k]
-        centroid = pos.mean(axis=0)
-        left = list(range(nu))
-        for _ in range(n_frames):
-            d0 = np.linalg.norm(pos[left] - centroid, axis=1)
-            seed_user = left[int(np.argmin(np.round(d0, 12)))]
-            grp = [seed_user]
-            left.remove(seed_user)
-            while len(grp) < frame_size:
-                d = np.linalg.norm(pos[left] - pos[seed_user], axis=1)
-                nxt = left[int(np.argmin(np.round(d, 12)))]
-                grp.append(nxt)
-                left.remove(nxt)
-            groups[k].append(tuple(sorted(grp)))
-    frames = tuple(tuple(groups[k][f] for k in range(K)) for f in range(n_frames))
-    return FramePlan(frames=frames)
 
 
 def benchmark_mmse(channel_set: ChannelSet, power_cap: float,

@@ -95,23 +95,19 @@ def spectral_derivative(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(w * np.fft.fft(x))
 
 
-def jitter_sample(x: np.ndarray, sigma_j: float, rng: np.random.Generator,
-                  noise_std: float = 0.0) -> np.ndarray:
-    """First-order sampling-jitter model x + e*x_dot (+ additive noise).
+def jitter_sample(x: np.ndarray, sigma_j: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """First-order sampling-jitter model x + e*x_dot.
 
     ``sigma_j`` is the jitter standard deviation as a fraction of the
     sample period of the oversampled waveform.
     """
-    if sigma_j < 0 or noise_std < 0:
-        raise ConfigurationError("jitter and noise levels must be >= 0")
+    if sigma_j < 0:
+        raise ConfigurationError("jitter level must be >= 0")
     x = np.asarray(x, complex)
-    out = x
     if sigma_j > 0:
-        out = out + rng.normal(0.0, sigma_j, x.size) * spectral_derivative(x)
-    if noise_std > 0:
-        out = out + noise_std / np.sqrt(2) * (rng.standard_normal(x.size)
-                                              + 1j * rng.standard_normal(x.size))
-    return out
+        x = x + rng.normal(0.0, sigma_j, x.size) * spectral_derivative(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -159,23 +155,22 @@ def spd_apply_lut(params: SpdParams, x: np.ndarray) -> np.ndarray:
 
 
 def fit_spd(hpa: HpaParams, training_waveform: np.ndarray,
-            sigma_j: float = 0.0, noise_std: float = 0.0,
-            rng: Optional[np.random.Generator] = None,
+            sigma_j: float = 0.0, rng: Optional[np.random.Generator] = None,
             target_gain: Optional[complex] = None):
     """Direct-learning least-squares fit of the SPD coefficients.
 
     Minimises the mean squared error between the amplifier output and a
     linear response ``target_gain * input`` over the training waveform,
-    observed through the jitter/noise sampling model when ``sigma_j`` or
-    ``noise_std`` is nonzero (jitter-cognizant training), with scipy's
-    trust-region least squares. Returns the fitted parameters and the
-    MSE trace: the starting value, then one entry per iteration.
+    observed through the jitter sampling model when ``sigma_j`` is
+    nonzero (jitter-cognizant training), with scipy's trust-region least
+    squares. Returns the fitted parameters and the MSE trace: the
+    starting value, then one entry per iteration.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     x = np.asarray(training_waveform, complex)
-    if sigma_j > 0 or noise_std > 0:
-        x = jitter_sample(x, sigma_j, rng, noise_std)
+    if sigma_j > 0:
+        x = jitter_sample(x, sigma_j, rng)
     if not np.isfinite(x).all():
         raise ConfigurationError("training waveform must be finite")
     if not np.any(x):

@@ -7,7 +7,7 @@ into the channel entries so the receiver noise has unit variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import j0, j1, jv
@@ -27,8 +27,8 @@ class ConfigurationError(ValueError):
 class Scenario:
     """System geometry and link-budget constants.
 
-    Distances are in km, frequencies in Hz, powers in W. ``rx_gain`` is the
-    *amplitude* gain G_R (its square is the antenna power gain).
+    Distances are in km, frequencies in Hz. ``rx_gain`` is the *amplitude*
+    gain G_R (its square is the antenna power gain).
     """
 
     K: int
@@ -40,8 +40,6 @@ class Scenario:
     bandwidth_hz: float = 500e6
     rx_gain: float = 10 ** (41.7 / 20)
     noise_temp_k: float = 207.0
-    power_w: float = 55.0
-    reuse_factor: int = 1
     rng_seed: int = 0
     beam_radius_km: float = 150.0
     boresight_gain: float = 10 ** (52.0 / 20)
@@ -53,10 +51,8 @@ class Scenario:
     def __post_init__(self):
         if self.K < 1 or self.N < 1 or self.N_u < 1:
             raise ConfigurationError("K, N and N_u must be positive")
-        if self.reuse_factor not in (1, 2, 3, 4):
-            raise ConfigurationError("reuse_factor must be in {1,2,3,4}")
         for name in ("sat_altitude_km", "carrier_freq_hz", "bandwidth_hz",
-                     "rx_gain", "noise_temp_k", "power_w", "beam_radius_km",
+                     "rx_gain", "noise_temp_k", "beam_radius_km",
                      "boresight_gain", "boltzmann"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be strictly positive")
@@ -84,10 +80,6 @@ class Scenario:
         """Half-power half-beamwidth seen from the satellite (small angle)."""
         return self.beam_radius_km / self.sat_altitude_km
 
-    def coverage_radius_km(self) -> float:
-        d = np.linalg.norm(self.beam_centers, axis=1).max()
-        return float(d + self.beam_radius_km)
-
 
 @dataclass(frozen=True)
 class UserSet:
@@ -102,9 +94,6 @@ class UserSet:
     @property
     def users_per_beam(self) -> int:
         return self.positions.shape[1]
-
-    def beam_of_user(self, flat_index: int) -> int:
-        return flat_index // self.users_per_beam
 
 
 @dataclass(frozen=True)
@@ -126,14 +115,6 @@ class ChannelSet:
     H: np.ndarray                        # (N_u, K, N) complex
     Hbar: np.ndarray                     # (N_u, K, N) complex, line of sight
     fading: np.ndarray                   # (N_u, K) complex row factors
-
-    @property
-    def n_users(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def shape(self):
-        return self.H.shape[1:]
 
 
 def hex_layout(n_beams: int, spacing_km: float):
@@ -168,6 +149,9 @@ def default_scenario(n_beams: int = 71, n_u: int = 2, seed: int = 0,
 
 def reuse_colors(scenario: Scenario, reuse_factor: int) -> np.ndarray:
     """Colour index per beam for a frequency-reuse pattern of 1..4 colours."""
+    if reuse_factor not in (1, 2, 3, 4):
+        raise ConfigurationError(
+            f"reuse factor must be in {{1,2,3,4}}, not {reuse_factor!r}")
     if reuse_factor == 1:
         return np.zeros(scenario.K, int)
     if scenario.hex_coords is None:
@@ -195,31 +179,17 @@ def _taper(u: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0, b)
 
 
-def beam_gain(scenario: Scenario, feed_index: int,
-              user_position: Sequence[float]) -> complex:
-    """Feed-to-user antenna amplitude gain a * exp(j*psi) with psi = 0.
+def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
+    """Amplitudes (n_pos, N) of every feed towards every position.
 
     The amplitude follows a Bessel tapered-aperture curve of the off-axis
     angle, clamped at the configured sidelobe floor.
     """
-    pos = np.asarray(user_position, float)
-    amp = _gain_amplitudes(scenario, pos[None, :])[0, feed_index]
-    return complex(amp)
-
-
-def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
-    """Amplitudes (n_pos, N) of every feed towards every position."""
     d = positions[:, None, :] - scenario.feed_centers[None, :, :]
     off_axis = np.linalg.norm(d, axis=2) / scenario.sat_altitude_km
     u = _U_3DB * off_axis / scenario.theta_3db_rad
     floor = 10 ** (scenario.sidelobe_floor_db / 20)
     return scenario.boresight_gain * np.maximum(np.abs(_taper(u)), floor)
-
-
-def first_null_u() -> float:
-    """First null of the taper curve (in u units)."""
-    from scipy.optimize import brentq
-    return brentq(lambda u: _taper(u), 3.0, 6.5)
 
 
 def draw_users(scenario: Scenario, rng: np.random.Generator) -> UserSet:
@@ -279,7 +249,7 @@ def average_cir(scenario: Scenario, reuse_pattern, n_mc: int = 200,
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
     if np.isscalar(reuse_pattern):
-        colors = reuse_colors(scenario, int(reuse_pattern))
+        colors = reuse_colors(scenario, reuse_pattern)
     else:
         colors = np.asarray(reuse_pattern, int)
         if colors.shape != (scenario.K,):

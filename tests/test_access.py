@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satkit import access as ac
-from satkit.scenario import ChannelSet, ConfigurationError
+from satkit.scenario import ConfigurationError
 
 # symmetric setup: 0 dB direct gains, -2 dB cross gains
 CROSS = 10 ** (-0.2)
@@ -213,44 +213,3 @@ class TestParetoFrontier:
             assert not any(q.dominates(p) and (q.r1, q.r2) != (p.r1, p.r2)
                            for q in pts)
 
-
-class TestOverloadedUnicast:
-    def _two_user_set(self, h):
-        return ChannelSet(H=h, Hbar=h.copy(),
-                          fading=np.ones(h.shape[:2], complex))
-
-    def test_orthogonal_precoders_single_beam(self):
-        h = np.zeros((2, 1, 2), complex)
-        h[0, 0] = [2.0, 0.0]
-        h[1, 0] = [0.0, 3.0]
-        ch = self._two_user_set(h)
-        w1 = np.array([[1.0], [0.0]], complex)
-        w2 = np.array([[0.0], [1.0]], complex)
-        rates = ac.overloaded_unicast_rates(ch, [w1, w2])
-        assert rates[0, 0] == pytest.approx(np.log2(5.0))
-        assert rates[1, 0] == pytest.approx(np.log2(10.0))
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(3)
-        h = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
-        ch = self._two_user_set(h)
-        ws = [rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-              for _ in range(2)]
-        rates = ac.overloaded_unicast_rates(ch, ws, sic_policy="noise")
-        for i in range(2):                   # hand-rolled SINR loop
-            for k in range(2):
-                own = abs(h[i, k] @ ws[i][:, k]) ** 2
-                tot = sum(abs(h[i, k] @ ws[j][:, m]) ** 2
-                          for j in range(2) for m in range(2))
-                rate = np.log2(1 + own / (tot - own + 1))
-                assert rates[i, k] == pytest.approx(rate, rel=1e-12)
-
-    def test_sic_at_least_as_good(self):
-        rng = np.random.default_rng(4)
-        h = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        ch = self._two_user_set(h)
-        ws = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-              for _ in range(2)]
-        noise = ac.overloaded_unicast_rates(ch, ws, sic_policy="noise")
-        sic = ac.overloaded_unicast_rates(ch, ws, sic_policy="sic")
-        assert (sic >= noise - 1e-12).all()

@@ -147,6 +147,7 @@ class TestConfigFaults:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
+        return err[0]
 
     def test_unknown_rate_region_strategy(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "rate-region",
@@ -202,6 +203,20 @@ class TestConfigFaults:
         with pytest.raises(RuntimeError, match="program fault"):
             cli.main([sub, "--out", str(out)])
         assert not (tmp_path / "made").exists()
+
+    @pytest.mark.parametrize("body", [
+        "x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n1,2,10,45,20\n",
+        "station_id,x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n"
+        "0,1,2,10,45,20\n1,1,2,loud,45,20\n"],
+        ids=["no_station_id", "non_numeric_tx_dbw"])
+    def test_malformed_rem_csv(self, tmp_path, capsys, body):
+        # the CSV reader's KeyError and ValueError must not become a traceback
+        rem = tmp_path / "rem.csv"
+        rem.write_text(body)
+        err = self.fails_cleanly(tmp_path, capsys, "carrier-assign",
+                                 {**FAST_CONFIGS["carrier-assign"],
+                                  "rem_csv": str(rem)})
+        assert "rem.csv line" in err
 
     @pytest.mark.parametrize("var", ["SATKIT_SEED"])
     def test_non_integer_env(self, tmp_path, capsys, monkeypatch, var):

@@ -70,19 +70,6 @@ class TestAverageChannel:
                     expect[k, n] += ch.H[i, k, n] / 3
         np.testing.assert_allclose(pc.average_channel(ch), expect, rtol=1e-14)
 
-    def test_frame_subset(self):
-        rng = np.random.default_rng(3)
-        ch = random_channel_set(rng, 4, 2, 3)
-        out = pc.average_channel(ch, frame=[(0, 2), (1,)])
-        np.testing.assert_allclose(out[0], ch.H[[0, 2], 0, :].mean(axis=0))
-        np.testing.assert_allclose(out[1], ch.H[1, 1, :])
-
-    def test_empty_frame_rejected(self):
-        rng = np.random.default_rng(4)
-        ch = random_channel_set(rng, 2, 2, 2)
-        with pytest.raises(ConfigurationError):
-            pc.average_channel(ch, frame=[(0,), ()])
-
 
 class TestMmse:
     def test_identity_channel_scalar_algebra(self):
@@ -226,72 +213,6 @@ class TestFeasibilityChecker:
         assert len(rep["sinr_violations"]) == 3
         ok = check_p2_feasibility(ch, w, table[0] * 0.5)
         assert ok["feasible"]
-
-
-class TestBlockDiagonal:
-    def test_single_block_equals_single_gw(self):
-        rng = np.random.default_rng(10)
-        ch = random_channel_set(rng, 1, 4, 4)
-        part = pc.GwPartition(feed_blocks=(tuple(range(4)),),
-                              beam_blocks=(tuple(range(4)),))
-        w_multi = pc.multi_gateway_mmse(ch, part, 2.0)
-        w_single = pc.mmse_multicast(pc.average_channel(ch), 2.0)
-        np.testing.assert_allclose(w_multi.W, w_single.W, rtol=1e-12)
-
-    def test_decoupled_blocks_sum(self):
-        rng = np.random.default_rng(11)
-        h = np.zeros((1, 4, 4), complex)
-        h[0, :2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h[0, 2:, 2:] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        ch = ChannelSet(H=h, Hbar=h.copy(), fading=np.ones((1, 4), complex))
-        part = pc.GwPartition(feed_blocks=((0, 1), (2, 3)),
-                              beam_blocks=((0, 1), (2, 3)))
-        w = pc.multi_gateway_mmse(ch, part, 2.0)
-        assert np.abs(w.W[2:, :2]).max() == 0.0
-        sr_joint = pc.sum_rate(pc.sinr_all(ch, w))[0]
-        # with zero cross-block channel, the joint rate decomposes into
-        # the per-block rates of the assembled precoder's own blocks
-        sr_blocks = 0.0
-        for rows, cols in (((0, 1), (0, 1)), ((2, 3), (2, 3))):
-            sub_h = h[:, rows][:, :, cols]
-            sub = ChannelSet(H=sub_h, Hbar=sub_h.copy(),
-                             fading=np.ones((1, 2), complex))
-            blk = pc.PrecodeMatrix(W=w.W[np.ix_(cols, rows)],
-                                   power_cap=w.power_cap, beta=w.beta)
-            sr_blocks += pc.sum_rate(pc.sinr_all(sub, blk))[0]
-        assert sr_joint == pytest.approx(sr_blocks, rel=1e-9)
-
-    def test_cross_coupling_costs_rate(self):
-        rng = np.random.default_rng(12)
-        ch = random_channel_set(rng, 1, 6, 6)
-        part = pc.GwPartition(feed_blocks=((0, 1, 2), (3, 4, 5)),
-                              beam_blocks=((0, 1, 2), (3, 4, 5)))
-        sr_multi = pc.sum_rate(pc.sinr_all(ch, pc.multi_gateway_mmse(ch, part, 2.0)))[0]
-        sr_single = pc.sum_rate(pc.sinr_all(
-            ch, pc.mmse_multicast(pc.average_channel(ch), 2.0)))[0]
-        assert sr_multi <= sr_single
-
-    def test_partition_validation(self):
-        part = pc.GwPartition(feed_blocks=((0,), (1,)), beam_blocks=((0, 1),))
-        with pytest.raises(ConfigurationError):
-            part.validate(2, 2)
-
-
-class TestScheduler:
-    def test_groups_by_proximity(self):
-        scn = default_scenario(3, 4, seed=0)
-        users = draw_users(scn, np.random.default_rng(0))
-        plan = pc.geographic_scheduler(users, 2)
-        assert len(plan.frames) == 2
-        for k in range(3):
-            slots = sorted(i for fr in plan.frames for i in fr[k])
-            assert slots == [0, 1, 2, 3]
-
-    def test_deterministic(self):
-        scn = default_scenario(4, 4, seed=1)
-        users = draw_users(scn, np.random.default_rng(1))
-        assert (pc.geographic_scheduler(users, 2)
-                == pc.geographic_scheduler(users, 2))
 
 
 class TestMmseVsIdentity:
