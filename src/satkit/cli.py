@@ -160,7 +160,7 @@ def cmd_rate_region(cfg: dict, out: Path):
                                   lam_grid=lam_grid)
     for strat, region in regions.items():
         frontier = {(p.r1, p.r2) for p in region.frontier}
-        rows = [(strat, p.params[0] if p.params else "",
+        rows = [(p.strategy, p.params[0] if p.params else "",
                  p.params[1] if len(p.params) > 1 else "",
                  p.r1, p.r2, (p.r1, p.r2) in frontier)
                 for p in region.points]

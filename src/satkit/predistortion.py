@@ -3,8 +3,14 @@
 The amplifier is a memoryless third-order Volterra model y = a*r +
 b*|r|^2*r whose drive is clipped at the AM/AM peak r_sat; output
 back-off (OBO) is defined against that peak. The SPD is a third-order
-polynomial fitted by direct-learning least squares (scipy's trust-region
-solver); a LUT path offers a quantised implementation.
+polynomial fitted by direct-learning least squares (a Levenberg-Marquardt
+loop on 4x4 normal equations); a LUT path offers a quantised
+implementation.
+
+The SPD fit and the equalizer reduce their long vectors with zgemm or
+elementwise numpy only: a threaded level-1/2 BLAS call (zgemv, zgelsd,
+dot, norm) on such a vector leaves numpy's OpenBLAS worker thread
+spinning afterwards, which doubled spd-bench's CPU time.
 """
 from __future__ import annotations
 
@@ -13,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import least_squares
 
 from .scenario import ConfigurationError
 
@@ -154,17 +159,28 @@ def spd_apply_lut(params: SpdParams, x: np.ndarray) -> np.ndarray:
     return params.lut[idx, 2] * x
 
 
+# Levenberg-Marquardt loop of fit_spd: the damping starts at LM_LAMBDA0
+# (relative to diag(J^T J)) and the loop stops after LM_MAX_ITER cost
+# evaluations, when an accepted step lowers the cost by at most LM_FTOL of
+# it, or when a step is at most LM_XTOL of the parameter norm.
+LM_FTOL = 1e-10
+LM_XTOL = 1e-10
+LM_MAX_ITER = 100
+LM_LAMBDA0 = 1e-3
+
+
 def fit_spd(hpa: HpaParams, training_waveform: np.ndarray,
-            sigma_j: float = 0.0, rng: Optional[np.random.Generator] = None,
-            target_gain: Optional[complex] = None):
+            sigma_j: float = 0.0, rng: Optional[np.random.Generator] = None):
     """Direct-learning least-squares fit of the SPD coefficients.
 
-    Minimises the mean squared error between the amplifier output and a
-    linear response ``target_gain * input`` over the training waveform,
+    Minimises the mean squared error between the amplifier output and
+    the linear response ``alpha * input`` over the training waveform,
     observed through the jitter sampling model when ``sigma_j`` is
-    nonzero (jitter-cognizant training), with scipy's trust-region least
-    squares. Returns the fitted parameters and the MSE trace: the
-    starting value, then one entry per iteration.
+    nonzero (jitter-cognizant training). A Levenberg-Marquardt loop
+    (Marquardt 1963) solves the damped 4x4 normal equations in
+    p = (Re gamma, Im gamma, Re delta, Im delta). Returns the fitted
+    parameters and the MSE trace: the starting value, then one entry per
+    accepted step.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -176,34 +192,46 @@ def fit_spd(hpa: HpaParams, training_waveform: np.ndarray,
     if not np.any(x):
         raise ConfigurationError("training waveform is all zero")
     a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
-    tgt = a if target_gain is None else target_gain
     x2x = np.abs(x) ** 2 * x
-    # SPD output u = du_dp @ p for p = (Re gamma, Im gamma, Re delta, Im delta)
-    du_dp = np.stack([x, 1j * x, x2x, 1j * x2x], axis=1)
     # above r_sat the amplifier gives y = c_sat * u/|u|; a linear one never clips
     c_sat = a * rs + b * rs ** 3 if np.isfinite(rs) else 0.0
+    cols = np.empty((5, x.size), complex)
 
-    def residual(p):
-        e = hpa_apply(hpa, du_dp @ p) - tgt * x
-        return np.concatenate([e.real, e.imag])
-
-    def jacobian(p):
-        # analytic, from the Wirtinger derivatives dy/du and dy/d(conj u)
-        u = du_dp @ p
+    def gram(p):
+        """Re of the Gram matrix of [J | e]: J^T J, J^T r and the cost."""
+        gamma, delta = complex(p[0], p[1]), complex(p[2], p[3])
+        u = gamma * x + delta * x2x
+        # analytic Jacobian, from the Wirtinger derivatives dy/du, dy/d(conj u)
         m = np.abs(u)
         dy_du, dy_duc = a + 2 * b * m ** 2, b * u ** 2
         over = m > rs
         dy_du[over] = c_sat / (2 * m[over])
         dy_duc[over] = -c_sat * u[over] ** 2 / (2 * m[over] ** 3)
-        jc = dy_du[:, None] * du_dp + dy_duc[:, None] * du_dp.conj()
-        return np.concatenate([jc.real, jc.imag])
+        for k, v in ((0, x), (2, x2x)):
+            # du/dp is v for the real part of a coefficient, 1j*v for its imaginary one
+            cols[k] = dy_du * v + dy_duc * v.conj()
+            cols[k + 1] = 1j * (dy_du * v - dy_duc * v.conj())
+        cols[4] = hpa_apply(hpa, u) - a * x
+        return (cols.conj() @ cols.T).real
 
-    def record(intermediate_result):
-        trace.append(2 * intermediate_result.cost / x.size)
-
-    p0 = np.array([(1 / a).real, (1 / a).imag, 0.0, 0.0])
-    trace = [2 * float(np.mean(residual(p0) ** 2))]
-    p = least_squares(residual, p0, jac=jacobian, callback=record).x
+    p = np.array([(1 / a).real, (1 / a).imag, 0.0, 0.0])
+    g = gram(p)
+    trace = [g[4, 4] / x.size]
+    lam = LM_LAMBDA0
+    for _ in range(LM_MAX_ITER):
+        jtj = g[:4, :4]
+        step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g[:4, 4])
+        if np.sqrt(step @ step) <= LM_XTOL * (LM_XTOL + np.sqrt(p @ p)):
+            break
+        g_new = gram(p + step)
+        if not g_new[4, 4] < g[4, 4]:
+            lam *= 10
+            continue
+        done = g[4, 4] - g_new[4, 4] <= LM_FTOL * g_new[4, 4]
+        p, g, lam = p + step, g_new, lam / 10
+        trace.append(g[4, 4] / x.size)
+        if done:
+            break
     return (SpdParams(gamma=complex(p[0], p[1]), delta=complex(p[2], p[3])),
             np.array(trace))
 
@@ -287,18 +315,16 @@ class ChainResult:
 def rrc_taps(rolloff: float, span: int, oversampling: int) -> np.ndarray:
     """Unit-energy root-raised-cosine pulse."""
     t = np.arange(-span * oversampling, span * oversampling + 1) / oversampling
-    h = np.empty_like(t)
-    for i, ti in enumerate(t):
-        if abs(ti) < 1e-12:
-            h[i] = 1 - rolloff + 4 * rolloff / np.pi
-        elif abs(abs(ti) - 1 / (4 * rolloff)) < 1e-9:
-            h[i] = (rolloff / np.sqrt(2)) * (
-                (1 + 2 / np.pi) * np.sin(np.pi / (4 * rolloff))
-                + (1 - 2 / np.pi) * np.cos(np.pi / (4 * rolloff)))
-        else:
-            h[i] = ((np.sin(np.pi * ti * (1 - rolloff))
-                     + 4 * rolloff * ti * np.cos(np.pi * ti * (1 + rolloff)))
-                    / (np.pi * ti * (1 - (4 * rolloff * ti) ** 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = ((np.sin(np.pi * t * (1 - rolloff))
+              + 4 * rolloff * t * np.cos(np.pi * t * (1 + rolloff)))
+             / (np.pi * t * (1 - (4 * rolloff * t) ** 2)))
+    # the two removable singularities: t = 0 and |t| = 1/(4 rolloff)
+    h = np.where(np.abs(t) < 1e-12, 1 - rolloff + 4 * rolloff / np.pi, h)
+    h = np.where(np.abs(np.abs(t) - 1 / (4 * rolloff)) < 1e-9,
+                 (rolloff / np.sqrt(2)) * (
+                     (1 + 2 / np.pi) * np.sin(np.pi / (4 * rolloff))
+                     + (1 - 2 / np.pi) * np.cos(np.pi / (4 * rolloff))), h)
     return h / np.sqrt(np.sum(h ** 2))
 
 
@@ -347,10 +373,14 @@ def _equalized_sinr(rx_symbols: np.ndarray, symbols: np.ndarray,
     n = symbols.size
     half = n_taps // 2
     cols = [np.roll(rx_symbols, half - t) for t in range(n_taps)]
-    mat = np.stack(cols, axis=1)[half:n - half]
-    ref = symbols[half:n - half]
-    w, *_ = np.linalg.lstsq(mat, ref, rcond=None)
-    err = mat @ w - ref
+    data = np.stack(cols + [symbols], axis=1)[half:n - half]
+    mat, ref = data[:, :n_taps], data[:, n_taps]
+    # normal equations from one zgemm; lstsq keeps the minimum-norm taps
+    # when mat is rank-deficient (an all-zero rx gives w = 0)
+    gram = data.conj().T @ data
+    w, *_ = np.linalg.lstsq(gram[:n_taps, :n_taps], gram[:n_taps, n_taps],
+                            rcond=None)
+    err = (mat * w).sum(axis=1) - ref
     mse = float(np.mean(np.abs(err) ** 2))
     sig = float(np.mean(np.abs(ref) ** 2))
     return 10 * np.log10(sig / max(mse, 1e-300))

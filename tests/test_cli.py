@@ -309,8 +309,11 @@ class TestCsvContracts:
         out = run(tmp_path, "rate-region", FAST_CONFIGS["rate-region"], "r")
         for strat in ("ian", "hk"):
             path = out / f"rate_region_{strat}.csv"
-            header = path.read_bytes().decode().split("\r\n")[0]
-            assert header == "strategy,param1,param2,R1,R2,on_frontier"
+            lines = path.read_bytes().decode().split("\r\n")
+            assert lines[0] == "strategy,param1,param2,R1,R2,on_frontier"
+            rows = [ln for ln in lines[1:] if ln]
+            assert rows
+            assert all(ln.split(",")[0] == strat for ln in rows)
 
     def test_caching_curve_files(self, tmp_path):
         out = run(tmp_path, "caching-threshold",

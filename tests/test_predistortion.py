@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import signal
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 from satkit import predistortion as pd
 from satkit.scenario import ConfigurationError
@@ -175,10 +180,13 @@ class TestFitSpd:
         assert trace[-1] < 1e-10
 
     def test_linear_amplifier_inverts_gain(self):
-        hpa = pd.HpaParams(alpha=2.0, beta=0.0)
-        params, _ = pd.fit_spd(hpa, training_burst(), target_gain=1.0)
-        assert abs(params.gamma - 0.5) < 1e-3
-        assert abs(params.delta) < 1e-3
+        # the fit starts at gamma = 1/alpha and must move to the identity,
+        # since the target response is alpha * input
+        hpa = pd.HpaParams(alpha=2.0 - 0.5j, beta=0.0)
+        params, trace = pd.fit_spd(hpa, training_burst())
+        assert abs(params.gamma - 1.0) < 1e-6
+        assert abs(params.delta) < 1e-6
+        assert trace[-1] < 1e-10 * trace[0]
 
     def test_reduces_nonlinear_distortion(self):
         hpa = pd.HpaParams()
@@ -216,6 +224,37 @@ class TestFitSpd:
         best = minimize(mse, p0, method="Nelder-Mead",
                         options=dict(xatol=1e-12, fatol=1e-16, maxfev=4000))
         assert best.fun >= mse(p0) * (1 - 1e-6)
+
+    @pytest.mark.parametrize("scale", [0.6, 1.5])
+    def test_no_higher_mse_than_trust_region(self, scale):
+        # oracle: scipy's trust-region least squares on the real residual
+        # [Re e; Im e] and its analytic Jacobian, below and into clipping
+        hpa = pd.HpaParams()
+        a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
+        c_sat = a * rs + b * rs ** 3
+        x = training_burst()
+        x *= scale * hpa.r_sat / np.max(np.abs(x))
+        x2x = np.abs(x) ** 2 * x
+        du_dp = np.stack([x, 1j * x, x2x, 1j * x2x], axis=1)
+
+        def residual(p):
+            e = pd.hpa_apply(hpa, du_dp @ p) - a * x
+            return np.concatenate([e.real, e.imag])
+
+        def jacobian(p):
+            u = du_dp @ p
+            m = np.abs(u)
+            dy_du, dy_duc = a + 2 * b * m ** 2, b * u ** 2
+            over = m > rs
+            dy_du[over] = c_sat / (2 * m[over])
+            dy_duc[over] = -c_sat * u[over] ** 2 / (2 * m[over] ** 3)
+            jc = dy_du[:, None] * du_dp + dy_duc[:, None] * du_dp.conj()
+            return np.concatenate([jc.real, jc.imag])
+
+        p0 = np.array([(1 / a).real, (1 / a).imag, 0.0, 0.0])
+        oracle = least_squares(residual, p0, jac=jacobian)
+        _, trace = pd.fit_spd(hpa, x)
+        assert trace[-1] <= 2 * oracle.cost / x.size * (1 + 1e-8)
 
     def test_non_finite_waveform_rejected(self):
         x = training_burst()
@@ -318,6 +357,96 @@ class TestChain:
         pts = pd._constellation("16apsk")
         assert len(pts) == 16
         assert np.mean(np.abs(pts) ** 2) == pytest.approx(1.0, rel=1e-12)
+
+
+def rrc_taps_loop(rolloff, span, oversampling):
+    """The pulse one tap at a time, each singular point on its own branch."""
+    t = np.arange(-span * oversampling, span * oversampling + 1) / oversampling
+    h = np.empty_like(t)
+    for i, ti in enumerate(t):
+        if abs(ti) < 1e-12:
+            h[i] = 1 - rolloff + 4 * rolloff / np.pi
+        elif abs(abs(ti) - 1 / (4 * rolloff)) < 1e-9:
+            h[i] = (rolloff / np.sqrt(2)) * (
+                (1 + 2 / np.pi) * np.sin(np.pi / (4 * rolloff))
+                + (1 - 2 / np.pi) * np.cos(np.pi / (4 * rolloff)))
+        else:
+            h[i] = ((np.sin(np.pi * ti * (1 - rolloff))
+                     + 4 * rolloff * ti * np.cos(np.pi * ti * (1 + rolloff)))
+                    / (np.pi * ti * (1 - (4 * rolloff * ti) ** 2)))
+    return h / np.sqrt(np.sum(h ** 2))
+
+
+@pytest.mark.parametrize("rolloff,span,oversampling",
+                         [(0.25, 8, 8), (0.35, 6, 4), (0.2, 10, 16),
+                          (0.5, 4, 8)])
+def test_rrc_taps_match_the_per_tap_loop(rolloff, span, oversampling):
+    # (0.25, 8, 8) and (0.5, 4, 8) put taps on |t| = 1/(4 rolloff)
+    np.testing.assert_array_equal(pd.rrc_taps(rolloff, span, oversampling),
+                                  rrc_taps_loop(rolloff, span, oversampling))
+
+
+class TestEqualizedSinr:
+    @staticmethod
+    def lstsq_sinr_db(rx, symbols, n_taps):
+        # oracle: least squares on the data matrix itself
+        n, half = symbols.size, n_taps // 2
+        mat = np.stack([np.roll(rx, half - t) for t in range(n_taps)],
+                       axis=1)[half:n - half]
+        ref = symbols[half:n - half]
+        w, *_ = np.linalg.lstsq(mat, ref, rcond=None)
+        mse = np.mean(np.abs(mat @ w - ref) ** 2)
+        return 10 * np.log10(np.mean(np.abs(ref) ** 2) / mse)
+
+    @pytest.mark.parametrize("snr_db", [10.0, 40.0])
+    def test_matches_lstsq_on_the_data_matrix(self, snr_db):
+        rng = np.random.default_rng(6)
+        s = pd._draw_symbols("16apsk", rng, 4000)
+        isi = np.convolve(s, [0.1j, 1.0, -0.2 + 0.05j, 0.03])[1:s.size + 1]
+        nv = 10 ** (-snr_db / 10)
+        rx = isi + np.sqrt(nv / 2) * (rng.standard_normal(s.size)
+                                      + 1j * rng.standard_normal(s.size))
+        got = pd._equalized_sinr(rx, s, 11)
+        assert got == pytest.approx(self.lstsq_sinr_db(rx, s, 11), abs=1e-9)
+
+    def test_zero_rx_gives_zero_db(self):
+        s = pd._draw_symbols("qpsk", np.random.default_rng(7), 500)
+        assert pd._equalized_sinr(np.zeros(500, complex), s, 11) == 0.0
+
+
+def test_spd_chain_leaves_blas_worker_threads_idle(tmp_path):
+    # a threaded level-1/2 BLAS call on a long vector leaves OpenBLAS's
+    # worker threads spinning after it returns; the SPD chain makes none,
+    # so every thread but the main one stays (nearly) idle
+    if not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs /proc/self/task and at least two CPUs")
+    code = """
+import os
+from satkit import predistortion as pd
+
+def cpu_ticks():
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        ticks[tid] = int(fields[11]) + int(fields[12])    # utime + stime
+    return ticks
+
+before = cpu_ticks()
+pd.spd_benchmark(pd.HpaParams(), [4.0], modes=("onboard",), n_symbols=2000)
+after = cpu_ticks()
+main = str(os.getpid())
+print(after[main] - before[main],
+      sum(after[t] - before.get(t, 0) for t in after if t != main))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path}, text=True,
+                         cwd=tmp_path, timeout=300)
+    assert res.returncode == 0, res.stderr
+    main, workers = map(int, res.stdout.split())
+    assert workers < 0.05 * main
 
 
 class TestJitterAwareTraining:
