@@ -15,7 +15,7 @@ from satkit.scenario import (average_cir, build_channel, default_scenario,
 
 # the default scenario: 71 hexagonally packed beams, 2 users per frame
 scn = default_scenario(n_beams=71, n_u=2)
-print(f"scenario: K={scn.K} beams, N={scn.N} feeds, N_u={scn.N_u} users/frame")
+print(f"scenario: K={scn.K} beams, one feed each, N_u={scn.N_u} users/frame")
 
 # average C/I improves as fewer neighbours share each colour
 print("\nreuse factor vs average C/I:")
@@ -34,7 +34,7 @@ channel = build_channel(scn, draw_users(scn, rng), rng=rng)
 power_w = 55.0
 h_avg = precoding.average_channel(channel)
 mmse = precoding.mmse_multicast(h_avg, power_w)
-naive = precoding.identity_precoder(scn.N, scn.K, power_w)
+naive = precoding.identity_precoder(scn.K, power_w)
 
 for name, w in (("MMSE", mmse), ("identity", naive)):
     total, per_beam = precoding.sum_rate(precoding.sinr_all(channel, w))

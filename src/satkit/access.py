@@ -1,8 +1,8 @@
 """Two-user interference-channel strategies and rate-region enumeration.
 
 Rates are bits/s/Hz. The channel is described by power gains g_ij =
-|gain of transmitter i at receiver j|^2 and per-user powers; residual
-interference from unmodelled beams is folded into the noise terms.
+|gain of transmitter i at receiver j|^2 and per-user powers, normalised
+to unit noise at each receiver (as the scenario module's channels are).
 """
 from __future__ import annotations
 
@@ -13,10 +13,13 @@ import numpy as np
 
 from .scenario import ConfigurationError
 
+# rate tolerance (bits/s/Hz) of frontier_dominates
+DOMINANCE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TwoUserChannel:
-    """Power gains, transmit powers and effective noise of a two-user IC.
+    """Power gains and transmit powers of a two-user IC, unit noise.
 
     g11: own gain of user 1 at rx1; g21: interference of user 2 at rx1;
     g12: gain of user 1's signal at rx2; g22: own gain at rx2.
@@ -28,20 +31,15 @@ class TwoUserChannel:
     g22: float
     p1: float
     p2: float
-    sigma1_sq: float = 1.0
-    sigma2_sq: float = 1.0
 
     def __post_init__(self):
         if min(self.g11, self.g21, self.g12, self.g22, self.p1, self.p2) < 0:
             raise ConfigurationError("gains and powers must be non-negative")
-        if self.sigma1_sq <= 0 or self.sigma2_sq <= 0:
-            raise ConfigurationError("noise powers must be positive")
 
     def swapped(self) -> "TwoUserChannel":
         """Channel with the user indices exchanged."""
         return TwoUserChannel(g11=self.g22, g21=self.g12, g12=self.g21,
-                              g22=self.g11, p1=self.p2, p2=self.p1,
-                              sigma1_sq=self.sigma2_sq, sigma2_sq=self.sigma1_sq)
+                              g22=self.g11, p1=self.p2, p2=self.p1)
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,6 @@ class RateRegion:
     def frontier(self) -> Tuple[RatePoint, ...]:
         return pareto_frontier(self.points)
 
-    def contains(self, point: RatePoint, tol: float = 1e-9) -> bool:
-        """True when some achieved point componentwise dominates `point`."""
-        return any(p.dominates(point, tol) for p in self.points)
-
 
 def _c(snr: float) -> float:
     return float(np.log2(1.0 + snr))
@@ -74,8 +68,8 @@ def _c(snr: float) -> float:
 
 def rate_ian(ch: TwoUserChannel) -> RatePoint:
     """Both receivers treat the interfering signal as noise."""
-    r1 = _c(ch.p1 * ch.g11 / (ch.sigma1_sq + ch.p2 * ch.g21))
-    r2 = _c(ch.p2 * ch.g22 / (ch.sigma2_sq + ch.p1 * ch.g12))
+    r1 = _c(ch.p1 * ch.g11 / (1.0 + ch.p2 * ch.g21))
+    r2 = _c(ch.p2 * ch.g22 / (1.0 + ch.p1 * ch.g12))
     return RatePoint(r1, r2, "ian")
 
 
@@ -87,9 +81,9 @@ def rate_scd(ch: TwoUserChannel, order: int = 1) -> RatePoint:
     an interference-free own rate.
     """
     if order == 1:
-        r1 = min(_c(ch.p1 * ch.g11 / (ch.sigma1_sq + ch.p2 * ch.g21)),
-                 _c(ch.p1 * ch.g12 / (ch.sigma2_sq + ch.p2 * ch.g22)))
-        r2 = _c(ch.p2 * ch.g22 / ch.sigma2_sq)
+        r1 = min(_c(ch.p1 * ch.g11 / (1.0 + ch.p2 * ch.g21)),
+                 _c(ch.p1 * ch.g12 / (1.0 + ch.p2 * ch.g22)))
+        r2 = _c(ch.p2 * ch.g22)
         return RatePoint(r1, r2, "scd", params=(1,))
     if order == 2:
         sw = rate_scd(ch.swapped(), order=1)
@@ -109,16 +103,16 @@ def rate_snd(ch: TwoUserChannel):
     """
     ian = rate_ian(ch)
 
-    def rx(own_p, own_g, int_p, int_g, noise, m_int, ian_own):
-        skip = m_int >= _c(int_p * int_g / noise)
+    def rx(own_p, own_g, int_p, int_g, m_int, ian_own):
+        skip = m_int >= _c(int_p * int_g)
         if skip:
             return ian_own, False
-        own_cap = _c(own_p * own_g / noise)
-        sum_cap = _c((own_p * own_g + int_p * int_g) / noise)
+        own_cap = _c(own_p * own_g)
+        sum_cap = _c(own_p * own_g + int_p * int_g)
         return max(ian_own, min(own_cap, sum_cap - m_int)), True
 
-    r1, dec1 = rx(ch.p1, ch.g11, ch.p2, ch.g21, ch.sigma1_sq, ian.r2, ian.r1)
-    r2, dec2 = rx(ch.p2, ch.g22, ch.p1, ch.g12, ch.sigma2_sq, ian.r1, ian.r2)
+    r1, dec1 = rx(ch.p1, ch.g11, ch.p2, ch.g21, ian.r2, ian.r1)
+    r2, dec2 = rx(ch.p2, ch.g22, ch.p1, ch.g12, ian.r1, ian.r2)
     return RatePoint(max(r1, 0.0), max(r2, 0.0), "snd"), (dec1, dec2)
 
 
@@ -126,8 +120,8 @@ def rate_fdm(ch: TwoUserChannel, beta: float = 0.5) -> RatePoint:
     """Orthogonal frequency split, fraction beta of the band to user 1."""
     if not 0.0 < beta < 1.0:
         raise ConfigurationError("beta must lie strictly inside (0,1)")
-    r1 = beta * _c(ch.p1 * ch.g11 / (beta * ch.sigma1_sq))
-    r2 = (1 - beta) * _c(ch.p2 * ch.g22 / ((1 - beta) * ch.sigma2_sq))
+    r1 = beta * _c(ch.p1 * ch.g11 / beta)
+    r2 = (1 - beta) * _c(ch.p2 * ch.g22 / (1 - beta))
     return RatePoint(r1, r2, "fdm", params=(beta,))
 
 
@@ -155,11 +149,11 @@ def hk_corner(ch: TwoUserChannel, lam1: float, lam2: float) -> RatePoint:
     pow1 = {(1, "c"): (1 - lam1) * ch.p1 * ch.g11,
             (2, "c"): (1 - lam2) * ch.p2 * ch.g21,
             (1, "p"): lam1 * ch.p1 * ch.g11}
-    n1 = ch.sigma1_sq + lam2 * ch.p2 * ch.g21
+    n1 = 1.0 + lam2 * ch.p2 * ch.g21
     pow2 = {(1, "c"): (1 - lam1) * ch.p1 * ch.g12,
             (2, "c"): (1 - lam2) * ch.p2 * ch.g22,
             (2, "p"): lam2 * ch.p2 * ch.g22}
-    n2 = ch.sigma2_sq + lam1 * ch.p1 * ch.g12
+    n2 = 1.0 + lam1 * ch.p1 * ch.g12
     caps1 = _mac_caps([(2, "c"), (1, "c"), (1, "p")], pow1, n1)
     caps2 = _mac_caps([(1, "c"), (2, "c"), (2, "p")], pow2, n2)
     r1c = min(caps1[(1, "c")], caps2[(1, "c")])
@@ -209,13 +203,12 @@ def region_sweep(template: TwoUserChannel, p_values: Sequence[float],
 
 def pareto_frontier(points: Iterable[RatePoint]) -> Tuple[RatePoint, ...]:
     """Maximal non-dominated subset, sorted by R1 (input-order independent)."""
-    pts = sorted(set((p.r1, p.r2) for p in points))
     lookup = {}
-    for p in points:
+    for p in points:                       # one pass: points may be a generator
         lookup.setdefault((p.r1, p.r2), p)
     frontier = []
     best_r2 = -np.inf
-    for r1, r2 in reversed(pts):           # descending r1
+    for r1, r2 in sorted(lookup, reverse=True):     # descending r1
         if r2 > best_r2:
             frontier.append(lookup[(r1, r2)])
             best_r2 = r2
@@ -223,8 +216,11 @@ def pareto_frontier(points: Iterable[RatePoint]) -> Tuple[RatePoint, ...]:
 
 
 def frontier_dominates(frontier_a: Sequence[RatePoint],
-                       frontier_b: Sequence[RatePoint],
-                       tol: float = 1e-9) -> bool:
-    """True when every point of frontier_b is dominated by some point of a."""
-    return all(any(a.dominates(b, tol) for a in frontier_a) for b in frontier_b)
+                       frontier_b: Sequence[RatePoint]) -> bool:
+    """True when every point of frontier_b is dominated by some point of a.
+
+    Rates within ``DOMINANCE_TOL`` of each other count as equal.
+    """
+    return all(any(a.dominates(b, DOMINANCE_TOL) for a in frontier_a)
+               for b in frontier_b)
 

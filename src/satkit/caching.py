@@ -40,17 +40,10 @@ class PopularityModel:
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """Delivery bookkeeping for one broadcast/unicast threshold."""
+    """Unicast and broadcast delivery times of one threshold."""
 
-    threshold: int                 # first unicast rank, 1..I+1
-    file_size_bits: float
-    n_stations: int
-    rate_uc: float
-    rate_bc: float
     t_uc: float
     t_bc: float
-    v_bc: float                    # broadcast (cached) volume, bits
-    v_uc: float                    # expected unicast volume, bits
 
     @property
     def t_tot(self) -> float:
@@ -85,15 +78,9 @@ def delivery_times(threshold: int, model: PopularityModel, file_size_bits: float
     _check_link(file_size_bits, n_stations, rate_uc, rate_bc)
     f = model.pmf
     tail = float(f[threshold - 1:].sum())
-    head = float(f[: threshold - 1].sum())
     t_uc = file_size_bits * n_stations * tail / rate_uc
     t_bc = file_size_bits * (threshold - 1) / rate_bc
-    return DeliveryPlan(threshold=threshold, file_size_bits=file_size_bits,
-                        n_stations=n_stations, rate_uc=rate_uc, rate_bc=rate_bc,
-                        t_uc=t_uc, t_bc=t_bc,
-                        v_bc=file_size_bits * (threshold - 1),
-                        v_uc=file_size_bits * n_stations * tail,
-                        )
+    return DeliveryPlan(t_uc=t_uc, t_bc=t_bc)
 
 
 def total_time_curve(model: PopularityModel, file_size_bits: float,

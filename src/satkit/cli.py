@@ -78,11 +78,16 @@ def _check_type(key: str, value, default):
             _check_type(key, item, default[0])
 
 
+def _reject_constant(token: str):
+    """``json.load`` hook for the non-standard NaN, Infinity and -Infinity."""
+    raise ConfigurationError(f"config value {token} is not a finite number")
+
+
 def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
     cfg = dict(defaults)
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            loaded = json.load(fh, parse_constant=_reject_constant)
         # accept a previous run's manifest directly
         if "config" in loaded and "subcommand" in loaded:
             if loaded["subcommand"] != subcommand:

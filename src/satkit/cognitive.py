@@ -22,6 +22,12 @@ MODCOD_TABLE = (
     (8.97, 2.48), (10.98, 2.97), (12.89, 3.52), (14.28, 3.95),
     (16.05, 4.45), (17.9, 4.93), (19.57, 5.51),
 )
+# fixed-service stations: mean EIRP of a synthetic deployment (dBW, drawn
+# +/- 3 dB around it), out-of-sector attenuation (dB) and the reference
+# distance of the inverse-square path loss (km)
+FS_TX_DBW = 10.0
+FS_MASK_DB = 25.0
+FS_REF_KM = 1.0
 
 
 @dataclass(frozen=True)
@@ -66,12 +72,11 @@ def build_sinr_matrix(rx_powers: np.ndarray, interference: np.ndarray,
     return SinrMatrix(values=p[None, :] / (i_t + i_co + n0))
 
 
-def rate_matrix(sinr: SinrMatrix, mapping: str = "shannon",
-                table: Sequence[Tuple[float, float]] = MODCOD_TABLE) -> np.ndarray:
+def rate_matrix(sinr: SinrMatrix, mapping: str = "shannon") -> np.ndarray:
     """Per-(carrier, terminal) rate map; Shannon by default.
 
-    ``mapping="staircase"`` quantises to a MODCOD spectral-efficiency
-    table (0 below the lowest operating point).
+    ``mapping="staircase"`` quantises to the spectral efficiencies of
+    ``MODCOD_TABLE`` (0 below the lowest operating point).
     """
     v = sinr.values
     if mapping == "shannon":
@@ -79,8 +84,8 @@ def rate_matrix(sinr: SinrMatrix, mapping: str = "shannon",
     if mapping != "staircase":
         raise ConfigurationError("mapping must be 'shannon' or 'staircase'")
     sinr_db = 10 * np.log10(np.maximum(v, 1e-300))
-    thresholds = np.array([t for t, _ in table])
-    rates = np.array([r for _, r in table])
+    thresholds = np.array([t for t, _ in MODCOD_TABLE])
+    rates = np.array([r for _, r in MODCOD_TABLE])
     idx = np.searchsorted(thresholds, sinr_db, side="right") - 1
     out = np.where(idx >= 0, rates[np.maximum(idx, 0)], 0.0)
     return out
@@ -186,7 +191,6 @@ def throughput_report(rates: np.ndarray, interference: np.ndarray,
 class FsStation:
     """Incumbent fixed-service transmitter of the radio environment map."""
 
-    station_id: int
     x_km: float
     y_km: float
     tx_dbw: float
@@ -214,23 +218,22 @@ def load_rem(path, n_carriers: int) -> list:
                 raise ConfigurationError(
                     f"{path} line {reader.line_num}: missing or non-numeric "
                     f"field ({exc!r})") from None
-            out.append(FsStation(station_id=sid, carrier=sid % n_carriers, **fields))
+            out.append(FsStation(carrier=sid % n_carriers, **fields))
     return out
 
 
 def synthetic_rem(n_stations: int, n_carriers: int, area_km: float,
-                  rng: np.random.Generator, tx_dbw: float = 10.0) -> list:
+                  rng: np.random.Generator) -> list:
     """Random FS deployment over a square area."""
     if n_stations < 0 or n_carriers < 1 or area_km < 0:
         raise ConfigurationError("need n_stations >= 0, n_carriers >= 1 "
                                  "and area_km >= 0")
     out = []
-    for sid in range(n_stations):
+    for _ in range(n_stations):
         out.append(FsStation(
-            station_id=sid,
             x_km=float(rng.uniform(-area_km / 2, area_km / 2)),
             y_km=float(rng.uniform(-area_km / 2, area_km / 2)),
-            tx_dbw=float(tx_dbw + rng.uniform(-3, 3)),
+            tx_dbw=float(FS_TX_DBW + rng.uniform(-3, 3)),
             azimuth_deg=float(rng.uniform(0, 360)),
             beamwidth_deg=float(rng.uniform(10, 40)),
             carrier=int(rng.integers(n_carriers))))
@@ -238,13 +241,12 @@ def synthetic_rem(n_stations: int, n_carriers: int, area_km: float,
 
 
 def interference_table(stations: Sequence[FsStation],
-                       terminal_xy_km: np.ndarray, n_carriers: int,
-                       mask_db: float = 25.0, ref_km: float = 1.0) -> np.ndarray:
+                       terminal_xy_km: np.ndarray, n_carriers: int) -> np.ndarray:
     """Incumbent interference I_k(m), shape (M, K), linear power.
 
-    Each station radiates its EIRP inside its sector and ``mask_db``
+    Each station radiates its EIRP inside its sector and ``FS_MASK_DB``
     below it outside, with inverse-square path loss referenced at
-    ``ref_km``.
+    ``FS_REF_KM``.
     """
     xy = np.asarray(terminal_xy_km, float)
     out = np.zeros((n_carriers, xy.shape[0]))
@@ -254,8 +256,9 @@ def interference_table(stations: Sequence[FsStation],
     d = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
     az = np.degrees(np.arctan2(xy[:, 1] - y, xy[:, 0] - x))
     off = np.abs((az - azimuth + 180) % 360 - 180)
-    gain_db = np.where(off <= beamwidth / 2, 0.0, -mask_db)
-    p = 10 ** ((tx_dbw + gain_db) / 10) * (ref_km / np.maximum(d, ref_km)) ** 2
+    gain_db = np.where(off <= beamwidth / 2, 0.0, -FS_MASK_DB)
+    p = 10 ** ((tx_dbw + gain_db) / 10) * (FS_REF_KM
+                                           / np.maximum(d, FS_REF_KM)) ** 2
     # unbuffered, in station order: the same sums as adding station by station
     np.add.at(out, np.array([s.carrier for s in stations], int), p)
     return out

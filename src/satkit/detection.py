@@ -20,8 +20,9 @@ import numpy as np
 
 from .scenario import ConfigurationError
 
-N_DATA_DEFAULT = 460
-N_PILOT_DEFAULT = 56
+N_DATA = 460            # data symbols per frame
+N_PILOT = 56            # pilot symbols per frame, sent first
+Z_95 = 1.959963984540054        # two-sided 95% normal quantile
 DETECTOR_KINDS = ("ced", "edscp", "edscd")
 _EDSCD_CHUNK = 256      # EDSCD frames per block of data normals (1.9 MB);
                         # outputs do not depend on it
@@ -156,9 +157,7 @@ def _sample_stats(kind: str, hypothesis: int, h: np.ndarray, snr_db: float,
 
 def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
                         n_mc: int, snr_db: float = 6.0,
-                        seed: int = 0, fade_db: float = 4.0,
-                        n_data: int = N_DATA_DEFAULT,
-                        n_pilot: int = N_PILOT_DEFAULT) -> float:
+                        seed: int = 0, fade_db: float = 4.0) -> float:
     """Empirical threshold at the worst-case noise level, +eps dB.
 
     Returns the (1 - pfa_target) quantile of the H0 statistic with the
@@ -173,15 +172,15 @@ def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
     h = _draw_channels(rng, n_mc, fade_db)
     eps_db = detector.noise_uncertainty_db
     t = _sample_stats(detector.kind, 0, h, snr_db, -np.inf, eps_db, rng, n_mc,
-                      n_data, n_pilot, noise_var_db=eps_db)
+                      N_DATA, N_PILOT, noise_var_db=eps_db)
     return float(np.quantile(t, 1.0 - pfa_target))
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = 1.959963984540054) -> Tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ConfigurationError("trials must be positive")
+    z = Z_95
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -191,9 +190,7 @@ def wilson_interval(successes: int, trials: int,
 
 def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
              snr_db: float = 6.0, n_mc: int = 5000,
-             seed: int = 0, fade_db: float = 4.0,
-             n_data: int = N_DATA_DEFAULT,
-             n_pilot: int = N_PILOT_DEFAULT) -> list:
+             seed: int = 0, fade_db: float = 4.0) -> list:
     """Monte Carlo detection probability per ISNR point with Wilson CIs.
 
     Each frame's noise level is drawn within the detector's
@@ -209,7 +206,7 @@ def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
         rng = np.random.default_rng(ss)
         h = _draw_channels(rng, n_mc, fade_db)
         t = _sample_stats(detector.kind, 1, h, snr_db, float(isnr_db), eps_db,
-                          rng, n_mc, n_data, n_pilot)
+                          rng, n_mc, N_DATA, N_PILOT)
         hits = int(np.sum(t > detector.threshold))
         lo, hi = wilson_interval(hits, n_mc)
         rows.append({"detector": detector.kind, "eps_db": eps_db,

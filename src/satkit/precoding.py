@@ -19,10 +19,9 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class PrecodeMatrix:
-    """N x K precoder with its power-cap metadata."""
+    """N x K precoder, its power scaling and its conditioning flag."""
 
     W: np.ndarray
-    power_cap: float
     beta: float
     ill_conditioned: bool = False
 
@@ -45,7 +44,7 @@ def enforce_per_feed(w_raw: np.ndarray, power_cap: float,
     if peak <= 0:
         raise ConfigurationError("zero precoder cannot be power-scaled")
     beta = float(np.sqrt(power_cap / peak))
-    return PrecodeMatrix(W=beta * w_raw, power_cap=power_cap, beta=beta,
+    return PrecodeMatrix(W=beta * w_raw, beta=beta,
                          ill_conditioned=ill_conditioned)
 
 
@@ -79,13 +78,9 @@ def mmse_multicast(h_avg: np.ndarray, power_cap: float) -> PrecodeMatrix:
     return enforce_per_feed(w_raw, power_cap, ill_conditioned=ill)
 
 
-def identity_precoder(n_feeds: int, n_beams: int, power_cap: float) -> PrecodeMatrix:
-    """Naive one-feed-per-beam baseline at the per-feed cap."""
-    if n_feeds < n_beams:
-        raise ConfigurationError("identity feeding needs N >= K")
-    w = np.zeros((n_feeds, n_beams), complex)
-    w[np.arange(n_beams), np.arange(n_beams)] = 1.0
-    return enforce_per_feed(w, power_cap)
+def identity_precoder(n_beams: int, power_cap: float) -> PrecodeMatrix:
+    """Naive baseline: each beam on its own feed, at the per-feed cap."""
+    return enforce_per_feed(np.eye(n_beams, dtype=complex), power_cap)
 
 
 def sinr_all(channel_set: ChannelSet, precoder: PrecodeMatrix) -> np.ndarray:

@@ -278,6 +278,21 @@ class FilterSpec:
         return y[:, 0] + 1j * y[:, 1]
 
 
+# the transponder chain: QPSK symbols shaped by a root-raised-cosine pulse,
+# the SPD trained on its own burst, a symbol-spaced equalizer at the receiver
+QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
+ROLLOFF = 0.25
+SPAN = 8                                  # pulse half-length, symbols
+OVERSAMPLING = 8                          # samples per symbol
+N_TRAIN_SYMBOLS = 1500
+TRAIN_SEED = 10_007
+EQ_TAPS = 11
+# drive-to-OBO curve of drive_for_obo: drives, symbols and noise seed
+DRIVE_GRID = np.geomspace(0.15, 6.0, 12)
+CURVE_SYMBOLS = 800
+CURVE_SEED = 3
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """End-to-end transponder chain settings."""
@@ -286,24 +301,15 @@ class ChainConfig:
     sigma_j: float = 0.005
     imux: Optional[FilterSpec] = FilterSpec(order=4, cutoff=0.13)
     omux: Optional[FilterSpec] = FilterSpec(order=4, cutoff=0.30)
-    modulation: str = "qpsk"              # qpsk | 16apsk
-    rolloff: float = 0.25
-    oversampling: int = 8
-    span: int = 8
     snr_db: float = 40.0
     drive: float = 1.0
-    n_train_symbols: int = 1500
-    train_seed: int = 10_007
     jitter_aware: bool = True
-    eq_taps: int = 11
 
     def __post_init__(self):
         if self.spd_location not in ("onboard", "onground", "none"):
             raise ConfigurationError("unknown spd_location")
-        if self.modulation not in ("qpsk", "16apsk"):
-            raise ConfigurationError("unknown modulation")
-        if self.drive <= 0 or self.oversampling < 2 or self.sigma_j < 0:
-            raise ConfigurationError("bad drive, oversampling or jitter")
+        if self.drive <= 0 or self.sigma_j < 0:
+            raise ConfigurationError("bad drive or jitter")
 
 
 @dataclass(frozen=True)
@@ -328,21 +334,8 @@ def rrc_taps(rolloff: float, span: int, oversampling: int) -> np.ndarray:
     return h / np.sqrt(np.sum(h ** 2))
 
 
-def _constellation(kind: str) -> np.ndarray:
-    if kind == "qpsk":
-        pts = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])) / np.sqrt(2)
-        return pts
-    # 16APSK 4+12, DVB-S2 radius ratio 3.15 for rate 3/4-ish operation
-    r2 = 3.15
-    inner = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
-    outer = r2 * np.exp(1j * (np.pi / 12 + np.pi / 6 * np.arange(12)))
-    pts = np.concatenate([inner, outer])
-    return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
-
-
-def _draw_symbols(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    pts = _constellation(kind)
-    return pts[rng.integers(len(pts), size=n)]
+def _draw_symbols(rng: np.random.Generator, n: int) -> np.ndarray:
+    return QPSK[rng.integers(len(QPSK), size=n)]
 
 
 def _shape(symbols: np.ndarray, taps: np.ndarray, oversampling: int) -> np.ndarray:
@@ -353,10 +346,10 @@ def _shape(symbols: np.ndarray, taps: np.ndarray, oversampling: int) -> np.ndarr
 
 def train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
     """Fit SPD coefficients on a training burst seen at the SPD's location."""
-    rng = np.random.default_rng(config.train_seed)
-    taps = rrc_taps(config.rolloff, config.span, config.oversampling)
-    s = _draw_symbols(config.modulation, rng, config.n_train_symbols)
-    x = _shape(s, taps, config.oversampling) * config.drive
+    rng = np.random.default_rng(TRAIN_SEED)
+    taps = rrc_taps(ROLLOFF, SPAN, OVERSAMPLING)
+    s = _draw_symbols(rng, N_TRAIN_SYMBOLS)
+    x = _shape(s, taps, OVERSAMPLING) * config.drive
     sigma_j = 0.0
     if config.spd_location == "onboard":
         if config.imux is not None:
@@ -403,9 +396,8 @@ def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
         rng = np.random.default_rng(0)
     if config.spd_location != "none" and spd is None:
         spd = train_spd(config, hpa)
-    os_, taps = config.oversampling, rrc_taps(config.rolloff, config.span,
-                                              config.oversampling)
-    s = _draw_symbols(config.modulation, rng, n_symbols)
+    os_, taps = OVERSAMPLING, rrc_taps(ROLLOFF, SPAN, OVERSAMPLING)
+    s = _draw_symbols(rng, n_symbols)
     z = _shape(s, taps, os_) * config.drive
     rs = hpa.r_sat
     clip = rs if np.isfinite(rs) else None
@@ -442,41 +434,38 @@ def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
             best_c, best_t = c, t
     rx = r[best_t : best_t + n_symbols * os_ : os_]
     n_eff = min(rx.size, n_symbols)
-    sinr = _equalized_sinr(rx[:n_eff], s[:n_eff], config.eq_taps)
+    sinr = _equalized_sinr(rx[:n_eff], s[:n_eff], EQ_TAPS)
     return ChainResult(sinr_db=float(sinr), obo_db=float(obo))
 
 
 def obo_vs_drive(config: ChainConfig, hpa: HpaParams,
-                 drives: Sequence[float], n_symbols: int = 800,
-                 seed: int = 3) -> np.ndarray:
-    """OBO (dB) achieved at each drive level, SPD refitted per drive."""
+                 drives: Sequence[float]) -> np.ndarray:
+    """OBO (dB) achieved at each drive level, SPD refitted per drive.
+
+    Each point runs ``CURVE_SYMBOLS`` symbols with noise seed ``CURVE_SEED``.
+    """
     out = []
     for dr in drives:
         cfg = replace(config, drive=float(dr))
-        res = evaluate_chain(cfg, None, hpa, n_symbols=n_symbols,
-                             rng=np.random.default_rng(seed))
+        res = evaluate_chain(cfg, None, hpa, n_symbols=CURVE_SYMBOLS,
+                             rng=np.random.default_rng(CURVE_SEED))
         out.append(res.obo_db)
     return np.array(out)
 
 
 def drive_for_obo(config: ChainConfig, hpa: HpaParams,
-                  obo_target_db: float | Sequence[float],
-                  drive_grid: Optional[Sequence[float]] = None,
-                  n_symbols: int = 800, seed: int = 3) -> float | np.ndarray:
-    """Drive level reaching a target OBO, via a monotone interpolated curve.
+                  obo_target_db: float | Sequence[float]) -> float | np.ndarray:
+    """Drive level reaching a target OBO, interpolated on ``DRIVE_GRID``'s curve.
 
     ``obo_target_db`` is one target (a float is returned) or a sequence
     of them (an array of drives is returned).
     """
-    if drive_grid is None:
-        drive_grid = np.geomspace(0.15, 6.0, 12)
-    drive_grid = np.asarray(drive_grid, float)
-    obo = obo_vs_drive(config, hpa, drive_grid, n_symbols, seed)
+    obo = obo_vs_drive(config, hpa, DRIVE_GRID)
     order = np.argsort(obo)
     target = np.asarray(obo_target_db, float)
     if not np.all((obo[order[0]] <= target) & (target <= obo[order[-1]])):
         raise ConfigurationError("OBO target outside the drive grid's range")
-    return np.exp(np.interp(target, obo[order], np.log(drive_grid)[order]))
+    return np.exp(np.interp(target, obo[order], np.log(DRIVE_GRID)[order]))
 
 
 def spd_benchmark(hpa: HpaParams, obo_grid_db: Sequence[float],

@@ -1,6 +1,6 @@
 """Multibeam system geometry, link budget and channel synthesis.
 
-The satellite serves K spot beams from an N-feed array. Channel rows are
+The satellite serves K spot beams, one feed each. Channel rows are
 noise-normalised, i.e. the thermal-noise term sqrt(K_B*T_R*B_W) is folded
 into the channel entries so the receiver noise has unit variance.
 """
@@ -15,6 +15,18 @@ from scipy.special import j0, j1, jv
 SPEED_OF_LIGHT = 299_792_458.0
 BOLTZMANN = 1.380649e-23
 
+# link budget of the multibeam system: one feed per beam
+SAT_ALTITUDE_KM = 35786.0
+CARRIER_FREQ_HZ = 20e9
+BANDWIDTH_HZ = 500e6
+RX_GAIN = 10 ** (41.7 / 20)             # amplitude gain G_R
+NOISE_TEMP_K = 207.0
+BEAM_RADIUS_KM = 150.0                  # 3 dB footprint radius
+BORESIGHT_GAIN = 10 ** (52.0 / 20)      # amplitude
+SIDELOBE_FLOOR_DB = -40.0               # amplitude floor relative to boresight
+WAVELENGTH_M = SPEED_OF_LIGHT / CARRIER_FREQ_HZ
+THETA_3DB_RAD = BEAM_RADIUS_KM / SAT_ALTITUDE_KM    # half-power half-beamwidth
+
 # u value of the tapered-aperture pattern at the -3 dB point
 _U_3DB = 2.071231178421858
 
@@ -25,60 +37,29 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """System geometry and link-budget constants.
+    """K beams, each served by the feed at its centre, and N_u users per frame.
 
-    Distances are in km, frequencies in Hz. ``rx_gain`` is the *amplitude*
-    gain G_R (its square is the antenna power gain).
+    Distances are in km; the link budget is the module constants.
     """
 
     K: int
-    N: int
     N_u: int
     beam_centers: np.ndarray            # (K, 2) planar km
-    sat_altitude_km: float = 35786.0
-    carrier_freq_hz: float = 20e9
-    bandwidth_hz: float = 500e6
-    rx_gain: float = 10 ** (41.7 / 20)
-    noise_temp_k: float = 207.0
     rng_seed: int = 0
-    beam_radius_km: float = 150.0
-    boresight_gain: float = 10 ** (52.0 / 20)
-    sidelobe_floor_db: float = -40.0    # amplitude floor relative to boresight
-    boltzmann: float = BOLTZMANN
-    feed_centers: Optional[np.ndarray] = None     # (N, 2) km, defaults to beams
     hex_coords: Optional[np.ndarray] = None       # (K, 2) axial ints, if on a grid
 
     def __post_init__(self):
-        if self.K < 1 or self.N < 1 or self.N_u < 1:
-            raise ConfigurationError("K, N and N_u must be positive")
-        for name in ("sat_altitude_km", "carrier_freq_hz", "bandwidth_hz",
-                     "rx_gain", "noise_temp_k", "beam_radius_km",
-                     "boresight_gain", "boltzmann"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be strictly positive")
+        if self.K < 1 or self.N_u < 1:
+            raise ConfigurationError("K and N_u must be positive")
         bc = np.asarray(self.beam_centers, float)
         if bc.shape != (self.K, 2):
             raise ConfigurationError("beam_centers must have shape (K, 2)")
         object.__setattr__(self, "beam_centers", bc)
-        if self.feed_centers is None:
-            if self.N == self.K:
-                object.__setattr__(self, "feed_centers", bc.copy())
-            else:
-                raise ConfigurationError("feed_centers required when N != K")
-        else:
-            fc = np.asarray(self.feed_centers, float)
-            if fc.shape != (self.N, 2):
-                raise ConfigurationError("feed_centers must have shape (N, 2)")
-            object.__setattr__(self, "feed_centers", fc)
 
     @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_freq_hz
-
-    @property
-    def theta_3db_rad(self) -> float:
-        """Half-power half-beamwidth seen from the satellite (small angle)."""
-        return self.beam_radius_km / self.sat_altitude_km
+    def feed_centers(self) -> np.ndarray:
+        """(K, 2) km: feed k points at beam k's centre."""
+        return self.beam_centers
 
 
 @dataclass(frozen=True)
@@ -87,34 +68,12 @@ class UserSet:
 
     positions: np.ndarray               # (K, N_u, 2)
 
-    @property
-    def n_beams(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def users_per_beam(self) -> int:
-        return self.positions.shape[1]
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    """Log-normal amplitude / uniform phase fading, constant across feeds."""
-
-    sigma_db: float = 0.0
-
-    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
-        mu = 10 ** (rng.normal(0.0, self.sigma_db, shape) / 20)
-        theta = rng.uniform(0.0, 2 * np.pi, shape)
-        return mu * np.exp(1j * theta)
-
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Per-user channel matrices, ``H[i]`` is K x N for frame-user slot i."""
+    """Per-user channel matrices, ``H[i]`` is K x K for frame-user slot i."""
 
-    H: np.ndarray                        # (N_u, K, N) complex
-    Hbar: np.ndarray                     # (N_u, K, N) complex, line of sight
-    fading: np.ndarray                   # (N_u, K) complex row factors
+    H: np.ndarray                        # (N_u, K, K) complex
 
 
 def hex_layout(n_beams: int, spacing_km: float):
@@ -137,14 +96,12 @@ def hex_layout(n_beams: int, spacing_km: float):
     return coords, np.stack([x, y], axis=1)
 
 
-def default_scenario(n_beams: int = 71, n_u: int = 2, seed: int = 0,
-                     **overrides) -> Scenario:
+def default_scenario(n_beams: int = 71, n_u: int = 2,
+                     seed: int = 0) -> Scenario:
     """Hexagonal multibeam scenario with beam spacing of two 3 dB radii."""
-    radius = overrides.pop("beam_radius_km", 150.0)
-    coords, centers = hex_layout(n_beams, 2.0 * radius)
-    return Scenario(K=n_beams, N=n_beams, N_u=n_u, beam_centers=centers,
-                    rng_seed=seed, beam_radius_km=radius,
-                    hex_coords=coords, **overrides)
+    coords, centers = hex_layout(n_beams, 2.0 * BEAM_RADIUS_KM)
+    return Scenario(K=n_beams, N_u=n_u, beam_centers=centers, rng_seed=seed,
+                    hex_coords=coords)
 
 
 def reuse_colors(scenario: Scenario, reuse_factor: int) -> np.ndarray:
@@ -180,57 +137,52 @@ def _taper(u: np.ndarray) -> np.ndarray:
 
 
 def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
-    """Amplitudes (n_pos, N) of every feed towards every position.
+    """Amplitudes (n_pos, K) of every feed towards every position.
 
     The amplitude follows a Bessel tapered-aperture curve of the off-axis
-    angle, clamped at the configured sidelobe floor.
+    angle, clamped at ``SIDELOBE_FLOOR_DB``.
     """
     d = positions[:, None, :] - scenario.feed_centers[None, :, :]
-    off_axis = np.linalg.norm(d, axis=2) / scenario.sat_altitude_km
-    u = _U_3DB * off_axis / scenario.theta_3db_rad
-    floor = 10 ** (scenario.sidelobe_floor_db / 20)
-    return scenario.boresight_gain * np.maximum(np.abs(_taper(u)), floor)
+    off_axis = np.linalg.norm(d, axis=2) / SAT_ALTITUDE_KM
+    u = _U_3DB * off_axis / THETA_3DB_RAD
+    floor = 10 ** (SIDELOBE_FLOOR_DB / 20)
+    return BORESIGHT_GAIN * np.maximum(np.abs(_taper(u)), floor)
 
 
 def draw_users(scenario: Scenario, rng: np.random.Generator) -> UserSet:
     """N_u users per beam, uniform over each beam's 3 dB footprint disc."""
     k, nu = scenario.K, scenario.N_u
-    rr = scenario.beam_radius_km * np.sqrt(rng.uniform(size=(k, nu)))
+    rr = BEAM_RADIUS_KM * np.sqrt(rng.uniform(size=(k, nu)))
     ph = rng.uniform(0, 2 * np.pi, (k, nu))
     offs = np.stack([rr * np.cos(ph), rr * np.sin(ph)], axis=2)
     return UserSet(positions=scenario.beam_centers[:, None, :] + offs)
 
 
 def build_channel(scenario: Scenario, user_set: UserSet,
-                  fading: FadingModel = FadingModel(),
                   rng: Optional[np.random.Generator] = None) -> ChannelSet:
     """Synthesise the noise-normalised channel matrices.
 
     Entry (k, n) of user slot i is
     G_R * a * exp(j*psi) / (4*pi*(d/lambda)*sqrt(K_B*T_R*B_W)),
-    with a frozen uniform phase psi per (feed, user) and a rank-one fading
-    factor applied to each beam row.
+    with a frozen uniform phase psi per (feed, user).
     """
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
-    if user_set.n_beams != scenario.K or user_set.users_per_beam != scenario.N_u:
+    if user_set.positions.shape[:2] != (scenario.K, scenario.N_u):
         raise ConfigurationError("user_set dimensions do not match scenario")
-    K, N, Nu = scenario.K, scenario.N, scenario.N_u
+    K, Nu = scenario.K, scenario.N_u
     pos = user_set.positions.reshape(K * Nu, 2)
-    slant = np.hypot(np.linalg.norm(pos, axis=1),
-                     scenario.sat_altitude_km) * 1e3          # m
-    amps = _gain_amplitudes(scenario, pos)                    # (K*Nu, N)
-    psi = rng.uniform(0, 2 * np.pi, (K * Nu, N))
+    slant = np.hypot(np.linalg.norm(pos, axis=1), SAT_ALTITUDE_KM) * 1e3  # m
+    amps = _gain_amplitudes(scenario, pos)                    # (K*Nu, K)
+    psi = rng.uniform(0, 2 * np.pi, (K * Nu, K))
     gains = amps * np.exp(1j * psi)
-    denom = 4 * np.pi * (slant / scenario.wavelength_m) * np.sqrt(
-        scenario.boltzmann * scenario.noise_temp_k * scenario.bandwidth_hz)
-    rows = scenario.rx_gain * gains / denom[:, None]          # (K*Nu, N)
-    hbar = rows.reshape(K, Nu, N).transpose(1, 0, 2)          # row k*Nu+i -> [i, k]
-    fad = fading.draw(rng, (Nu, K))
-    h = fad[:, :, None] * hbar
+    denom = 4 * np.pi * (slant / WAVELENGTH_M) * np.sqrt(
+        BOLTZMANN * NOISE_TEMP_K * BANDWIDTH_HZ)
+    rows = RX_GAIN * gains / denom[:, None]                   # (K*Nu, K)
+    h = rows.reshape(K, Nu, K).transpose(1, 0, 2)             # row k*Nu+i -> [i, k]
     if not np.isfinite(h).all():
         raise ConfigurationError("non-finite channel entries")
-    return ChannelSet(H=h, Hbar=hbar, fading=fad)
+    return ChannelSet(H=h)
 
 
 def average_cir(scenario: Scenario, reuse_pattern, n_mc: int = 200,
@@ -242,8 +194,6 @@ def average_cir(scenario: Scenario, reuse_pattern, n_mc: int = 200,
     interference is summed over co-channel beams of the pattern. Returns
     +inf when the pattern leaves no co-channel interferer.
     """
-    if scenario.N != scenario.K:
-        raise ConfigurationError("nominal single-feed CIR needs N == K")
     if n_mc < 1:
         raise ConfigurationError("n_mc must be >= 1")
     if rng is None:
@@ -260,7 +210,7 @@ def average_cir(scenario: Scenario, reuse_pattern, n_mc: int = 200,
     draws = [(rng.integers(scenario.K), rng.uniform(), rng.uniform(0, 2 * np.pi))
              for _ in range(n_mc)]
     k, u, ph = map(np.array, zip(*draws))
-    r = scenario.beam_radius_km * np.sqrt(u)
+    r = BEAM_RADIUS_KM * np.sqrt(u)
     pos = scenario.beam_centers[k] + np.stack([r * np.cos(ph),
                                                r * np.sin(ph)], axis=1)
     g = _gain_amplitudes(scenario, pos) ** 2                  # (n_mc, K)

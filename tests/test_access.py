@@ -133,7 +133,7 @@ class TestHk:
         for p in reg.points:
             assert p.r1 <= r_max + 1e-12 and p.r2 <= r_max + 1e-12
         corner = ac.RatePoint(r_max, r_max, "ref")
-        assert reg.contains(corner, tol=1e-9)
+        assert ac.frontier_dominates(reg.points, [corner])
 
     def test_frontier_dominates_ian_frontier(self):
         regions = ac.region_sweep(sym_channel(1.0),
@@ -182,7 +182,7 @@ class TestStrategyProperties:
     @settings(max_examples=40, deadline=None)
     def test_ian_inside_hk_region(self, ch):
         reg = ac.hk_region(ch, np.linspace(0, 1, 5))
-        assert reg.contains(ac.rate_ian(ch), tol=1e-9)
+        assert ac.frontier_dominates(reg.points, [ac.rate_ian(ch)])
 
 
 class TestParetoFrontier:
@@ -192,6 +192,14 @@ class TestParetoFrontier:
         front = ac.pareto_frontier(pts)
         assert {(p.r1, p.r2) for p in front} == {(1, 1), (2, 0.5), (0.5, 2)}
         assert [p.r1 for p in front] == sorted(p.r1 for p in front)
+
+    def test_reads_its_input_once(self):
+        pts = [ac.RatePoint(1, 1, "a"), ac.RatePoint(2, 0.5, "a"),
+               ac.RatePoint(0.5, 2, "a"), ac.RatePoint(2, 0.5, "b")]
+        front = ac.pareto_frontier(p for p in pts)
+        assert front == ac.pareto_frontier(pts)
+        assert [(p.r1, p.r2, p.strategy) for p in front] == [
+            (0.5, 2, "a"), (1, 1, "a"), (2, 0.5, "a")]  # first of equal points
 
     @given(st.lists(st.tuples(st.floats(0, 10), st.floats(0, 10)),
                     min_size=1, max_size=30), st.randoms())

@@ -49,7 +49,7 @@ class TestDeliveryTimes:
     def test_pure_unicast_boundary(self):
         # threshold 1: nothing broadcast, T = s*K/R_uc
         plan = ca.delivery_times(1, model(), 1e6, 50, 3e5, 1e5)
-        assert plan.t_bc == 0.0 and plan.v_bc == 0.0
+        assert plan.t_bc == 0.0
         assert plan.t_tot == pytest.approx(1e6 * 50 / 3e5, rel=1e-12)
 
     def test_pure_broadcast_boundary(self):
@@ -66,11 +66,6 @@ class TestDeliveryTimes:
         want_bc = 2.0 * 2 / 8.0
         assert plan.t_uc == pytest.approx(want_uc, rel=1e-12)
         assert plan.t_bc == pytest.approx(want_bc, rel=1e-12)
-
-    def test_volume_bookkeeping(self):
-        plan = ca.delivery_times(5, model(), 1e6, 20, 1e6, 1e6)
-        assert plan.v_bc == pytest.approx(4e6)
-        assert plan.t_uc == pytest.approx(plan.v_uc / plan.rate_uc, rel=1e-12)
 
     def test_threshold_bounds(self):
         with pytest.raises(ConfigurationError):

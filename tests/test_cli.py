@@ -186,6 +186,20 @@ class TestConfigFaults:
     def test_bad_list_element(self, tmp_path, capsys, sub, cfg):
         self.fails_cleanly(tmp_path, capsys, sub, {**SMALL_CONFIGS[sub], **cfg})
 
+    @pytest.mark.parametrize("sub, cfg", [
+        ("detection-pd", {"fade_db": float("inf")}),
+        ("detection-pd", {"eps_db": float("nan")}),
+        ("carrier-assign", {"area_km": float("nan")}),
+        ("spd-bench", {"snr_db": float("nan")}),
+        ("precoding-bench", {"power_w": float("nan")}),
+        ("rate-region", {"direct_db": float("nan")}),
+        ("caching-threshold", {"alphas": [float("-inf")]}),
+        ("caching-threshold", {"alphas": [float("nan")]})])
+    def test_non_finite_number(self, tmp_path, capsys, sub, cfg):
+        # json.load accepts the NaN and Infinity tokens unless told otherwise
+        err = self.fails_cleanly(tmp_path, capsys, sub, cfg)
+        assert "not a finite number" in err
+
     def test_failure_part_way_leaves_no_files(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "caching-threshold",
                            {**FAST_CONFIGS["caching-threshold"],

@@ -288,28 +288,29 @@ class TestRem:
 
     def test_interference_in_sector_closed_form(self):
         # terminal on boresight at 2 km: EIRP * (1 km / 2 km)^2
-        st_ = cg.FsStation(station_id=0, x_km=0, y_km=0, tx_dbw=10.0,
+        st_ = cg.FsStation(x_km=0, y_km=0, tx_dbw=10.0,
                            azimuth_deg=0.0, beamwidth_deg=30.0, carrier=1)
         i_t = cg.interference_table([st_], np.array([[2.0, 0.0]]), 3)
         assert i_t[1, 0] == pytest.approx(10.0 * 0.25, rel=1e-12)
         assert i_t[0, 0] == 0.0 and i_t[2, 0] == 0.0
 
     def test_sector_mask_attenuation(self):
-        st_ = cg.FsStation(station_id=0, x_km=0, y_km=0, tx_dbw=10.0,
+        st_ = cg.FsStation(x_km=0, y_km=0, tx_dbw=10.0,
                            azimuth_deg=0.0, beamwidth_deg=30.0)
         on = cg.interference_table([st_], np.array([[2.0, 0.0]]), 1)
         off = cg.interference_table([st_], np.array([[-2.0, 0.0]]), 1)
         assert off[0, 0] == pytest.approx(on[0, 0] * 10 ** (-2.5), rel=1e-12)
 
     def test_path_loss_clamped_at_reference(self):
-        st_ = cg.FsStation(station_id=0, x_km=0, y_km=0, tx_dbw=0.0,
+        st_ = cg.FsStation(x_km=0, y_km=0, tx_dbw=0.0,
                            azimuth_deg=0.0, beamwidth_deg=360.0)
         near = cg.interference_table([st_], np.array([[0.1, 0.0]]), 1)
         at_ref = cg.interference_table([st_], np.array([[1.0, 0.0]]), 1)
         assert near[0, 0] == pytest.approx(at_ref[0, 0], rel=1e-12)
 
     def test_interference_matches_station_loop(self):
-        def station_loop(stations, xy, n_carriers, mask_db=25.0, ref_km=1.0):
+        def station_loop(stations, xy, n_carriers):
+            mask_db, ref_km = 25.0, 1.0
             out = np.zeros((n_carriers, xy.shape[0]))
             for s in stations:
                 d = np.hypot(xy[:, 0] - s.x_km, xy[:, 1] - s.y_km)

@@ -28,9 +28,9 @@ def measured_pfa(detector, snr_db=6.0, eps_db=0.0, n_mc=5000, seed=1,
     rng = np.random.default_rng(seed)
     h = dt._draw_channels(rng, n_mc, fade_db)
     x, s = dt._gen_batch(0, h, snr_db, -np.inf, eps_db, rng, n_mc,
-                         dt.N_DATA_DEFAULT, dt.N_PILOT_DEFAULT)
+                         dt.N_DATA, dt.N_PILOT)
     t = dt._stats_batch(detector.kind, x, s, 10 ** (snr_db / 20),
-                        dt.N_PILOT_DEFAULT)
+                        dt.N_PILOT)
     hits = int(np.sum(t > detector.threshold))
     return hits / n_mc, dt.wilson_interval(hits, n_mc)
 

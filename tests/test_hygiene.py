@@ -1,15 +1,28 @@
-"""Source-level guards: every public name has a user, every import is used."""
+"""Source-level guards.
+
+Every public name, optional parameter and dataclass field of ``satkit``
+has a user outside the tests, and every import is used. A user is code
+in ``src/``, ``demos/`` or a non-test file of ``benchmarks/``; names are
+matched as written, without resolving what they refer to.
+"""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = {p: ast.parse(p.read_text())
            for p in sorted((ROOT / "src" / "satkit").glob("*.py"))}
+USER_FILES = {p: ast.parse(p.read_text())
+              for p in [*(ROOT / "demos").glob("*.py"),
+                        *(ROOT / "benchmarks").glob("*.py")]
+              if not p.name.startswith("test_")}
 # Kept without a caller outside the tests: fit_hpa is the amplifier fit
 # that acceptance test 5 checks the chain against, and spd_apply_lut is the
 # only apply rule under which the LUT that spd-bench's lut_bins writes has
 # a meaning.
 NO_CALLER_ALLOWED = {"predistortion.fit_hpa", "predistortion.spd_apply_lut"}
+# Kept without a reader outside the tests: ill_conditioned is the one
+# observable of mmse_multicast's conditioning guard.
+NO_READER_ALLOWED = {"precoding.PrecodeMatrix.ill_conditioned"}
 
 
 def read_names(node):
@@ -17,27 +30,85 @@ def read_names(node):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def users():
+    """(key, node) per top-level statement of src and per user file.
+
+    Keys are per statement, so that a definition's own body is no user.
+    """
+    for p, tree in MODULES.items():
+        for stmt in tree.body:
+            yield (p, stmt.lineno), stmt
+    for p, tree in USER_FILES.items():
+        yield (p, 0), tree
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # per top-level statement, so that a definition's own body is no caller
-    users = {(p, stmt.lineno): read_names(stmt)
-             for p, tree in MODULES.items() for stmt in tree.body}
-    for p in [*(ROOT / "demos").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]:
-        if not p.name.startswith("test_"):
-            users[(p, 0)] = read_names(ast.parse(p.read_text()))
+    names = {key: read_names(node) for key, node in users()}
     uncalled = {f"{p.stem}.{stmt.name}" for p, tree in MODULES.items()
                 for stmt in tree.body
                 if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                 and not stmt.name.startswith("_")
-                and not any(stmt.name in names for key, names in users.items()
+                and not any(stmt.name in used for key, used in names.items()
                             if key != (p, stmt.lineno))}
     assert uncalled == NO_CALLER_ALLOWED
 
 
-def test_no_unused_imports_in_src():
-    unused = []
+def public_functions():
+    """(qualified name, key of its top-level statement, def, is a method)."""
     for p, tree in MODULES.items():
-        if p.name == "__init__.py":
+        for stmt in tree.body:
+            key = (p, stmt.lineno)
+            if isinstance(stmt, ast.FunctionDef):
+                yield f"{p.stem}.{stmt.name}", key, stmt, False
+            if isinstance(stmt, ast.ClassDef):
+                yield from ((f"{p.stem}.{stmt.name}.{fn.name}", key, fn, True)
+                            for fn in stmt.body
+                            if isinstance(fn, ast.FunctionDef))
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    calls = [(key, c) for key, node in users() for c in ast.walk(node)
+             if isinstance(c, ast.Call)]
+    unpassed = set()
+    for name, key, fn, is_method in public_functions():
+        if "._" in name:
             continue
+        a = fn.args
+        positional = [x.arg for x in a.posonlyargs + a.args][int(is_method):]
+        named = set(positional) | {x.arg for x in a.kwonlyargs}
+        mine = [c for k, c in calls if k != key and fn.name == getattr(
+            c.func, "id", getattr(c.func, "attr", None))]
+        keywords = {k.arg for c in mine for k in c.keywords}  # None: a ** splat
+        n_args = max((len(c.args) for c in mine), default=0)
+        optional = set(positional[max(n_args,
+                                      len(positional) - len(a.defaults)):])
+        optional |= {x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                     if d is not None}
+        if a.kwarg and not keywords - named:
+            optional.add("**" + a.kwarg.arg)
+        if None not in keywords:
+            unpassed |= {f"{name}({x})" for x in optional - keywords}
+    assert not unpassed, sorted(unpassed)
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    reads = {n.attr for _, node in users() for n in ast.walk(node)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = {f"{p.stem}.{cls.name}.{f.target.id}"
+              for p, tree in MODULES.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              and any("dataclass" in read_names(d) for d in cls.decorator_list)
+              for f in cls.body if isinstance(f, ast.AnnAssign)
+              and f.target.id not in reads}
+    assert unread == NO_READER_ALLOWED
+
+
+def test_no_unused_imports_in_src_tests_and_demos():
+    files = [p for p in MODULES if p.name != "__init__.py"]
+    files += [*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    unused = []
+    for p in files:
+        tree = ast.parse(p.read_text())
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{p.stem}: {alias.name}" for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom))

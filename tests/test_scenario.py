@@ -6,8 +6,8 @@ from scipy.special import j1, jv
 from satkit import scenario as sc
 
 
-def make_scenario(n_beams=19, n_u=2, seed=0, **kw):
-    return sc.default_scenario(n_beams, n_u, seed=seed, **kw)
+def make_scenario(n_beams=19, n_u=2, seed=0):
+    return sc.default_scenario(n_beams, n_u, seed=seed)
 
 
 def feed0_amplitude(scn, pos):
@@ -15,22 +15,25 @@ def feed0_amplitude(scn, pos):
     return sc._gain_amplitudes(scn, np.asarray(pos, float)[None, :])[0, 0]
 
 
-def hbar_double_loop(scn, users, rng):
-    """Line-of-sight channel with the per-(beam, user) row copy, as an oracle."""
-    K, N, Nu = scn.K, scn.N, scn.N_u
+def slant_m(positions):
+    return np.hypot(np.linalg.norm(positions, axis=-1), sc.SAT_ALTITUDE_KM) * 1e3
+
+
+def h_double_loop(scn, users, rng):
+    """Channel with the per-(beam, user) row copy, as an oracle."""
+    K, Nu = scn.K, scn.N_u
     pos = users.positions.reshape(K * Nu, 2)
-    slant = np.hypot(np.linalg.norm(pos, axis=1), scn.sat_altitude_km) * 1e3
     amps = sc._gain_amplitudes(scn, pos)
-    psi = rng.uniform(0, 2 * np.pi, (K * Nu, N))
+    psi = rng.uniform(0, 2 * np.pi, (K * Nu, K))
     gains = amps * np.exp(1j * psi)
-    denom = 4 * np.pi * (slant / scn.wavelength_m) * np.sqrt(
-        scn.boltzmann * scn.noise_temp_k * scn.bandwidth_hz)
-    rows = scn.rx_gain * gains / denom[:, None]
-    hbar = np.zeros((Nu, K, N), complex)
+    denom = 4 * np.pi * (slant_m(pos) / sc.WAVELENGTH_M) * np.sqrt(
+        sc.BOLTZMANN * sc.NOISE_TEMP_K * sc.BANDWIDTH_HZ)
+    rows = sc.RX_GAIN * gains / denom[:, None]
+    h = np.zeros((Nu, K, K), complex)
     for k in range(K):
         for i in range(Nu):
-            hbar[i, k, :] = rows[k * Nu + i]
-    return hbar
+            h[i, k, :] = rows[k * Nu + i]
+    return h
 
 
 def cir_per_sample(scn, colors, n_mc, rng):
@@ -38,7 +41,7 @@ def cir_per_sample(scn, colors, n_mc, rng):
     ratios = []
     for _ in range(n_mc):
         k = int(rng.integers(scn.K))
-        r = scn.beam_radius_km * np.sqrt(rng.uniform())
+        r = sc.BEAM_RADIUS_KM * np.sqrt(rng.uniform())
         ph = rng.uniform(0, 2 * np.pi)
         pos = scn.beam_centers[k] + [r * np.cos(ph), r * np.sin(ph)]
         g = sc._gain_amplitudes(scn, pos[None, :])[0] ** 2
@@ -50,11 +53,6 @@ def cir_per_sample(scn, colors, n_mc, rng):
 
 
 class TestScenarioValidation:
-    def test_rejects_nonpositive_constants(self):
-        with pytest.raises(sc.ConfigurationError):
-            sc.Scenario(K=2, N=2, N_u=1, beam_centers=np.zeros((2, 2)),
-                        bandwidth_hz=-1.0)
-
     def test_rejects_bad_reuse_factor(self):
         # a factor outside {1,2,3,4} must not fall back to another pattern
         scn = make_scenario()
@@ -66,35 +64,34 @@ class TestScenarioValidation:
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(sc.ConfigurationError):
-            sc.Scenario(K=3, N=3, N_u=1, beam_centers=np.zeros((2, 2)))
+            sc.Scenario(K=3, N_u=1, beam_centers=np.zeros((2, 2)))
 
     def test_wavelength(self):
-        scn = make_scenario()
-        assert scn.wavelength_m == pytest.approx(
-            sc.SPEED_OF_LIGHT / scn.carrier_freq_hz)
+        # 20 GHz Ka-band carrier
+        assert sc.WAVELENGTH_M == pytest.approx(0.0149896229, rel=1e-9)
 
 
 class TestBeamGain:
     def test_boresight_maximum(self):
         scn = make_scenario()
         g = feed0_amplitude(scn, scn.feed_centers[0])
-        assert g == pytest.approx(scn.boresight_gain)
+        assert g == pytest.approx(sc.BORESIGHT_GAIN)
 
     def test_3db_point(self):
         # at the 3 dB off-axis angle, |a|^2 = a_max^2 / 2
         scn = make_scenario()
-        pos = scn.feed_centers[0] + [scn.beam_radius_km, 0.0]
+        pos = scn.feed_centers[0] + [sc.BEAM_RADIUS_KM, 0.0]
         g = feed0_amplitude(scn, pos)
-        assert abs(g) ** 2 == pytest.approx(scn.boresight_gain ** 2 / 2,
+        assert abs(g) ** 2 == pytest.approx(sc.BORESIGHT_GAIN ** 2 / 2,
                                             rel=1e-9)
 
     def test_monotone_to_first_null(self):
         scn = make_scenario()
-        null_km = brentq(sc._taper, 3.0, 6.5) / sc._U_3DB * scn.beam_radius_km
+        null_km = brentq(sc._taper, 3.0, 6.5) / sc._U_3DB * sc.BEAM_RADIUS_KM
         radii = np.linspace(0.0, 0.999 * null_km, 100)
         amps = [abs(feed0_amplitude(scn, scn.feed_centers[0] + [r, 0]))
                 for r in radii]
-        floor = scn.boresight_gain * 10 ** (scn.sidelobe_floor_db / 20)
+        floor = sc.BORESIGHT_GAIN * 10 ** (sc.SIDELOBE_FLOOR_DB / 20)
         # strictly decreasing until the sidelobe floor clamps, then flat
         assert all(a1 >= a2 for a1, a2 in zip(amps, amps[1:]))
         assert all(a1 > a2 or a1 <= floor
@@ -112,9 +109,9 @@ class TestBeamGain:
 
     def test_sidelobe_floor(self):
         scn = make_scenario()
-        far = scn.feed_centers[0] + [40 * scn.beam_radius_km, 0.0]
+        far = scn.feed_centers[0] + [40 * sc.BEAM_RADIUS_KM, 0.0]
         g = feed0_amplitude(scn, far)
-        floor = scn.boresight_gain * 10 ** (scn.sidelobe_floor_db / 20)
+        floor = sc.BORESIGHT_GAIN * 10 ** (sc.SIDELOBE_FLOOR_DB / 20)
         assert abs(g) >= floor
 
 
@@ -125,38 +122,20 @@ class TestUsersAndChannel:
         assert users.positions.shape == (scn.K, scn.N_u, 2)
         d = np.linalg.norm(users.positions - scn.beam_centers[:, None, :],
                            axis=2)
-        assert (d <= scn.beam_radius_km).all()
+        assert (d <= sc.BEAM_RADIUS_KM).all()
 
     def test_unit_substitution_entry_magnitude(self):
-        # all link constants 1, a boresight user (taper 1) and slant
-        # distance = wavelength -> |h| = 1/(4 pi)
-        lam = sc.SPEED_OF_LIGHT / 20e9
-        scn = sc.Scenario(K=1, N=1, N_u=1, beam_centers=np.zeros((1, 2)),
-                          sat_altitude_km=lam / 1e3, rx_gain=1.0,
-                          noise_temp_k=1.0, bandwidth_hz=1.0, boltzmann=1.0,
-                          boresight_gain=1.0)
-        users = sc.UserSet(positions=np.zeros((1, 1, 2)))
-        ch = sc.build_channel(scn, users)
-        assert abs(ch.Hbar[0, 0, 0]) == pytest.approx(1 / (4 * np.pi), rel=1e-12)
-
-    def test_identity_fading_keeps_hbar(self):
-        scn = make_scenario()
-        rng = np.random.default_rng(1)
-        ch = sc.build_channel(scn, sc.draw_users(scn, rng),
-                              fading=sc.FadingModel(sigma_db=0.0), rng=rng)
-        # sigma 0 leaves unit amplitude but a random phase per row
-        np.testing.assert_allclose(np.abs(ch.fading), 1.0, atol=1e-12)
-
-    def test_rank_one_row_fading(self):
-        scn = make_scenario(n_beams=7)
-        rng = np.random.default_rng(2)
-        ch = sc.build_channel(scn, sc.draw_users(scn, rng),
-                              fading=sc.FadingModel(sigma_db=3.0), rng=rng)
-        ratio = ch.H / ch.Hbar
-        for i in range(scn.N_u):
-            for k in range(scn.K):
-                np.testing.assert_allclose(ratio[i, k], ratio[i, k, 0],
-                                           rtol=1e-12)
+        # a user at nadir under its own feed (taper 1) sees the link budget
+        # in dB: G_R + G_max - FSPL(d = altitude) - 10 log10(k T B)
+        scn = sc.Scenario(K=1, N_u=1, beam_centers=np.zeros((1, 2)))
+        ch = sc.build_channel(scn, sc.UserSet(positions=np.zeros((1, 1, 2))))
+        fspl_db = 20 * np.log10(4 * np.pi * sc.SAT_ALTITUDE_KM * 1e3
+                                / sc.WAVELENGTH_M)
+        noise_dbw = 10 * np.log10(sc.BOLTZMANN * sc.NOISE_TEMP_K
+                                  * sc.BANDWIDTH_HZ)
+        want_db = 41.7 + 52.0 - fspl_db - noise_dbw
+        assert 20 * np.log10(abs(ch.H[0, 0, 0])) == pytest.approx(want_db,
+                                                                 abs=1e-9)
 
     def test_determinism(self):
         scn = make_scenario()
@@ -167,21 +146,23 @@ class TestUsersAndChannel:
         np.testing.assert_array_equal(a.H, b.H)
 
     def test_path_loss_halves_with_double_distance(self):
-        # a boresight user sees the same antenna gain at both altitudes
-        base = dict(K=1, N=1, N_u=1, beam_centers=np.zeros((1, 2)))
-        users = sc.UserSet(positions=np.zeros((1, 1, 2)))
-        h1 = sc.build_channel(sc.Scenario(sat_altitude_km=1000.0, **base),
-                              users).Hbar[0, 0, 0]
-        h2 = sc.build_channel(sc.Scenario(sat_altitude_km=2000.0, **base),
-                              users).Hbar[0, 0, 0]
-        assert abs(h1) == pytest.approx(2 * abs(h2), rel=1e-12)
+        # |h| * slant / antenna amplitude is the same for every user and feed
+        scn = make_scenario(n_beams=7)
+        users = sc.draw_users(scn, np.random.default_rng(6))
+        h = sc.build_channel(scn, users, rng=np.random.default_rng(8)).H
+        pos = users.positions.transpose(1, 0, 2)             # [i, k]
+        amps = sc._gain_amplitudes(scn, pos.reshape(-1, 2)).reshape(h.shape)
+        scaled = np.abs(h) * slant_m(pos)[..., None] / amps
+        np.testing.assert_allclose(scaled, scaled.flat[0], rtol=1e-12)
+        # the users' slant ranges differ, so |h| falls as 1/distance
+        assert slant_m(pos).max() > slant_m(pos).min()
 
     def test_hbar_matches_double_loop_oracle(self):
         scn = make_scenario(n_u=3)
         users = sc.draw_users(scn, np.random.default_rng(3))
         ch = sc.build_channel(scn, users, rng=np.random.default_rng(4))
         np.testing.assert_array_equal(
-            ch.Hbar, hbar_double_loop(scn, users, np.random.default_rng(4)))
+            ch.H, h_double_loop(scn, users, np.random.default_rng(4)))
 
     def test_dimension_mismatch_rejected(self):
         scn = make_scenario()
@@ -201,14 +182,14 @@ class TestReuseAndCir:
         scn = make_scenario(n_beams=37)
         colors = sc.reuse_colors(scn, 4)
         centers = scn.beam_centers
-        spacing = 2 * scn.beam_radius_km
+        spacing = 2 * sc.BEAM_RADIUS_KM
         for k in range(scn.K):
             d = np.linalg.norm(centers - centers[k], axis=1)
             neighbours = np.nonzero((d > 0) & (d < 1.1 * spacing))[0]
             assert all(colors[n] != colors[k] for n in neighbours)
 
     def test_single_beam_no_interferers(self):
-        scn = sc.Scenario(K=1, N=1, N_u=1, beam_centers=np.zeros((1, 2)),
+        scn = sc.Scenario(K=1, N_u=1, beam_centers=np.zeros((1, 2)),
                           hex_coords=np.zeros((1, 2), int))
         assert sc.average_cir(scn, 1) == np.inf
 
