@@ -10,10 +10,20 @@ and EDSCP from closed-form laws, EDSCD by simulating only its data
 samples, rotated into the phase of the channel estimate and drawn in
 blocks whose size does not change the output. ``_gen_batch`` synthesises
 whole frames and is the reference for all three.
+
+``pd_curve`` draws its grid points on a thread pool, one job per point,
+each from its own child seed; numpy releases the GIL while it draws and
+reduces. Hits, intervals and rows are formed on the calling thread in
+grid order, so the rows do not depend on the number of CPUs, and only
+private helpers run on the pool.
 """
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +51,7 @@ class DetectorConfig:
             raise ConfigurationError(f"unknown detector kind {self.kind!r}")
         if self.threshold < 0 or self.noise_uncertainty_db < 0:
             raise ConfigurationError("threshold and uncertainty must be >= 0")
+        _power("noise_uncertainty_db", self.noise_uncertainty_db)
 
 
 def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
@@ -48,9 +59,21 @@ def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
             + 1j * rng.choice((1.0, -1.0), shape)) / np.sqrt(2)
 
 
+def _power(name: str, db: float) -> float:
+    """Linear power of ``db`` dB, which must be a finite float."""
+    try:
+        power = 10.0 ** (db / 10)
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise ConfigurationError(f"{name} of {db!r} dB has no finite power")
+    return power
+
+
 def _draw_channels(rng: np.random.Generator, n: int, fade_db: float) -> np.ndarray:
     if n < 1 or fade_db < 0:
         raise ConfigurationError("need n_mc >= 1 frames and fade_db >= 0")
+    _power("fade_db", fade_db)
     amp = 10 ** (rng.uniform(-fade_db, fade_db, n) / 20)
     return amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
 
@@ -116,13 +139,13 @@ def _sample_stats(kind: str, hypothesis: int, h: np.ndarray, snr_db: float,
     does not depend on the block size.
     """
     n = n_data + n_pilot
-    a2 = 10 ** (snr_db / 10)
+    a2 = _power("snr_db", snr_db)
     if noise_var_db is None:
         v = 10 ** (rng.uniform(-eps_db, eps_db, n_mc) / 10)
     else:
         v = np.full(n_mc, 10 ** (noise_var_db / 10))
     if hypothesis == 1:
-        v = v + 10 ** (isnr_db / 10) * (a2 + 1.0)
+        v = v + _power("isnr_db", isnr_db) * (a2 + 1.0)
     if kind == "ced":
         return v / (2 * n) * rng.noncentral_chisquare(
             2 * n, 2 * n * np.abs(h) ** 2 * a2 / v)
@@ -188,6 +211,23 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _point_stats(kind: str, snr_db: float, eps_db: float, n_mc: int,
+                 fade_db: float, isnr_db: float,
+                 seed: np.random.SeedSequence) -> np.ndarray:
+    """H1 statistics of one Pd point, drawn from that point's child seed."""
+    rng = np.random.default_rng(seed)
+    h = _draw_channels(rng, n_mc, fade_db)
+    return _sample_stats(kind, 1, h, snr_db, isnr_db, eps_db, rng, n_mc,
+                         N_DATA, N_PILOT)
+
+
 def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
              snr_db: float = 6.0, n_mc: int = 5000,
              seed: int = 0, fade_db: float = 4.0) -> list:
@@ -195,23 +235,25 @@ def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
 
     Each frame's noise level is drawn within the detector's
     ``noise_uncertainty_db``. Grid points use independent child seeds so
-    results do not depend on evaluation order.
+    results do not depend on evaluation order, and their statistics are
+    drawn on one thread per CPU, up to one per point.
     """
     if len(isnr_grid_db) == 0:
         raise ConfigurationError("isnr_grid_db must hold at least one ISNR")
-    children = np.random.SeedSequence(seed).spawn(len(isnr_grid_db))
+    grid = [float(v) for v in isnr_grid_db]
+    children = np.random.SeedSequence(seed).spawn(len(grid))
     eps_db = detector.noise_uncertainty_db
+    draw = partial(_point_stats, detector.kind, snr_db, eps_db, n_mc, fade_db)
     rows = []
-    for isnr_db, ss in zip(isnr_grid_db, children):
-        rng = np.random.default_rng(ss)
-        h = _draw_channels(rng, n_mc, fade_db)
-        t = _sample_stats(detector.kind, 1, h, snr_db, float(isnr_db), eps_db,
-                          rng, n_mc, N_DATA, N_PILOT)
-        hits = int(np.sum(t > detector.threshold))
-        lo, hi = wilson_interval(hits, n_mc)
-        rows.append({"detector": detector.kind, "eps_db": eps_db,
-                     "isnr_db": float(isnr_db), "pd": hits / n_mc,
-                     "pd_lo": lo, "pd_hi": hi, "n_mc": n_mc})
+    with ThreadPoolExecutor(min(len(grid), _cpu_count())) as pool:
+        # map yields in grid order and cancels the jobs left after a fault
+        points = pool.map(draw, grid, children)
+        for isnr_db, t in zip(grid, points):
+            hits = int(np.sum(t > detector.threshold))
+            lo, hi = wilson_interval(hits, n_mc)
+            rows.append({"detector": detector.kind, "eps_db": eps_db,
+                         "isnr_db": isnr_db, "pd": hits / n_mc,
+                         "pd_lo": lo, "pd_hi": hi, "n_mc": n_mc})
     return rows
 
 

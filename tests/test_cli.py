@@ -1,14 +1,17 @@
+import functools
+import inspect
 import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
 
-from satkit import cli
+from satkit import cli, detection
 
 FAST_CONFIGS = {
     "channel-report": {"n_beams": 7, "n_u": 1, "n_mc": 5},
@@ -200,6 +203,31 @@ class TestConfigFaults:
         err = self.fails_cleanly(tmp_path, capsys, sub, cfg)
         assert "not a finite number" in err
 
+    @pytest.mark.parametrize("cfg", [
+        {"fade_db": 1e308}, {"eps_db": 1e308}, {"snr_db": 1e308},
+        {"isnr_grid_db": [1e308]}])
+    def test_db_value_without_finite_power(self, tmp_path, capsys, cfg):
+        # each used to end in an OverflowError traceback
+        err = self.fails_cleanly(tmp_path, capsys, "detection-pd",
+                                 {**SMALL_CONFIGS["detection-pd"], **cfg})
+        assert "no finite power" in err
+
+    def test_fault_in_a_pd_point_job(self, tmp_path, capsys, monkeypatch):
+        threads = []
+        draw = detection._draw_channels
+
+        def spy(rng, n, fade_db):
+            threads.append(threading.current_thread())
+            return draw(rng, n, fade_db)
+
+        monkeypatch.setattr(detection, "_draw_channels", spy)
+        err = self.fails_cleanly(tmp_path, capsys, "detection-pd",
+                                 {**SMALL_CONFIGS["detection-pd"], "n_mc": 0})
+        assert "n_mc" in err
+        # calibration on the calling thread, then the failing point job
+        assert threads[0] is threading.main_thread()
+        assert threads[-1] is not threading.main_thread()
+
     def test_failure_part_way_leaves_no_files(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "caching-threshold",
                            {**FAST_CONFIGS["caching-threshold"],
@@ -273,6 +301,37 @@ def test_config_fault_sweep(tmp_path, capsys, sub):
         if not ok:
             broken.append(f"{key}={value!r}: exit {rc}, stderr {err}")
     assert not broken, "\n".join(broken)
+
+
+def test_detection_public_functions_stay_on_the_calling_thread(tmp_path,
+                                                               monkeypatch):
+    """The benchmark tracer keeps one span stack per process, so every
+    public function of ``detection`` runs on the main thread, and
+    ``pd_curve`` leaves no pool thread behind."""
+    entered, leftover = [], []
+
+    def spy(name, fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            entered.append((name, threading.current_thread()))
+            before = set(threading.enumerate())
+            result = fn(*args, **kwargs)
+            if name == "pd_curve":
+                leftover.extend(set(threading.enumerate()) - before)
+            return result
+        return wrapped
+
+    for name, fn in list(vars(detection).items()):
+        if (not name.startswith("_") and inspect.isfunction(fn)
+                and fn.__module__ == detection.__name__):
+            monkeypatch.setattr(detection, name, spy(name, fn))
+    run(tmp_path, "detection-pd",
+        {**SMALL_CONFIGS["detection-pd"], "detectors": ["ced", "edscd"],
+         "isnr_grid_db": [-4.0, -2.0, 0.0, 2.0, 4.0]}, "t")
+    assert {name for name, _ in entered} == {
+        "calibrate_threshold", "pd_curve", "wilson_interval"}
+    assert all(t is threading.main_thread() for _, t in entered)
+    assert not leftover
 
 
 class TestConfigTypes:

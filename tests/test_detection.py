@@ -1,3 +1,5 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -261,6 +263,66 @@ class TestPdCurve:
         a = dt.pd_curve(det, [-4.0, 0.0], n_mc=500, seed=9)
         b = dt.pd_curve(det, [0.0, -4.0], n_mc=500, seed=9)
         assert a[1]["pd"] == b[0]["pd"]
+
+
+def serial_rows(det, grid, n_mc, seed):
+    """pd_curve's rows, at its default SNR and fading, from a serial loop
+    over the spawned child seeds."""
+    rows = []
+    for isnr, child in zip(grid, np.random.SeedSequence(seed).spawn(len(grid))):
+        rng = np.random.default_rng(child)
+        h = dt._draw_channels(rng, n_mc, 4.0)
+        t = dt._sample_stats(det.kind, 1, h, 6.0, isnr,
+                             det.noise_uncertainty_db, rng, n_mc, dt.N_DATA,
+                             dt.N_PILOT)
+        hits = sum(1 for v in t if v > det.threshold)
+        lo, hi = dt.wilson_interval(hits, n_mc)
+        rows.append({"detector": det.kind, "eps_db": det.noise_uncertainty_db,
+                     "isnr_db": isnr, "pd": hits / n_mc, "pd_lo": lo,
+                     "pd_hi": hi, "n_mc": n_mc})
+    return rows
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the pools pd_curve makes, in call order."""
+    sizes = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(dt, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+class TestThreadedPdCurve:
+    @pytest.mark.parametrize("kind", dt.DETECTOR_KINDS)
+    def test_rows_equal_serial_loop_for_any_cpu_count(self, kind, pool_sizes,
+                                                      monkeypatch):
+        det = dt.DetectorConfig(kind=kind, noise_uncertainty_db=2.0)
+        det = replace(det, threshold=dt.calibrate_threshold(det, 0.05, 2000,
+                                                            seed=4))
+        cpus = dt._cpu_count()
+        grid = [float(v) for v in np.linspace(-10.0, 4.0, cpus + 3)]
+        want = serial_rows(det, grid, 300, 5)
+        assert 0 < sum(r["pd"] for r in want) < len(grid)
+        assert dt.pd_curve(det, grid, n_mc=300, seed=5) == want
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert dt.pd_curve(det, grid, n_mc=300, seed=5) == want
+        # without an affinity set, the pool is sized from os.cpu_count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert dt.pd_curve(det, grid, n_mc=300, seed=5) == want
+        assert pool_sizes == [cpus, 1, 3]
+
+    def test_pool_no_larger_than_grid(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(dt, "_cpu_count", lambda: 64)
+        dt.pd_curve(dt.DetectorConfig(kind="ced", threshold=1.3), [0.0, 2.0],
+                    n_mc=50)
+        assert pool_sizes == [2]
 
 
 class TestWilson:
