@@ -121,7 +121,7 @@ def assign_hungarian(rates: np.ndarray) -> Assignment:
     Ties go to the lexicographically smallest map made of tight edges.
     One assignment solve gives an optimum and its dual potentials; an
     edge is tight when its reduced cost is at most ``tol / n``, with
-    ``tol = 1e-9 * max(1, |best|)`` and n the padded size, so every such
+    ``tol = 1e-12 * max(1, |best|)`` and n the padded size, so every such
     map is within ``tol`` of the optimum. Each carrier in turn takes the
     lowest tight terminal that is its partner or lies on an alternating
     cycle through the carriers not yet fixed, and the matching is
@@ -139,7 +139,7 @@ def assign_hungarian(rates: np.ndarray) -> Assignment:
     rows, cols = linear_sum_assignment(w, maximize=True)
     col_of = cols[np.argsort(rows)]
     best = float(w[rows, cols].sum())
-    tight = _tight_edges(w, col_of, 1e-9 * max(1.0, abs(best)) / max(n, 1))
+    tight = _tight_edges(w, col_of, 1e-12 * max(1.0, abs(best)) / max(n, 1))
     row_of = np.argsort(col_of)
     free = np.ones(n, bool)              # carriers whose column may still move
     for carrier in range(m):

@@ -212,10 +212,11 @@ class TestAssignment:
         # identical; carrier 2 is nearly clean and gains delta on terminal
         # 0. The optimum gives terminal 0 to carrier 2: map (1, 2, 0),
         # 4 + delta. Map (0, 1, 2) loses delta, which lies inside the
-        # global tolerance 1e-9 * best but above its per-edge share
-        # tol / n: the greedy oracle drifts to it, the one-solve rule keeps
-        # the optimum. A loss at or below tol / n per edge would count as a
-        # tie for both.
+        # greedy oracle's global tolerance 1e-9 * best but above the
+        # one-solve rule's per-edge tolerance 1e-12 * best / n: the greedy
+        # oracle drifts to it, the one-solve rule keeps the optimum. A loss
+        # at or below 1e-12 * best / n per edge would count as a tie for
+        # both.
         delta = 3e-9
         rates = np.array([[2.0, 1.0, 1.0], [2.0, 1.0, 1.0], [2.0 + delta, 1.0, 1.0]])
         best = lsap_optimum(rates)
@@ -224,6 +225,16 @@ class TestAssignment:
         a = cg.assign_hungarian(rates)
         assert a.terminal_of == (1, 2, 0)
         assert a.objective == pytest.approx(best, rel=1e-12, abs=0)
+
+    def test_tiny_rate_is_no_tie(self):
+        # reduced cost 1e-9 on carrier 0's other terminals: a real rate,
+        # far above round-off, so the map must still take it
+        rates = np.zeros((4, 4))
+        rates[0, 2], rates[1, 0] = 1e-9, 4.0
+        a = cg.assign_hungarian(rates)
+        assert a.terminal_of[:2] == (2, 0)
+        assert a.objective == pytest.approx(brute_force_best(rates),
+                                            rel=1e-15, abs=0)
 
     def test_tight_maps_stay_within_tolerance(self):
         # clean carriers (identical rows) next to carriers with incumbent
