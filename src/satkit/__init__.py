@@ -11,6 +11,12 @@ Submodules:
     cli             batch experiment runner (CSV outputs)
 """
 
+# numpy 2 imports these submodules lazily, on first use. Most runs need
+# them, so they load with the package, like its other imports, rather than
+# part-way through a run.
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
+
 from . import access, caching, cognitive, detection, precoding, predistortion, scenario
 
 __all__ = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -83,11 +84,20 @@ def _reject_constant(token: str):
     raise ConfigurationError(f"config value {token} is not a finite number")
 
 
+def _finite_float(token: str) -> float:
+    """``json.load`` hook for a JSON number, which may overflow to inf (1e400)."""
+    value = float(token)
+    if not math.isfinite(value):
+        _reject_constant(token)
+    return value
+
+
 def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
     cfg = dict(defaults)
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh, parse_constant=_reject_constant)
+            loaded = json.load(fh, parse_constant=_reject_constant,
+                               parse_float=_finite_float)
         # accept a previous run's manifest directly
         if "config" in loaded and "subcommand" in loaded:
             if loaded["subcommand"] != subcommand:

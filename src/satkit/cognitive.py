@@ -3,7 +3,7 @@
 Terminals share carriers with incumbent fixed-service (FS) stations; a
 radio environment map supplies the per-(carrier, terminal) incumbent
 interference. Carriers are allocated one-to-one to terminals by solving
-a linear assignment problem.
+a linear assignment problem, with a numpy shortest-augmenting-path solver.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .scenario import ConfigurationError
 
@@ -112,6 +111,82 @@ def _tight_edges(w: np.ndarray, col_of: np.ndarray, eps: float) -> np.ndarray:
     return tight
 
 
+def linear_sum_assignment(cost: np.ndarray):
+    """Minimum-cost perfect matching of a square matrix, as (rows, cols).
+
+    Shortest augmenting paths with dual potentials (D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016):
+    each row in turn grows a Dijkstra search over reduced costs until it
+    reaches a free column, and the matching is flipped along that path.
+    Rows go in decreasing order of the gap between their two cheapest
+    entries, which leaves the rows with one clear choice the shortest
+    searches. Among columns at equal distance a search takes a free one
+    first, then the lowest index, so tied rows take low columns.
+    """
+    c = np.asarray(cost, float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ConfigurationError("assignment cost matrix must be square")
+    if not np.isfinite(c).all():
+        raise ConfigurationError("non-finite assignment costs")
+    n = len(c)
+    u, v = np.zeros(n), np.zeros(n)      # row and column duals
+    masked = np.zeros(n)                 # v, with -inf at the columns scanned
+    col_of = np.full(n, -1)
+    row_of = [-1] * n
+    order = range(n)
+    if n > 1:
+        two = np.partition(c, 1, axis=1)
+        order = np.argsort(two[:, 0] - two[:, 1], kind="stable").tolist()
+    # A search's distances are complex: the real part is the distance, the
+    # imaginary part j for a free column and n + j for a taken one. numpy
+    # orders complex numbers by real part, then imaginary part, so argmin
+    # breaks ties between equal distances.
+    dist, t = np.empty(n, complex), np.arange(n) + 0j
+    t_real = t.real
+    for start in order:
+        dist.fill(np.inf)
+        rows, dists, cols = [start], [0.0], []   # scanned rows, their distances
+        i, offset = start, 0.0
+        while True:
+            np.subtract(c[i], masked, out=t_real)
+            t_real += offset
+            np.minimum(dist, t, out=dist)
+            j = int(dist.argmin())
+            d = dist.item(j).real
+            cols.append(j)
+            i = row_of[j]
+            if i < 0:
+                break
+            dist[j], masked[j] = np.inf, -np.inf
+            rows.append(i)
+            dists.append(d)
+            offset = d - u.item(i)
+        if len(cols) == 1:
+            u[start] += d
+            row_of[j], col_of[start] = start, j
+        else:
+            r, dr, sc = np.array(rows), np.array(dists), np.array(cols)
+            # Flip the matching along the path back from its end. The
+            # predecessor of scanned column cols[s] is the row that gave it
+            # its distance, among rows[:s + 1], the rows scanned before it
+            # was taken; the distances are recomputed in the same arithmetic.
+            s = len(cols) - 1
+            while True:
+                j = cols[s]
+                m = int(((c[r[:s + 1], j] - v[j])
+                         + (dr[:s + 1] - u[r[:s + 1]])).argmin())
+                row_of[j], col_of[rows[m]] = rows[m], j
+                if m == 0:
+                    break
+                s = m - 1                # rows[m] held column cols[m - 1]
+            v[sc] -= d - np.append(dr[1:], d)
+            masked[sc] = v[sc]
+            u[start] += d
+            u[r[1:]] += d - dr[1:]
+        t[cols[-1]] += n * 1j            # the path's end is taken now
+    return np.arange(n), col_of
+
+
 def assign_hungarian(rates: np.ndarray) -> Assignment:
     """Optimal one-to-one carrier-to-terminal assignment.
 
@@ -136,7 +211,7 @@ def assign_hungarian(rates: np.ndarray) -> Assignment:
     n = max(m, k)
     w = np.zeros((n, n))                 # dummy terminals and carriers rate 0
     w[:m, :k] = r
-    rows, cols = linear_sum_assignment(w, maximize=True)
+    rows, cols = linear_sum_assignment(-w)
     col_of = cols[np.argsort(rows)]
     best = float(w[rows, cols].sum())
     tight = _tight_edges(w, col_of, 1e-12 * max(1.0, abs(best)) / max(n, 1))
@@ -228,15 +303,16 @@ def synthetic_rem(n_stations: int, n_carriers: int, area_km: float,
     if n_stations < 0 or n_carriers < 1 or area_km < 0:
         raise ConfigurationError("need n_stations >= 0, n_carriers >= 1 "
                                  "and area_km >= 0")
+    # x, y, EIRP offset, azimuth, beamwidth: rng.uniform's arithmetic on
+    # the same stream of doubles, five per station
+    lo = np.array([-area_km / 2, -area_km / 2, -3.0, 0.0, 10.0])
+    hi = np.array([area_km / 2, area_km / 2, 3.0, 360.0, 40.0])
     out = []
     for _ in range(n_stations):
-        out.append(FsStation(
-            x_km=float(rng.uniform(-area_km / 2, area_km / 2)),
-            y_km=float(rng.uniform(-area_km / 2, area_km / 2)),
-            tx_dbw=float(FS_TX_DBW + rng.uniform(-3, 3)),
-            azimuth_deg=float(rng.uniform(0, 360)),
-            beamwidth_deg=float(rng.uniform(10, 40)),
-            carrier=int(rng.integers(n_carriers))))
+        x, y, dtx, azimuth, beamwidth = (lo + (hi - lo) * rng.random(5)).tolist()
+        out.append(FsStation(x_km=x, y_km=y, tx_dbw=FS_TX_DBW + dtx,
+                             azimuth_deg=azimuth, beamwidth_deg=beamwidth,
+                             carrier=int(rng.integers(n_carriers))))
     return out
 
 
@@ -253,12 +329,12 @@ def interference_table(stations: Sequence[FsStation],
     st = np.array([(s.x_km, s.y_km, s.tx_dbw, s.azimuth_deg, s.beamwidth_deg)
                    for s in stations], float).reshape(-1, 5, 1)
     x, y, tx_dbw, azimuth, beamwidth = st.transpose(1, 0, 2)     # each (S, 1)
-    d = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
-    az = np.degrees(np.arctan2(xy[:, 1] - y, xy[:, 0] - x))
-    off = np.abs((az - azimuth + 180) % 360 - 180)
-    gain_db = np.where(off <= beamwidth / 2, 0.0, -FS_MASK_DB)
-    p = 10 ** ((tx_dbw + gain_db) / 10) * (FS_REF_KM
-                                           / np.maximum(d, FS_REF_KM)) ** 2
+    dx, dy = xy[:, 0] - x, xy[:, 1] - y
+    d = np.hypot(dx, dy)
+    off = np.abs((np.degrees(np.arctan2(dy, dx)) - azimuth + 180) % 360 - 180)
+    eirp = 10 ** ((tx_dbw + np.array([0.0, -FS_MASK_DB])) / 10)  # (S, 2)
+    p = np.where(off <= beamwidth / 2, eirp[:, :1], eirp[:, 1:]) * (
+        FS_REF_KM / np.maximum(d, FS_REF_KM)) ** 2
     # unbuffered, in station order: the same sums as adding station by station
     np.add.at(out, np.array([s.carrier for s in stations], int), p)
     return out

@@ -60,13 +60,14 @@ def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _power(name: str, db: float) -> float:
-    """Linear power of ``db`` dB, which must be a finite float."""
+    """Linear power of ``db`` dB, which must be finite and above 0."""
     try:
         power = 10.0 ** (db / 10)
     except OverflowError:
         power = math.inf
-    if not math.isfinite(power):
-        raise ConfigurationError(f"{name} of {db!r} dB has no finite power")
+    if not 0 < power < math.inf:
+        raise ConfigurationError(f"{name} of {db!r} dB has no finite power "
+                                 f"above 0")
     return power
 
 

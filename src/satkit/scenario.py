@@ -6,11 +6,12 @@ into the channel entries so the receiver noise has unit variance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import j0, j1, jv
+from numpy.polynomial import chebyshev, polynomial
 
 SPEED_OF_LIGHT = 299_792_458.0
 BOLTZMANN = 1.380649e-23
@@ -121,32 +122,140 @@ def reuse_colors(scenario: Scenario, reuse_factor: int) -> np.ndarray:
     return ((q % 2) + 2 * (r % 2)).astype(int)
 
 
+# J0 and J1: a Chebyshev interpolant on [0, _CHEB_END] and Hankel's
+# asymptotic expansion above it (Abramowitz & Stegun 9.2.5), each about
+# 1e-15 absolute. The interpolant's node values are the trapezoid rule on
+# Bessel's integral J_n(x) = (1/2pi) int_0^2pi cos(n t - x sin t) dt, which
+# converges exponentially for a periodic integrand (Trefethen & Weideman,
+# SIAM Review 2014); the rule's error is J_64(20) ~ 1e-25.
+_CHEB_END = 20.0
+_CHEB_DEG = 40
+_HANKEL_TERMS = 24
+
+
+def _chebyshev_j01() -> np.ndarray:
+    """(deg + 1, 2) Chebyshev coefficients of J0 and J1 on [0, _CHEB_END]."""
+    n = _CHEB_DEG + 1
+    # cos(k * theta_j) with the angle reduced exactly in integers
+    k, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    cos_k_theta = np.cos(np.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n))
+    nodes = _CHEB_END / 2 * (1 + cos_k_theta[1])
+    t = 2 * np.pi * np.arange(64) / 64
+    phase = nodes[:, None] * np.sin(t)
+    values = np.stack([np.cos(phase).mean(axis=1),
+                       np.cos(t - phase).mean(axis=1)], axis=1)
+    coef = 2 / n * cos_k_theta @ values
+    coef[0] /= 2
+    return coef
+
+
+def _hankel_pq() -> np.ndarray:
+    """Coefficients [term, nu, (P, x Q)] of Hankel's P and x Q in 1/x^2.
+
+    a_k(nu) = prod_{i <= k} (4 nu^2 - (2i - 1)^2) / (k! 8^k);
+    P = sum (-1)^m a_2m x^-2m and Q = sum (-1)^m a_2m+1 x^-(2m+1).
+    """
+    out = np.empty((2, 2, _HANKEL_TERMS // 2))
+    for nu in (0, 1):
+        a = [1.0]
+        for i in range(1, _HANKEL_TERMS):
+            a.append(a[-1] * (4 * nu * nu - (2 * i - 1) ** 2) / (8 * i))
+        signs = (-1.0) ** np.arange(_HANKEL_TERMS // 2)
+        out[nu] = a[0::2] * signs, a[1::2] * signs
+    return np.moveaxis(out, 2, 0)
+
+
+_J01_CHEB = _chebyshev_j01()
+_J01_HANKEL = _hankel_pq()
+
+
+def _bessel_j01(x: np.ndarray):
+    """J0(x) and J1(x) for a 1-D array of x >= 0."""
+    j = np.empty((2, x.size))
+    low = x <= _CHEB_END
+    j[:, low] = chebyshev.chebval(
+        x[low] * (2 / _CHEB_END) - 1, _J01_CHEB)
+    xh = x[~low]
+    if xh.size:
+        pq = polynomial.polyval(1 / xh ** 2, _J01_HANKEL)
+        p, q = pq[:, 0], pq[:, 1] / xh
+        # chi = x - pi/4 (nu = 0) or x - 3pi/4 (nu = 1), by angle addition
+        c, s = np.cos(xh), np.sin(xh)
+        scale = 1 / np.sqrt(np.pi * xh)
+        j[0, ~low] = scale * (p[0] * (c + s) + q[0] * (c - s))
+        j[1, ~low] = scale * (p[1] * (s - c) + q[1] * (s + c))
+    return j[0], j[1]
+
+
+def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
+    """J_n by its power series; 15 terms reach rounding for |x| <= 3."""
+    z = (x / 2) ** 2
+    total = np.zeros_like(x)
+    for k in range(14, -1, -1):
+        total = total * (-z) + 1 / (math.factorial(k) * math.factorial(k + n))
+    return total * (x / 2) ** n
+
+
 def _taper(u: np.ndarray) -> np.ndarray:
-    """Normalised tapered-aperture amplitude, 1 at boresight."""
+    """Normalised tapered-aperture amplitude J1(u)/2u + 36 J3(u)/u^3, 1 at 0."""
     u = np.asarray(u, float)
-    small = np.abs(u) < 1e-9
-    us = np.where(small, 1.0, u)
-    j_1 = j1(us)
-    # J3 from the upward recurrence, which is accurate for |u| >= 2;
-    # below that it cancels, so those entries take jv
-    j_3 = np.asarray((8.0 / us ** 2 - 1.0) * j_1 - 4.0 / us * j0(us))
-    near = np.abs(us) < 2.0
-    j_3[near] = jv(3, us[near])
+    us = np.abs(u).ravel()
+    small = us < 1e-9
+    us[small] = 1.0
+    j_0, j_1 = _bessel_j01(us)
+    # J3 from the upward recurrence, which is accurate for u >= 3; below
+    # that it cancels, and J1/u loses J1's absolute error near 0, so those
+    # entries take the power series
+    j_3 = (8.0 / us ** 2 - 1.0) * j_1 - 4.0 / us * j_0
+    near = us < 3.0
+    j_1[near] = _bessel_series(1, us[near])
+    j_3[near] = _bessel_series(3, us[near])
     b = j_1 / (2 * us) + 36.0 * j_3 / us ** 3
-    return np.where(small, 1.0, b)
+    b[small] = 1.0
+    return b.reshape(u.shape)
+
+
+def _floor_cutoff(floor: float) -> float:
+    """u at and beyond which |_taper(u)| <= ``floor``; inf for a floor <= 0.
+
+    Landau's bound |J_nu(x)| <= 0.7858 x^(-1/3) for all nu >= 0, x > 0
+    (L. J. Landau, J. London Math. Soc. 2000) gives |_taper(u)| <=
+    0.7858 u^(-1/3) (1/(2u) + 36/u^3), which falls monotonically to 0;
+    the cut-off is where it crosses the floor, found by bisection.
+    """
+    if floor <= 0:
+        return math.inf
+
+    def bound(u):
+        return 0.7858 * u ** (-1 / 3) * (0.5 / u + 36.0 / u ** 3)
+
+    lo, hi = 0.0, 1.0
+    while bound(hi) > floor:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1e-9 * hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if bound(mid) > floor else (lo, mid)
+    return hi
+
+
+_FLOOR_U = _floor_cutoff(10 ** (SIDELOBE_FLOOR_DB / 20))
 
 
 def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
     """Amplitudes (n_pos, K) of every feed towards every position.
 
     The amplitude follows a Bessel tapered-aperture curve of the off-axis
-    angle, clamped at ``SIDELOBE_FLOOR_DB``.
+    angle, clamped at ``SIDELOBE_FLOOR_DB``. The taper is evaluated only
+    below the u where Landau's bound drops under the floor.
     """
     d = positions[:, None, :] - scenario.feed_centers[None, :, :]
     off_axis = np.linalg.norm(d, axis=2) / SAT_ALTITUDE_KM
     u = _U_3DB * off_axis / THETA_3DB_RAD
     floor = 10 ** (SIDELOBE_FLOOR_DB / 20)
-    return BORESIGHT_GAIN * np.maximum(np.abs(_taper(u)), floor)
+    amp = np.full(u.shape, floor)
+    lit = u < _FLOOR_U
+    amp[lit] = np.maximum(np.abs(_taper(u[lit])), floor)
+    return BORESIGHT_GAIN * amp
 
 
 def draw_users(scenario: Scenario, rng: np.random.Generator) -> UserSet:

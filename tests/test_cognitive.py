@@ -196,10 +196,11 @@ class TestAssignment:
 
     def test_one_assignment_solve(self, monkeypatch):
         calls = []
+        solve = cg.linear_sum_assignment
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return linear_sum_assignment(*args, **kwargs)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(cg, "linear_sum_assignment", counted)
         rates = STAIRCASE_RATES[np.random.default_rng(6).integers(0, 4, (60, 60))]
@@ -256,6 +257,64 @@ class TestAssignment:
             cg.assign_hungarian(np.array([[np.inf]]))
 
 
+class TestLinearSumAssignment:
+    """The numpy solver against scipy's, on square instances."""
+
+    @pytest.mark.parametrize("seed, draw", enumerate([
+        lambda rng, n: rng.integers(0, 5, (n, n)) * 1.0,          # exact ties
+        lambda rng, n: rng.standard_normal((n, n)),
+        lambda rng, n: 3.5 - rng.exponential(1e-4, (n, n)),     # near-constant
+        lambda rng, n: np.round(rng.random((n, n)) * 1e6)]),      # coarse
+        ids=["integer ties", "normal", "near-constant", "coarse 1e6"])
+    def test_matches_scipy_optimum(self, seed, draw):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            n = int(rng.integers(1, 40))
+            cost = draw(rng, n)
+            rows, cols = cg.linear_sum_assignment(cost)
+            want_rows, want_cols = linear_sum_assignment(cost)
+            assert np.array_equal(rows, np.arange(n))
+            assert sorted(cols) == list(range(n))
+            got, want = cost[rows, cols].sum(), cost[want_rows, want_cols].sum()
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, got, want)
+
+    def test_benchmark_sized_instances(self):
+        # a tie-rich staircase and a Shannon instance with identical clean rows
+        rng = np.random.default_rng(4)
+        interf = 10 ** rng.uniform(-3, 2, (150, 150))
+        interf[:20] = 0.0
+        for rates in (cg.rate_matrix(cg.build_sinr_matrix(
+                          np.full(150, 30.0), interf), mapping)
+                      for mapping in ("staircase", "shannon")):
+            rows, cols = cg.linear_sum_assignment(-rates)
+            want_rows, want_cols = linear_sum_assignment(rates, maximize=True)
+            assert rates[rows, cols].sum() == pytest.approx(
+                rates[want_rows, want_cols].sum(), rel=1e-13, abs=0)
+
+    def test_assign_hungarian_as_on_scipy(self, monkeypatch):
+        # the same maps and objectives as with scipy's solver underneath,
+        # on rectangular and tie-rich instances
+        rng = np.random.default_rng(12)
+        instances = [STAIRCASE_RATES[rng.integers(0, 5, (m, k))]
+                     for m, k in [(7, 7), (12, 5), (5, 12), (40, 40), (30, 45)]]
+        instances += [rng.uniform(0, 6, (m, k))
+                      for m, k in [(9, 4), (4, 9), (33, 20), (20, 33)]]
+        instances += [np.round(rng.uniform(0, 3, (m, k)), 1)
+                      for m, k in [(15, 15), (25, 10), (10, 25)]]
+        got = [cg.assign_hungarian(r) for r in instances]
+        monkeypatch.setattr(cg, "linear_sum_assignment", linear_sum_assignment)
+        assert got == [cg.assign_hungarian(r) for r in instances]
+
+    def test_rejects_bad_input(self):
+        for cost in (np.ones((2, 3)), np.ones(3), np.array([[np.nan]])):
+            with pytest.raises(ConfigurationError):
+                cg.linear_sum_assignment(cost)
+
+    def test_empty(self):
+        rows, cols = cg.linear_sum_assignment(np.zeros((0, 0)))
+        assert rows.size == cols.size == 0
+
+
 class TestThroughputReport:
     def test_gain_factor(self):
         # carriers 0 and 2 are clean: exclusive band 3 + 0, shared 5 + 3
@@ -296,6 +355,26 @@ class TestRem:
         for s in stations:
             assert abs(s.x_km) <= 50 and abs(s.y_km) <= 50
             assert 0 <= s.carrier < 4
+
+    def test_synthetic_rem_matches_scalar_draws(self):
+        # five scalar uniform draws and one integer draw per station, in
+        # that order: the same stations and the same generator state after
+        def scalar_rem(n_stations, n_carriers, area_km, rng):
+            return [cg.FsStation(
+                x_km=float(rng.uniform(-area_km / 2, area_km / 2)),
+                y_km=float(rng.uniform(-area_km / 2, area_km / 2)),
+                tx_dbw=float(cg.FS_TX_DBW + rng.uniform(-3, 3)),
+                azimuth_deg=float(rng.uniform(0, 360)),
+                beamwidth_deg=float(rng.uniform(10, 40)),
+                carrier=int(rng.integers(n_carriers)))
+                for _ in range(n_stations)]
+
+        for seed, (n, m, area) in enumerate([(400, 200, 50.0), (200, 100, 200.0),
+                                             (0, 3, 10.0), (17, 5, 0.0)]):
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+            assert (cg.synthetic_rem(n, m, area, got_rng)
+                    == scalar_rem(n, m, area, want_rng))
+            assert got_rng.random() == want_rng.random()
 
     def test_interference_in_sector_closed_form(self):
         # terminal on boresight at 2 km: EIRP * (1 km / 2 km)^2
