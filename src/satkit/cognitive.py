@@ -329,12 +329,19 @@ def interference_table(stations: Sequence[FsStation],
     st = np.array([(s.x_km, s.y_km, s.tx_dbw, s.azimuth_deg, s.beamwidth_deg)
                    for s in stations], float).reshape(-1, 5, 1)
     x, y, tx_dbw, azimuth, beamwidth = st.transpose(1, 0, 2)     # each (S, 1)
+    # (S, K) steps run in place: a fresh array of that size costs page faults
     dx, dy = xy[:, 0] - x, xy[:, 1] - y
     d = np.hypot(dx, dy)
-    off = np.abs((np.degrees(np.arctan2(dy, dx)) - azimuth + 180) % 360 - 180)
+    off = np.degrees(np.arctan2(dy, dx, out=dx), out=dx)
+    off -= azimuth
+    off += 180
+    np.remainder(off, 360, out=off)
+    off -= 180
+    np.abs(off, out=off)                 # angle off the sector's boresight
     eirp = 10 ** ((tx_dbw + np.array([0.0, -FS_MASK_DB])) / 10)  # (S, 2)
-    p = np.where(off <= beamwidth / 2, eirp[:, :1], eirp[:, 1:]) * (
-        FS_REF_KM / np.maximum(d, FS_REF_KM)) ** 2
-    # unbuffered, in station order: the same sums as adding station by station
-    np.add.at(out, np.array([s.carrier for s in stations], int), p)
+    p = np.where(off <= beamwidth / 2, eirp[:, :1], eirp[:, 1:])
+    np.maximum(d, FS_REF_KM, out=d)
+    p *= np.square(np.divide(FS_REF_KM, d, out=d), out=d)
+    for s, row in zip(stations, p):      # station by station, in order
+        out[s.carrier] += row
     return out
