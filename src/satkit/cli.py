@@ -72,6 +72,13 @@ def _check_type(key: str, value, default):
             or not isinstance(value, want)):
         raise ConfigurationError(f"config key {key!r} must be {name}, "
                                  f"not {value!r}")
+    if isinstance(default, float) and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigurationError(
+                f"config key {key!r} holds an integer too large for a float, "
+                f"not a finite number") from None
     if isinstance(value, list):
         if not value:
             raise ConfigurationError(f"config key {key!r} must not be empty")
@@ -92,12 +99,30 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _json_int(token: str) -> int:
+    """``json.load`` hook for a JSON integer, which may exceed int's digit limit."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigurationError(
+            f"config integer of {len(token)} digits is too long") from None
+
+
+def _db_to_linear(key: str, db: float) -> float:
+    """Linear value of the dB value of config key ``key``; it must not overflow."""
+    try:
+        return 10 ** (db / 10)
+    except OverflowError:
+        raise ConfigurationError(
+            f"config key {key!r} of {db!r} dB overflows a float") from None
+
+
 def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
     cfg = dict(defaults)
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh, parse_constant=_reject_constant,
-                               parse_float=_finite_float)
+                               parse_float=_finite_float, parse_int=_json_int)
         # accept a previous run's manifest directly
         if "config" in loaded and "subcommand" in loaded:
             if loaded["subcommand"] != subcommand:
@@ -163,8 +188,8 @@ def cmd_precoding_bench(cfg: dict, out: Path):
 
 
 def cmd_rate_region(cfg: dict, out: Path):
-    direct = 10 ** (cfg["direct_db"] / 10)
-    cross = 10 ** (cfg["cross_db"] / 10)
+    direct = _db_to_linear("direct_db", cfg["direct_db"])
+    cross = _db_to_linear("cross_db", cfg["cross_db"])
     template = access.TwoUserChannel(g11=direct, g21=cross, g12=cross,
                                      g22=direct, p1=1.0, p2=1.0)
     if cfg["lam_points"] < 1:

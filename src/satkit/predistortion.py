@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,16 @@ class HpaParams:
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ConfigurationError("amplifier coefficients must be finite")
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                in_range = (not np.isfinite(self.r_sat)
+                            or 0 < self.p_sat < math.inf)
+        except (OverflowError, FloatingPointError):
+            in_range = False
+        if not in_range:
+            raise ConfigurationError(
+                "amplifier coefficients out of range: the saturation power "
+                "is not a float above 0")
 
     @property
     def r_sat(self) -> float:
@@ -96,11 +106,36 @@ def fit_hpa(x_in: np.ndarray, y_out: np.ndarray) -> HpaParams:
     return HpaParams(alpha=complex(coef[0]), beta=complex(coef[1]))
 
 
+@lru_cache(maxsize=4)
+def _derivative_spectrum(n: int) -> np.ndarray:
+    """Spectrum of the length-n circular derivative kernel, read-only.
+
+    The kernel ifft(2*pi*j*fftfreq(n)) is zero-padded to the smallest
+    power of two of at least 2n - 1 points, so that its product with a
+    padded length-n waveform's spectrum is their linear convolution.
+    """
+    kernel = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n))
+    spectrum = np.fft.fft(kernel, 1 << (2 * n - 2).bit_length())
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def spectral_derivative(x: np.ndarray) -> np.ndarray:
-    """Derivative of a band-limited waveform via its FFT (unit sample period)."""
+    """Derivative of a band-limited waveform via its FFT (unit sample period).
+
+    Equal to ``ifft(2*pi*j*fftfreq(n) * fft(x))``: the circular
+    convolution with the derivative kernel, taken as a linear one on a
+    power-of-two FFT whose tail is wrapped onto its head. A length such
+    as 32 128 = 2^7*251 makes numpy's FFT about 10x slower than a
+    power of two.
+    """
     x = np.asarray(x, complex)
-    w = 2j * np.pi * np.fft.fftfreq(x.size)
-    return np.fft.ifft(w * np.fft.fft(x))
+    n = x.size
+    spectrum = _derivative_spectrum(n)
+    linear = np.fft.ifft(np.fft.fft(x, spectrum.size) * spectrum)
+    out = linear[:n]
+    out[:n - 1] += linear[n:2 * n - 1]
+    return out
 
 
 def jitter_sample(x: np.ndarray, sigma_j: float,
@@ -172,24 +207,19 @@ LM_MAX_ITER = 100
 LM_LAMBDA0 = 1e-3
 
 
-def fit_spd(hpa: HpaParams, training_waveform: np.ndarray,
-            sigma_j: float = 0.0, rng: Optional[np.random.Generator] = None):
+def fit_spd(hpa: HpaParams, training_waveform: np.ndarray):
     """Direct-learning least-squares fit of the SPD coefficients.
 
     Minimises the mean squared error between the amplifier output and
     the linear response ``alpha * input`` over the training waveform,
-    observed through the jitter sampling model when ``sigma_j`` is
-    nonzero (jitter-cognizant training). A Levenberg-Marquardt loop
+    as the SPD sees it (``train_spd`` adds the jitter term for
+    jitter-cognizant training). A Levenberg-Marquardt loop
     (Marquardt 1963) solves the damped 4x4 normal equations in
     p = (Re gamma, Im gamma, Re delta, Im delta). Returns the fitted
     parameters and the MSE trace: the starting value, then one entry per
     accepted step.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     x = np.asarray(training_waveform, complex)
-    if sigma_j > 0:
-        x = jitter_sample(x, sigma_j, rng)
     if not np.isfinite(x).all():
         raise ConfigurationError("training waveform must be finite")
     if not np.any(x):
@@ -285,19 +315,26 @@ class FilterSpec:
         h = np.array(h)
         return h[:np.nonzero(np.abs(h) >= 1e-18)[0][-1] + 1]
 
+    @lru_cache(maxsize=8)
+    def _spectrum(self, nfft: int) -> np.ndarray:
+        """Read-only nfft-point spectrum of the impulse response."""
+        # the real taps' spectrum is Hermitian
+        half = np.fft.rfft(self._impulse_response, nfft)
+        spectrum = np.concatenate([half, half[-2:0:-1].conj()])
+        spectrum.flags.writeable = False
+        return spectrum
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``scipy.signal.lfilter(b, a, x)`` for a 1-D complex waveform.
 
         An FFT convolution with the impulse response, cut where it has
-        decayed below 1e-18.
+        decayed below 1e-18, on the smallest power of two that holds the
+        linear convolution; the taps' spectrum is cached per FFT length.
         """
         x = np.asarray(x, complex)
         n = x.size
-        h = self._impulse_response[:n]
-        nfft = 1 << (n + h.size - 2).bit_length()
-        half = np.fft.rfft(h, nfft)            # the real taps' spectrum is Hermitian
-        spectrum = np.concatenate([half, half[-2:0:-1].conj()])
-        return np.fft.ifft(np.fft.fft(x, nfft) * spectrum)[:n]
+        nfft = 1 << (n + self._impulse_response.size - 2).bit_length()
+        return np.fft.ifft(np.fft.fft(x, nfft) * self._spectrum(nfft))[:n]
 
 
 # the transponder chain: QPSK symbols shaped by a root-raised-cosine pulse,
@@ -309,6 +346,10 @@ OVERSAMPLING = 8                          # samples per symbol
 N_TRAIN_SYMBOLS = 1500
 TRAIN_SEED = 10_007
 EQ_TAPS = 11
+# lowest chain SNR, a noise power of 1e30 against the unit-power signal: below
+# -3083 dB the noise power overflows a float, and at -3050 dB the equalizer's
+# Gram sums already do
+MIN_SNR_DB = -300.0
 # drive-to-OBO curve of drive_for_obo: drives, symbols and noise seed
 DRIVE_GRID = np.geomspace(0.15, 6.0, 12)
 CURVE_SYMBOLS = 800
@@ -330,8 +371,12 @@ class ChainConfig:
     def __post_init__(self):
         if self.spd_location not in ("onboard", "onground", "none"):
             raise ConfigurationError("unknown spd_location")
-        if self.drive <= 0 or self.sigma_j < 0:
-            raise ConfigurationError("bad drive or jitter")
+        if self.drive <= 0 or not 0 <= self.sigma_j < 1:
+            raise ConfigurationError(
+                "need a drive > 0 and a jitter sigma_j in [0, 1) sample "
+                "periods, where the first-order jitter model holds")
+        if not self.snr_db >= MIN_SNR_DB:
+            raise ConfigurationError(f"snr_db must be >= {MIN_SNR_DB:g} dB")
 
 
 @dataclass(frozen=True)
@@ -366,19 +411,36 @@ def _shape(symbols: np.ndarray, taps: np.ndarray, oversampling: int) -> np.ndarr
     return np.convolve(x, taps)
 
 
-def train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
-    """Fit SPD coefficients on a training burst seen at the SPD's location."""
+@lru_cache(maxsize=4)
+def _training_burst(imux: Optional[FilterSpec], sigma_j: float) -> np.ndarray:
+    """Read-only training burst at drive 1: the IMUX output and its jitter term.
+
+    The symbols and then the jitter draws come from one ``TRAIN_SEED``
+    stream. Both stages are linear in the drive, so one burst serves
+    every drive.
+    """
     rng = np.random.default_rng(TRAIN_SEED)
-    taps = rrc_taps(ROLLOFF, SPAN, OVERSAMPLING)
     s = _draw_symbols(rng, N_TRAIN_SYMBOLS)
-    x = _shape(s, taps, OVERSAMPLING) * config.drive
-    sigma_j = 0.0
-    if config.spd_location == "onboard":
-        if config.imux is not None:
-            x = config.imux.apply(x)
-        if config.jitter_aware:
-            sigma_j = config.sigma_j
-    params, _ = fit_spd(hpa, x, sigma_j=sigma_j, rng=rng)
+    x = _shape(s, rrc_taps(ROLLOFF, SPAN, OVERSAMPLING), OVERSAMPLING)
+    if imux is not None:
+        x = imux.apply(x)
+    x = jitter_sample(x, sigma_j, rng)
+    x.flags.writeable = False
+    return x
+
+
+def train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
+    """Fit SPD coefficients on a training burst seen at the SPD's location.
+
+    Onboard, the burst passes the IMUX and, for a jitter-aware SPD, the
+    sampling jitter (jitter-cognizant training); on ground it is the
+    shaped waveform alone.
+    """
+    onboard = config.spd_location == "onboard"
+    burst = _training_burst(
+        config.imux if onboard else None,
+        config.sigma_j if onboard and config.jitter_aware else 0.0)
+    params, _ = fit_spd(hpa, burst * config.drive)
     return params
 
 
@@ -412,8 +474,9 @@ def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
     symbol-spaced equalizer. ``spd`` may be None when spd_location is
     "none"; it is fitted internally when omitted otherwise.
     """
-    if n_symbols < 1:
-        raise ConfigurationError("n_symbols must be >= 1")
+    if n_symbols < EQ_TAPS:
+        raise ConfigurationError(
+            f"n_symbols must be >= {EQ_TAPS}, the equalizer's tap count")
     if rng is None:
         rng = np.random.default_rng(0)
     if config.spd_location != "none" and spd is None:

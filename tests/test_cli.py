@@ -216,6 +216,28 @@ class TestConfigFaults:
                                  {**SMALL_CONFIGS["detection-pd"], **cfg})
         assert "no finite power" in err
 
+    @pytest.mark.parametrize("cfg", [
+        '{"direct_db": 1' + "0" * 400 + "}",
+        '{"direct_db": 1' + "0" * 5000 + "}",
+        {"direct_db": 1e300}, {"cross_db": 1e300}],
+        ids=["int_400_digits", "int_5000_digits", "direct_db", "cross_db"])
+    def test_rate_region_gain_beyond_floats(self, tmp_path, capsys, cfg):
+        # an OverflowError, or past 4300 digits a ValueError, used to end
+        # in a traceback
+        self.fails_cleanly(tmp_path, capsys, "rate-region", cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        {"snr_db": -1e308}, {"alpha_re": 1e300}, {"beta_re": 1e200},
+        {"sigma_j": 1e300, "modes": ["onboard"]},
+        {"n_symbols": 1}, {"n_symbols": 10}],
+        ids=["snr_db", "alpha_re", "beta_re", "sigma_j", "n_symbols_1",
+             "n_symbols_10"])
+    def test_spd_chain_out_of_range(self, tmp_path, capsys, cfg):
+        # the first four used to end in an OverflowError or LinAlgError
+        # traceback; the last two exited 0 with NaN SINR and a warning
+        self.fails_cleanly(tmp_path, capsys, "spd-bench",
+                           {**SMALL_CONFIGS["spd-bench"], **cfg})
+
     def test_fault_in_a_pd_point_job(self, tmp_path, capsys, monkeypatch):
         threads = []
         draw = detection._draw_channels

@@ -43,6 +43,15 @@ class TestHpaParams:
         with pytest.raises(ConfigurationError):
             pd.HpaParams(alpha=np.nan)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (1e300, -0.15 + 0.05j), (1.0, 1e200 + 0.05j), (1e100, -1e60),
+        (1e-200, -0.15 + 0.05j)])
+    def test_rejects_a_saturation_power_beyond_floats(self, alpha, beta):
+        # each used to end in an OverflowError from r_sat or p_sat, or in a
+        # p_sat of 0 that made the OBO NaN
+        with pytest.raises(ConfigurationError, match="saturation power"):
+            pd.HpaParams(alpha=alpha, beta=beta)
+
 
 class TestHpaApply:
     def test_small_signal_linear(self):
@@ -105,6 +114,25 @@ class TestJitter:
         x = np.exp(2j * np.pi * k * np.arange(n) / n)
         want = 2j * np.pi * k / n * x
         np.testing.assert_allclose(pd.spectral_derivative(x), want, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 251, 6528, 12128, 32128])
+    def test_spectral_derivative_matches_the_dft_formula(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n) * np.fft.fft(x))
+        got = pd.spectral_derivative(x)
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_cached_derivative_spectrum_is_read_only(self):
+        x = np.exp(0.3j * np.arange(100))
+        want = pd.spectral_derivative(x).copy()
+        spectrum = pd._derivative_spectrum(100)
+        assert spectrum.size == 256 and not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0] = 1.0
+        pd.spectral_derivative(x)[:] = 0   # the result is the caller's own
+        np.testing.assert_array_equal(pd.spectral_derivative(x), want)
 
     def test_zero_jitter_identity(self):
         x = np.arange(10, dtype=complex)
@@ -285,6 +313,23 @@ class TestFilterSpec:
         np.testing.assert_allclose(spec.apply(x), want, rtol=0,
                                    atol=1e-8 * np.abs(want).max())
 
+    def test_lengths_sharing_one_spec_match_scipy_signal(self):
+        # the taps' spectrum is cached per (filter, FFT length): each length,
+        # shorter or longer than the 260 taps, must get its own
+        spec = pd.FilterSpec(order=4, cutoff=0.13)
+        b, a = signal.butter(4, 0.13)
+        rng = np.random.default_rng(11)
+        for n in (12128, 100, 32128, 12128):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            want = signal.lfilter(b, a, x)
+            np.testing.assert_allclose(spec.apply(x), want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+        for nfft in (512, 16384, 32768):
+            spectrum = spec._spectrum(nfft)
+            assert spectrum.size == nfft and not spectrum.flags.writeable
+            with pytest.raises(ValueError):
+                spectrum[0] = 0.0
+
     @pytest.mark.parametrize("order,cutoff", [(0, 0.2), (4, 0.0), (4, 1.0)])
     def test_invalid_spec(self, order, cutoff):
         with pytest.raises(ConfigurationError):
@@ -341,6 +386,22 @@ class TestChain:
             pd.ChainConfig(drive=0.0)
         with pytest.raises(ConfigurationError):
             pd.ChainConfig(sigma_j=-0.01)
+        # beyond one sample period, or at a noise power near the float
+        # range, the chain used to end in LinAlgError or OverflowError
+        with pytest.raises(ConfigurationError):
+            pd.ChainConfig(sigma_j=1.0)
+        with pytest.raises(ConfigurationError):
+            pd.ChainConfig(snr_db=-1e308)
+        with pytest.raises(ConfigurationError):
+            pd.ChainConfig(snr_db=float("nan"))
+        pd.ChainConfig(sigma_j=0.99, snr_db=pd.MIN_SNR_DB)
+
+    @pytest.mark.parametrize("n_symbols", [1, pd.EQ_TAPS - 1])
+    def test_fewer_symbols_than_equalizer_taps_rejected(self, n_symbols):
+        # these used to give a NaN SINR and a RuntimeWarning
+        with pytest.raises(ConfigurationError, match="n_symbols"):
+            pd.evaluate_chain(pd.ChainConfig(), None, pd.HpaParams(),
+                              n_symbols=n_symbols)
 
     def test_predistortion_improves_sinr_at_matched_obo(self):
         hpa = pd.HpaParams()
@@ -442,6 +503,48 @@ print(after[main] - before[main],
     assert res.returncode == 0, res.stderr
     main, workers = map(int, res.stdout.split())
     assert workers < 0.05 * main
+
+
+def train_spd_uncached(config, hpa):
+    """train_spd as it was: the burst drawn and driven per call."""
+    rng = np.random.default_rng(pd.TRAIN_SEED)
+    up = np.zeros(pd.N_TRAIN_SYMBOLS * pd.OVERSAMPLING, complex)
+    up[::pd.OVERSAMPLING] = pd.QPSK[rng.integers(4, size=pd.N_TRAIN_SYMBOLS)]
+    x = np.convolve(up, pd.rrc_taps(pd.ROLLOFF, pd.SPAN, pd.OVERSAMPLING))
+    x = x * config.drive
+    if config.spd_location == "onboard":
+        if config.imux is not None:
+            x = config.imux.apply(x)
+        if config.jitter_aware:
+            x = pd.jitter_sample(x, config.sigma_j, rng)
+    params, _ = pd.fit_spd(hpa, x)
+    return params
+
+
+class TestTrainSpd:
+    @pytest.mark.parametrize("cfg", [
+        dict(spd_location="onboard", sigma_j=0.05),
+        dict(spd_location="onboard", sigma_j=0.05, jitter_aware=False),
+        dict(spd_location="onboard", sigma_j=0.05, imux=None),
+        dict(spd_location="onground", sigma_j=0.05)],
+        ids=["onboard_aware", "onboard_blind", "no_imux", "onground"])
+    def test_matches_the_burst_drawn_per_call(self, cfg):
+        hpa = pd.HpaParams()
+        for drive in (1.7, 0.4):
+            config = pd.ChainConfig(drive=drive, **cfg)
+            got = pd.train_spd(config, hpa)
+            want = train_spd_uncached(config, hpa)
+            assert got.gamma == pytest.approx(want.gamma, rel=1e-9)
+            assert got.delta == pytest.approx(want.delta, rel=1e-9)
+
+    def test_cached_burst_is_read_only(self):
+        config = pd.ChainConfig(spd_location="onboard", drive=2.0)
+        first = pd.train_spd(config, pd.HpaParams())
+        burst = pd._training_burst(config.imux, config.sigma_j)
+        assert not burst.flags.writeable
+        with pytest.raises(ValueError):
+            burst[0] = 0.0
+        assert pd.train_spd(config, pd.HpaParams()) == first
 
 
 class TestJitterAwareTraining:
