@@ -20,7 +20,7 @@ for p in (1.0, 5.0, 20.0, 100.0):
                                p1=p, p2=p)
     ian = access.rate_ian(ch)
     scd = access.rate_scd(ch, 1)
-    snd, _ = access.rate_snd(ch)
+    snd = access.rate_snd(ch)
     fdm = access.rate_fdm(ch, 0.5)
     # best symmetric HK corner over the power-split grid
     hk = max(access.hk_region(ch, np.linspace(0, 1, 21)).points,

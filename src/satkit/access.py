@@ -91,8 +91,8 @@ def rate_scd(ch: TwoUserChannel, order: int = 1) -> RatePoint:
     raise ConfigurationError("order must be 1 or 2")
 
 
-def rate_snd(ch: TwoUserChannel):
-    """Simultaneous non-unique decoding rates plus per-receiver decode flags.
+def rate_snd(ch: TwoUserChannel) -> RatePoint:
+    """Simultaneous non-unique decoding rates.
 
     Receiver i jointly decodes the interfering stream (without caring
     about its errors) under two-user MAC constraints, unless the
@@ -104,16 +104,15 @@ def rate_snd(ch: TwoUserChannel):
     ian = rate_ian(ch)
 
     def rx(own_p, own_g, int_p, int_g, m_int, ian_own):
-        skip = m_int >= _c(int_p * int_g)
-        if skip:
-            return ian_own, False
+        if m_int >= _c(int_p * int_g):          # the skip condition
+            return ian_own
         own_cap = _c(own_p * own_g)
         sum_cap = _c(own_p * own_g + int_p * int_g)
-        return max(ian_own, min(own_cap, sum_cap - m_int)), True
+        return max(ian_own, min(own_cap, sum_cap - m_int))
 
-    r1, dec1 = rx(ch.p1, ch.g11, ch.p2, ch.g21, ian.r2, ian.r1)
-    r2, dec2 = rx(ch.p2, ch.g22, ch.p1, ch.g12, ian.r1, ian.r2)
-    return RatePoint(max(r1, 0.0), max(r2, 0.0), "snd"), (dec1, dec2)
+    r1 = rx(ch.p1, ch.g11, ch.p2, ch.g21, ian.r2, ian.r1)
+    r2 = rx(ch.p2, ch.g22, ch.p1, ch.g12, ian.r1, ian.r2)
+    return RatePoint(max(r1, 0.0), max(r2, 0.0), "snd")
 
 
 def rate_fdm(ch: TwoUserChannel, beta: float = 0.5) -> RatePoint:
@@ -126,12 +125,14 @@ def rate_fdm(ch: TwoUserChannel, beta: float = 0.5) -> RatePoint:
 
 
 def _mac_caps(order, powers, noise):
-    """Successive-decoding capacities of each message for one receiver."""
+    """Successive-decoding capacities of each message for one receiver.
+
+    Each message sees the noise plus the messages decoded after it.
+    """
     caps = {}
-    remaining = sum(powers[m] for m in order)
-    for m in order:
-        caps[m] = _c(powers[m] / (noise + remaining - powers[m]))
-        remaining -= powers[m]
+    for m in reversed(order):
+        caps[m] = _c(powers[m] / noise)
+        noise += powers[m]
     return caps
 
 
@@ -193,7 +194,7 @@ def region_sweep(template: TwoUserChannel, p_values: Sequence[float],
             out["scd"].append(rate_scd(ch, 1))
             out["scd"].append(rate_scd(ch, 2))
         if "snd" in out:
-            out["snd"].append(rate_snd(ch)[0])
+            out["snd"].append(rate_snd(ch))
         if "fdm" in out:
             out["fdm"].extend(rate_fdm(ch, float(b)) for b in fdm_grid)
         if "hk" in out:

@@ -173,18 +173,16 @@ def cmd_channel_report(cfg: dict, out: Path):
 def cmd_precoding_bench(cfg: dict, out: Path):
     rows = []
     for case_i, case in enumerate(cfg["cases"]):
-        if len(case) != 3:
-            raise ConfigurationError(f"a case is [K, N, Nu], not {case!r}")
-        k, n, nu = case
-        if n != k:
-            raise ConfigurationError("benchmark cases use N == K layouts")
+        if len(case) != 2:
+            raise ConfigurationError(f"a case is [K, Nu], not {case!r}")
+        k, nu = case
         scn = default_scenario(n_beams=k, n_u=nu, seed=cfg["seed"] + case_i)
         rng = np.random.default_rng(cfg["seed"] + case_i)
         ch = build_channel(scn, draw_users(scn, rng), rng=rng)
         bench = precoding.benchmark_mmse(ch, cfg["power_w"], n_rep=cfg["n_rep"])
-        rows.append((k, n, nu, bench["sr_per_beam"], bench["cpu_ms"]))
+        rows.append((k, nu, bench["sr_per_beam"], bench["cpu_ms"]))
     write_csv(out / "precoding_bench.csv",
-              ["K", "N", "Nu", "sr_per_beam", "cpu_ms"], rows)
+              ["K", "Nu", "sr_per_beam", "cpu_ms"], rows)
 
 
 def cmd_rate_region(cfg: dict, out: Path):
@@ -266,7 +264,7 @@ def cmd_carrier_assign(cfg: dict, out: Path):
         stations = cognitive.synthetic_rem(cfg["n_stations"], m,
                                            cfg["area_km"], rng)
     interf = cognitive.interference_table(stations, terminals, m)
-    p = np.full(k, 10 ** (cfg["rx_power_dbw"] / 10))
+    p = np.full(k, _db_to_linear("rx_power_dbw", cfg["rx_power_dbw"]))
     sinr = cognitive.build_sinr_matrix(p, interf, i_co=cfg["i_co"],
                                        n0=cfg["n0"])
     rates = cognitive.rate_matrix(sinr, mapping=cfg["mapping"])
@@ -308,7 +306,7 @@ SUBCOMMANDS = {
     "channel-report": (cmd_channel_report, {
         "n_beams": 71, "n_u": 2, "n_mc": 2000, "seed": 0}),
     "precoding-bench": (cmd_precoding_bench, {
-        "cases": [[16, 16, 2], [32, 32, 2], [32, 32, 4]],
+        "cases": [[16, 2], [32, 2], [32, 4]],
         "power_w": 55.0, "n_rep": 3, "seed": 0}),
     "rate-region": (cmd_rate_region, {
         "direct_db": 0.0, "cross_db": -2.0,

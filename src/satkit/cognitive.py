@@ -90,29 +90,13 @@ def rate_matrix(sinr: SinrMatrix, mapping: str = "shannon") -> np.ndarray:
     return out
 
 
-def _tight_edges(w: np.ndarray, col_of: np.ndarray, eps: float) -> np.ndarray:
-    """``tight[i, j]``: edge (i, j) of the square ``w`` has reduced cost <= eps.
-
-    The dual potentials are Bellman-Ford distances on the residual graph
-    of the optimal matching ``col_of``, contracted to its rows: the arc
-    i -> j costs ``w[j, col_of[j]] - w[i, col_of[j]]``, the rate lost when
-    row i takes row j's column. Optimality leaves no negative cycle.
-    """
-    arc = w[:, col_of]
-    arc = np.diagonal(arc)[None, :] - arc
-    p = np.zeros(len(w))
-    for _ in range(len(w)):
-        relaxed = np.minimum(p, (p[:, None] + arc).min(axis=0))
-        if np.array_equal(relaxed, p):
-            break
-        p = relaxed
-    tight = np.empty(w.shape, bool)
-    tight[:, col_of] = arc + p[:, None] - p[None, :] <= eps
-    return tight
-
-
 def linear_sum_assignment(cost: np.ndarray):
-    """Minimum-cost perfect matching of a square matrix, as (rows, cols).
+    """Minimum-cost perfect matching of a square matrix, with its duals.
+
+    Returns ``col_of, u, v``: row i takes column ``col_of[i]``, and the row
+    and column dual potentials leave every reduced cost
+    ``cost - u[:, None] - v`` at least 0 and the matched ones at 0, up to
+    round-off.
 
     Shortest augmenting paths with dual potentials (D. F. Crouse, "On
     implementing 2D rectangular assignment algorithms", IEEE TAES 2016):
@@ -184,7 +168,7 @@ def linear_sum_assignment(cost: np.ndarray):
             u[start] += d
             u[r[1:]] += d - dr[1:]
         t[cols[-1]] += n * 1j            # the path's end is taken now
-    return np.arange(n), col_of
+    return col_of, u, v
 
 
 def assign_hungarian(rates: np.ndarray) -> Assignment:
@@ -211,10 +195,9 @@ def assign_hungarian(rates: np.ndarray) -> Assignment:
     n = max(m, k)
     w = np.zeros((n, n))                 # dummy terminals and carriers rate 0
     w[:m, :k] = r
-    rows, cols = linear_sum_assignment(-w)
-    col_of = cols[np.argsort(rows)]
-    best = float(w[rows, cols].sum())
-    tight = _tight_edges(w, col_of, 1e-12 * max(1.0, abs(best)) / max(n, 1))
+    col_of, u, v = linear_sum_assignment(-w)
+    best = float(w[np.arange(n), col_of].sum())
+    tight = -w - u[:, None] - v <= 1e-12 * max(1.0, abs(best)) / max(n, 1)
     row_of = np.argsort(col_of)
     free = np.ones(n, bool)              # carriers whose column may still move
     for carrier in range(m):

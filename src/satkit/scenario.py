@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import chebyshev, polynomial
+from numpy.polynomial import chebyshev
 
 SPEED_OF_LIGHT = 299_792_458.0
 BOLTZMANN = 1.380649e-23
@@ -122,15 +122,14 @@ def reuse_colors(scenario: Scenario, reuse_factor: int) -> np.ndarray:
     return ((q % 2) + 2 * (r % 2)).astype(int)
 
 
-# J0 and J1: a Chebyshev interpolant on [0, _CHEB_END] and Hankel's
-# asymptotic expansion above it (Abramowitz & Stegun 9.2.5), each about
-# 1e-15 absolute. The interpolant's node values are the trapezoid rule on
-# Bessel's integral J_n(x) = (1/2pi) int_0^2pi cos(n t - x sin t) dt, which
-# converges exponentially for a periodic integrand (Trefethen & Weideman,
-# SIAM Review 2014); the rule's error is J_64(20) ~ 1e-25.
+# J0 and J1: a Chebyshev interpolant on [0, _CHEB_END], about 1e-15
+# absolute; the taper is evaluated only below _FLOOR_U, inside it. The
+# interpolant's node values are the trapezoid rule on Bessel's integral
+# J_n(x) = (1/2pi) int_0^2pi cos(n t - x sin t) dt, which converges
+# exponentially for a periodic integrand (Trefethen & Weideman, SIAM Review
+# 2014); the rule's error is J_64(20) ~ 1e-25.
 _CHEB_END = 20.0
 _CHEB_DEG = 40
-_HANKEL_TERMS = 24
 
 
 def _chebyshev_j01() -> np.ndarray:
@@ -149,42 +148,12 @@ def _chebyshev_j01() -> np.ndarray:
     return coef
 
 
-def _hankel_pq() -> np.ndarray:
-    """Coefficients [term, nu, (P, x Q)] of Hankel's P and x Q in 1/x^2.
-
-    a_k(nu) = prod_{i <= k} (4 nu^2 - (2i - 1)^2) / (k! 8^k);
-    P = sum (-1)^m a_2m x^-2m and Q = sum (-1)^m a_2m+1 x^-(2m+1).
-    """
-    out = np.empty((2, 2, _HANKEL_TERMS // 2))
-    for nu in (0, 1):
-        a = [1.0]
-        for i in range(1, _HANKEL_TERMS):
-            a.append(a[-1] * (4 * nu * nu - (2 * i - 1) ** 2) / (8 * i))
-        signs = (-1.0) ** np.arange(_HANKEL_TERMS // 2)
-        out[nu] = a[0::2] * signs, a[1::2] * signs
-    return np.moveaxis(out, 2, 0)
-
-
 _J01_CHEB = _chebyshev_j01()
-_J01_HANKEL = _hankel_pq()
 
 
 def _bessel_j01(x: np.ndarray):
-    """J0(x) and J1(x) for a 1-D array of x >= 0."""
-    j = np.empty((2, x.size))
-    low = x <= _CHEB_END
-    j[:, low] = chebyshev.chebval(
-        x[low] * (2 / _CHEB_END) - 1, _J01_CHEB)
-    xh = x[~low]
-    if xh.size:
-        pq = polynomial.polyval(1 / xh ** 2, _J01_HANKEL)
-        p, q = pq[:, 0], pq[:, 1] / xh
-        # chi = x - pi/4 (nu = 0) or x - 3pi/4 (nu = 1), by angle addition
-        c, s = np.cos(xh), np.sin(xh)
-        scale = 1 / np.sqrt(np.pi * xh)
-        j[0, ~low] = scale * (p[0] * (c + s) + q[0] * (c - s))
-        j[1, ~low] = scale * (p[1] * (s - c) + q[1] * (s + c))
-    return j[0], j[1]
+    """J0(x) and J1(x) for x in [0, _CHEB_END]."""
+    return chebyshev.chebval(x * (2 / _CHEB_END) - 1, _J01_CHEB)
 
 
 def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
@@ -197,7 +166,7 @@ def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _taper(u: np.ndarray) -> np.ndarray:
-    """Normalised tapered-aperture amplitude J1(u)/2u + 36 J3(u)/u^3, 1 at 0."""
+    """Tapered-aperture amplitude J1(u)/2u + 36 J3(u)/u^3, 1 at 0, |u| <= 20."""
     u = np.asarray(u, float)
     us = np.abs(u).ravel()
     small = us < 1e-9
@@ -216,16 +185,13 @@ def _taper(u: np.ndarray) -> np.ndarray:
 
 
 def _floor_cutoff(floor: float) -> float:
-    """u at and beyond which |_taper(u)| <= ``floor``; inf for a floor <= 0.
+    """u at and beyond which |_taper(u)| <= ``floor``, for a floor > 0.
 
     Landau's bound |J_nu(x)| <= 0.7858 x^(-1/3) for all nu >= 0, x > 0
     (L. J. Landau, J. London Math. Soc. 2000) gives |_taper(u)| <=
     0.7858 u^(-1/3) (1/(2u) + 36/u^3), which falls monotonically to 0;
     the cut-off is where it crosses the floor, found by bisection.
     """
-    if floor <= 0:
-        return math.inf
-
     def bound(u):
         return 0.7858 * u ** (-1 / 3) * (0.5 / u + 36.0 / u ** 3)
 
@@ -239,6 +205,7 @@ def _floor_cutoff(floor: float) -> float:
 
 
 _FLOOR_U = _floor_cutoff(10 ** (SIDELOBE_FLOOR_DB / 20))
+assert _FLOOR_U <= _CHEB_END, "the taper would need J0 and J1 beyond 20"
 
 
 def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:

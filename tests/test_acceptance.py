@@ -209,7 +209,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         configs = {
             "channel-report": {"n_beams": 7, "n_u": 1, "n_mc": 5},
-            "precoding-bench": {"cases": [[4, 4, 1]], "n_rep": 1},
+            "precoding-bench": {"cases": [[4, 1]], "n_rep": 1},
             "rate-region": {"p_values": [1.0, 10.0], "lam_points": 5,
                             "strategies": ["ian", "scd", "snd", "fdm", "hk"]},
             "detection-pd": {"detectors": ["ced"], "n_mc": 100,

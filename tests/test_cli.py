@@ -1,6 +1,5 @@
 import functools
 import inspect
-import itertools
 import json
 import os
 import subprocess
@@ -25,7 +24,7 @@ FAST_CONFIGS = {
 # every subcommand at a small size, so each config sweep run is quick
 SMALL_CONFIGS = {
     **FAST_CONFIGS,
-    "precoding-bench": {"cases": [[4, 4, 1]], "n_rep": 1},
+    "precoding-bench": {"cases": [[4, 1]], "n_rep": 1},
     "detection-pd": {"detectors": ["ced"], "n_mc": 100, "n_mc_calib": 500,
                      "isnr_grid_db": [0.0, 4.0]},
     "spd-bench": {"obo_grid_db": [4.0], "modes": ["none"], "n_symbols": 300,
@@ -183,8 +182,8 @@ class TestConfigFaults:
     @pytest.mark.parametrize("sub, cfg", [
         ("caching-threshold", {"alphas": ["x"]}),
         ("rate-region", {"p_values": [1.0, True]}),
-        ("precoding-bench", {"cases": [["a", "a", 1]]}),
-        ("precoding-bench", {"cases": [[4, 4]]}),
+        ("precoding-bench", {"cases": [["a", 1]]}),
+        ("precoding-bench", {"cases": [[4, 4, 1]]}),      # [K, N, Nu] of old
         ("precoding-bench", {"cases": [[]]})])
     def test_bad_list_element(self, tmp_path, capsys, sub, cfg):
         self.fails_cleanly(tmp_path, capsys, sub, {**SMALL_CONFIGS[sub], **cfg})
@@ -294,6 +293,17 @@ class TestConfigFaults:
 
 
 SWEEP_VALUES = [0, -1, [], "x", None, True, 0.0, -1.0]
+# magnitudes near the float limit, for float keys and lists of floats only:
+# a huge integer count would ask for a huge allocation
+HUGE_FLOATS = [1e30, -1e30, 1e300, -1e300]
+
+
+def sweep_values(default):
+    if isinstance(default, float):
+        return SWEEP_VALUES + HUGE_FLOATS
+    if isinstance(default, list) and isinstance(default[0], float):
+        return SWEEP_VALUES + [[x] for x in HUGE_FLOATS]
+    return SWEEP_VALUES
 
 
 @pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
@@ -303,9 +313,10 @@ def test_config_fault_sweep(tmp_path, capsys, sub):
     A run exits 0 with a manifest and no header-only CSV, or exits 1 with
     one ``error:`` line (a warning counts as a line) and no --out directory.
     """
-    keys = cli.SUBCOMMANDS[sub][1]
+    cases = [(key, value) for key, default in cli.SUBCOMMANDS[sub][1].items()
+             for value in sweep_values(default)]
     broken = []
-    for i, (key, value) in enumerate(itertools.product(keys, SWEEP_VALUES)):
+    for i, (key, value) in enumerate(cases):
         cfg_path, out = tmp_path / f"{i}.json", tmp_path / f"o{i}"
         cfg_path.write_text(json.dumps({**SMALL_CONFIGS[sub], key: value}))
         with warnings.catch_warnings(record=True) as caught:
@@ -457,9 +468,9 @@ class TestCsvContracts:
 class TestHeavySubcommandsSmallConfig:
     def test_precoding_bench(self, tmp_path):
         out = run(tmp_path, "precoding-bench",
-                  {"cases": [[4, 4, 1]], "n_rep": 1}, "p")
+                  {"cases": [[4, 1]], "n_rep": 1}, "p")
         lines = (out / "precoding_bench.csv").read_bytes().decode().strip().split("\r\n")
-        assert lines[0] == "K,N,Nu,sr_per_beam,cpu_ms"
+        assert lines[0] == "K,Nu,sr_per_beam,cpu_ms"
         assert len(lines) == 2
 
     def test_detection_pd(self, tmp_path):

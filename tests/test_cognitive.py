@@ -194,6 +194,20 @@ class TestAssignment:
             assert (cg.assign_hungarian(rates).terminal_of
                     == greedy_lex_oracle(rates)), (m, k)
 
+    def test_matches_greedy_oracle_on_mixed_instances(self):
+        # rectangular and tie-rich: staircase, continuous and rounded rates
+        rng = np.random.default_rng(12)
+        instances = [STAIRCASE_RATES[rng.integers(0, 5, (m, k))]
+                     for m, k in [(7, 7), (12, 5), (5, 12), (40, 40), (30, 45)]]
+        instances += [rng.uniform(0, 6, (m, k))
+                      for m, k in [(9, 4), (4, 9), (33, 20), (20, 33)]]
+        instances += [np.round(rng.uniform(0, 3, (m, k)), 1)
+                      for m, k in [(15, 15), (25, 10), (10, 25)]]
+        for rates in instances:
+            a = cg.assign_hungarian(rates)
+            assert a.terminal_of == greedy_lex_oracle(rates), rates.shape
+            assert a.objective == pytest.approx(lsap_optimum(rates), rel=1e-12)
+
     def test_one_assignment_solve(self, monkeypatch):
         calls = []
         solve = cg.linear_sum_assignment
@@ -257,26 +271,44 @@ class TestAssignment:
             cg.assign_hungarian(np.array([[np.inf]]))
 
 
+# draw families of square cost matrices for the solver
+SOLVER_DRAWS = pytest.mark.parametrize("seed, draw", list(enumerate([
+    lambda rng, n: rng.integers(0, 5, (n, n)) * 1.0,          # exact ties
+    lambda rng, n: rng.standard_normal((n, n)),
+    lambda rng, n: 3.5 - rng.exponential(1e-4, (n, n)),     # near-constant
+    lambda rng, n: np.round(rng.random((n, n)) * 1e6)])),     # coarse
+    ids=["integer ties", "normal", "near-constant", "coarse 1e6"])
+
+
 class TestLinearSumAssignment:
     """The numpy solver against scipy's, on square instances."""
 
-    @pytest.mark.parametrize("seed, draw", enumerate([
-        lambda rng, n: rng.integers(0, 5, (n, n)) * 1.0,          # exact ties
-        lambda rng, n: rng.standard_normal((n, n)),
-        lambda rng, n: 3.5 - rng.exponential(1e-4, (n, n)),     # near-constant
-        lambda rng, n: np.round(rng.random((n, n)) * 1e6)]),      # coarse
-        ids=["integer ties", "normal", "near-constant", "coarse 1e6"])
+    @SOLVER_DRAWS
     def test_matches_scipy_optimum(self, seed, draw):
         rng = np.random.default_rng(seed)
         for _ in range(150):
             n = int(rng.integers(1, 40))
             cost = draw(rng, n)
-            rows, cols = cg.linear_sum_assignment(cost)
+            cols, _, _ = cg.linear_sum_assignment(cost)
             want_rows, want_cols = linear_sum_assignment(cost)
-            assert np.array_equal(rows, np.arange(n))
             assert sorted(cols) == list(range(n))
-            got, want = cost[rows, cols].sum(), cost[want_rows, want_cols].sum()
+            got = cost[np.arange(n), cols].sum()
+            want = cost[want_rows, want_cols].sum()
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, got, want)
+
+    @SOLVER_DRAWS
+    def test_duals_certify_the_matching(self, seed, draw):
+        # dual feasibility everywhere and complementary slackness on the
+        # matched edges, to round-off: the tie-break's tight edges rest on it
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(75):
+            n = int(rng.integers(1, 40))
+            cost = draw(rng, n)
+            cols, u, v = cg.linear_sum_assignment(cost)
+            reduced = cost - u[:, None] - v
+            scale = max(1.0, np.abs(cost).max())
+            assert reduced.min() >= -1e-12 * scale, n
+            assert np.abs(reduced[np.arange(n), cols]).max() <= 1e-12 * scale, n
 
     def test_benchmark_sized_instances(self):
         # a tie-rich staircase and a Shannon instance with identical clean rows
@@ -286,24 +318,10 @@ class TestLinearSumAssignment:
         for rates in (cg.rate_matrix(cg.build_sinr_matrix(
                           np.full(150, 30.0), interf), mapping)
                       for mapping in ("staircase", "shannon")):
-            rows, cols = cg.linear_sum_assignment(-rates)
+            cols, _, _ = cg.linear_sum_assignment(-rates)
             want_rows, want_cols = linear_sum_assignment(rates, maximize=True)
-            assert rates[rows, cols].sum() == pytest.approx(
+            assert rates[np.arange(150), cols].sum() == pytest.approx(
                 rates[want_rows, want_cols].sum(), rel=1e-13, abs=0)
-
-    def test_assign_hungarian_as_on_scipy(self, monkeypatch):
-        # the same maps and objectives as with scipy's solver underneath,
-        # on rectangular and tie-rich instances
-        rng = np.random.default_rng(12)
-        instances = [STAIRCASE_RATES[rng.integers(0, 5, (m, k))]
-                     for m, k in [(7, 7), (12, 5), (5, 12), (40, 40), (30, 45)]]
-        instances += [rng.uniform(0, 6, (m, k))
-                      for m, k in [(9, 4), (4, 9), (33, 20), (20, 33)]]
-        instances += [np.round(rng.uniform(0, 3, (m, k)), 1)
-                      for m, k in [(15, 15), (25, 10), (10, 25)]]
-        got = [cg.assign_hungarian(r) for r in instances]
-        monkeypatch.setattr(cg, "linear_sum_assignment", linear_sum_assignment)
-        assert got == [cg.assign_hungarian(r) for r in instances]
 
     def test_rejects_bad_input(self):
         for cost in (np.ones((2, 3)), np.ones(3), np.array([[np.nan]])):
@@ -311,8 +329,8 @@ class TestLinearSumAssignment:
                 cg.linear_sum_assignment(cost)
 
     def test_empty(self):
-        rows, cols = cg.linear_sum_assignment(np.zeros((0, 0)))
-        assert rows.size == cols.size == 0
+        cols, u, v = cg.linear_sum_assignment(np.zeros((0, 0)))
+        assert cols.size == u.size == v.size == 0
 
 
 class TestThroughputReport:

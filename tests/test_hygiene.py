@@ -116,3 +116,46 @@ def test_no_unused_imports_in_src_tests_and_demos():
                    for alias in node.names
                    if (alias.asname or alias.name.split(".")[0]) not in names]
     assert not unused
+
+
+def literal_head(node):
+    """A string key, or the literal text before an f-string's first field."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant):
+        return node.values[0].value
+    return None
+
+
+def test_names_the_benchmark_reads_are_public_functions():
+    """The traced benchmark finds spans by ``module.function`` name.
+
+    Its tracer wraps the public functions of satkit's modules, and
+    ``per_layer`` in ``benchmarks/run.py`` indexes the span tables by
+    name, so a renamed or deleted function ends a traced run in a
+    ``KeyError``. The names are the span keys of ``per_layer``, the keys
+    of the tracer's ``LABELS`` and ``COUNTS``, and the functions the
+    tracer reads as ``package.<module>.<name>``.
+    """
+    run = ast.parse((ROOT / "benchmarks" / "run.py").read_text())
+    per_layer = next(f for f in ast.walk(run) if isinstance(f, ast.FunctionDef)
+                     and f.name == "per_layer")
+    spans = {literal_head(n.slice) for n in ast.walk(per_layer)
+             if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+             and n.value.id in ("self_s", "calls")}
+    tracer = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
+    tables = {stmt.targets[0].id: {k.value for k in stmt.value.keys}
+              for stmt in tracer.body if isinstance(stmt, ast.Assign)
+              and getattr(stmt.targets[0], "id", None) in ("LABELS", "COUNTS")}
+    read = {f"{n.value.attr}.{n.attr}" for n in ast.walk(tracer)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
+            and getattr(n.value.value, "id", None) == "package"}
+    # every source names some function, so a parse that finds none fails
+    assert None not in spans and spans and read
+    assert set(tables) == {"LABELS", "COUNTS"} and all(tables.values())
+    wanted = {".".join(s.split(".")[:2])
+              for s in spans.union(read, *tables.values())}
+    public = {f"{p.stem}.{stmt.name}" for p, tree in MODULES.items()
+              for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+              and not stmt.name.startswith("_")}
+    assert not wanted - public, sorted(wanted - public)

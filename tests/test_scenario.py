@@ -98,8 +98,9 @@ class TestBeamGain:
                    for a1, a2 in zip(amps, amps[1:]))
 
     def test_taper_matches_direct_bessel_formula(self):
-        # J1 and J3 switch from their power series to the recurrence at u = 3
-        u = np.concatenate([np.linspace(0.0, 200.0, 20001),
+        # J1 and J3 switch from their power series to the recurrence at u = 3;
+        # the taper is evaluated up to the floor's cut-off
+        u = np.concatenate([np.linspace(0.0, sc._FLOOR_U, 20001),
                             2.0 + np.linspace(-1e-3, 1e-3, 201),
                             3.0 + np.linspace(-1e-3, 1e-3, 201),
                             np.nextafter([2.0, 2.0, 3.0, 3.0], [0.0, 4.0] * 2)])
@@ -109,30 +110,31 @@ class TestBeamGain:
         np.testing.assert_allclose(sc._taper(u), direct, rtol=0, atol=1e-14)
 
     def test_bessel_j01_matches_scipy(self):
-        # Chebyshev interpolant up to 20, Hankel's expansion above
-        x = np.concatenate([np.linspace(0.0, 200.0, 400001),
-                            np.nextafter(sc._CHEB_END, [0.0, 40.0])])
+        # the Chebyshev interpolant on its whole interval, ends included
+        x = np.linspace(0.0, sc._CHEB_END, 400001)
+        x = np.append(x, np.nextafter(sc._CHEB_END, 0.0))
         got_j0, got_j1 = sc._bessel_j01(x)
         np.testing.assert_allclose(got_j0, j0(x), rtol=0, atol=1e-14)
         np.testing.assert_allclose(got_j1, j1(x), rtol=0, atol=1e-14)
 
     def test_floor_cutoff_is_bit_identical(self, monkeypatch):
         # entries beyond the cut-off sit at the floor; evaluating the taper
-        # on every entry must give the same bits
+        # up to the end of the Bessel interpolant must give the same bits
         scn = make_scenario(n_beams=256)
         pos = sc.draw_users(scn, np.random.default_rng(2)).positions.reshape(-1, 2)
         cut = sc._gain_amplitudes(scn, pos)
-        monkeypatch.setattr(sc, "_FLOOR_U", np.inf)
+        monkeypatch.setattr(sc, "_FLOOR_U", sc._CHEB_END)
         np.testing.assert_array_equal(cut, sc._gain_amplitudes(scn, pos))
 
     def test_floor_cutoff_bounds_the_taper(self):
         floor = 10 ** (sc.SIDELOBE_FLOOR_DB / 20)
         assert 18.0 < sc._FLOOR_U < 18.5
+        # beyond the cut-off, where satkit never evaluates it, the taper
+        # comes from scipy's Bessel functions
         u = np.linspace(sc._FLOOR_U, 400.0, 400001)
-        assert np.abs(sc._taper(u)).max() < floor
+        assert np.abs(j1(u) / (2 * u) + 36.0 * jv(3, u) / u ** 3).max() < floor
         # below the bound's crossing some u is above the floor
         assert np.abs(sc._taper(np.linspace(1.0, 8.0, 7001))).max() > floor
-        assert sc._floor_cutoff(0.0) == np.inf       # no floor: skip nothing
         assert sc._floor_cutoff(1e-6) > sc._FLOOR_U
 
     def test_sidelobe_floor(self):
