@@ -63,6 +63,10 @@ class RateRegion:
 
 
 def _c(snr: float) -> float:
+    """log2(1 + snr), the capacity every strategy's rates are built from."""
+    if not np.isfinite(snr):
+        raise ConfigurationError(f"SNR of {snr!r}: a power or gain is "
+                                 f"beyond the float range")
     return float(np.log2(1.0 + snr))
 
 

@@ -8,8 +8,9 @@ interference power over (signal power + noise power). Threshold
 calibration and Pd curves draw each statistic from its exact law: CED
 and EDSCP from closed-form laws, EDSCD by simulating only its data
 samples, rotated into the phase of the channel estimate and drawn in
-blocks whose size does not change the output. ``_gen_batch`` synthesises
-whole frames and is the reference for all three.
+blocks whose size does not change the output. The tests hold the
+frame-level reference, which synthesises whole frames, and check all
+three against it.
 
 ``pd_curve`` draws its grid points on a thread pool, one job per point,
 each from its own child seed; numpy releases the GIL while it draws and
@@ -54,11 +55,6 @@ class DetectorConfig:
         _power("noise_uncertainty_db", self.noise_uncertainty_db)
 
 
-def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.choice((1.0, -1.0), shape)
-            + 1j * rng.choice((1.0, -1.0), shape)) / np.sqrt(2)
-
-
 def _power(name: str, db: float) -> float:
     """Linear power of ``db`` dB, which must be finite and above 0."""
     try:
@@ -79,51 +75,11 @@ def _draw_channels(rng: np.random.Generator, n: int, fade_db: float) -> np.ndarr
     return amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
 
 
-def _gen_batch(hypothesis: int, h: np.ndarray, snr_db: float, isnr_db: float,
-               eps_db: float, rng: np.random.Generator, n_mc: int,
-               n_data: int, n_pilot: int, noise_var_db: Optional[float] = None):
-    """Batch of frames as arrays: samples (n_mc, N), symbols (n_mc, N)."""
-    n = n_data + n_pilot
-    s = _qpsk(rng, (n_mc, n))
-    amp = 10 ** (snr_db / 20)
-    if noise_var_db is None:
-        var = 10 ** (rng.uniform(-eps_db, eps_db, (n_mc, 1)) / 10)
-    else:
-        var = np.full((n_mc, 1), 10 ** (noise_var_db / 10))
-    eta = np.sqrt(var / 2) * (rng.standard_normal((n_mc, n))
-                              + 1j * rng.standard_normal((n_mc, n)))
-    x = np.asarray(h).reshape(-1, 1) * amp * s + eta
-    if hypothesis == 1:
-        p_pow = 10 ** (isnr_db / 10) * (amp ** 2 + 1.0)
-        x = x + np.sqrt(p_pow / 2) * (rng.standard_normal((n_mc, n))
-                                      + 1j * rng.standard_normal((n_mc, n)))
-    return x, s
-
-
-def _stats_batch(kind: str, x: np.ndarray, s: np.ndarray, amp: float,
-                 n_pilot: int) -> np.ndarray:
-    """Detection statistics for a (n_mc, N) batch, pilots first."""
-    if kind == "ced":
-        return np.mean(np.abs(x) ** 2, axis=-1)
-    xp, sp = x[..., :n_pilot], amp * s[..., :n_pilot]
-    h_hat = (np.sum(np.conj(sp) * xp, axis=-1, keepdims=True)
-             / np.sum(np.abs(sp) ** 2, axis=-1, keepdims=True))
-    if kind == "edscp":
-        return np.mean(np.abs(xp - h_hat * sp) ** 2, axis=-1)
-    # edscd: hard QPSK decisions on the data positions, residual over all N
-    xd = x[..., n_pilot:]
-    z = xd / h_hat
-    sd = (np.sign(z.real) + 1j * np.sign(z.imag)) / np.sqrt(2)
-    res = (np.sum(np.abs(xp - h_hat * sp) ** 2, axis=-1)
-           + np.sum(np.abs(xd - h_hat * amp * sd) ** 2, axis=-1))
-    return res / x.shape[-1]
-
-
 def _sample_stats(kind: str, hypothesis: int, h: np.ndarray, snr_db: float,
                   isnr_db: float, eps_db: float, rng: np.random.Generator,
                   n_mc: int, n_data: int, n_pilot: int,
                   noise_var_db: Optional[float] = None) -> np.ndarray:
-    """Draw the (n_mc,) statistics of `_gen_batch` + `_stats_batch` from their laws.
+    """Draw the (n_mc,) statistics of whole frames from their laws.
 
     With v the per-frame noise (plus interference) variance, CED is
     v/(2N) * ncx2(2N, 2N|h|^2 a^2 / v) (Urkowitz 1967) and the pilot

@@ -5,9 +5,9 @@ b*|r|^2*r whose drive is clipped at the AM/AM peak r_sat; output
 back-off (OBO) is defined against that peak. The SPD is a third-order
 polynomial fitted by direct-learning least squares (a Levenberg-Marquardt
 loop on 4x4 normal equations); a LUT path offers a quantised
-implementation. The IMUX and OMUX Butterworth filters run as FFT
-convolutions with their impulse responses, cut where they decay below
-1e-18.
+implementation. Every linear stage of the transponder chain (shaping,
+IMUX, jitter derivative, OMUX, matched filter) is a product on one
+power-of-two FFT grid per waveform length, which none of them wraps.
 
 The SPD fit and the equalizer reduce their long vectors with zgemm or
 elementwise numpy only: a threaded level-1/2 BLAS call (zgemv, zgelsd,
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,53 +104,6 @@ def fit_hpa(x_in: np.ndarray, y_out: np.ndarray) -> HpaParams:
         raise FitError("constant-envelope input: regressors are collinear")
     coef, *_ = np.linalg.lstsq(reg, y_out, rcond=None)
     return HpaParams(alpha=complex(coef[0]), beta=complex(coef[1]))
-
-
-@lru_cache(maxsize=4)
-def _derivative_spectrum(n: int) -> np.ndarray:
-    """Spectrum of the length-n circular derivative kernel, read-only.
-
-    The kernel ifft(2*pi*j*fftfreq(n)) is zero-padded to the smallest
-    power of two of at least 2n - 1 points, so that its product with a
-    padded length-n waveform's spectrum is their linear convolution.
-    """
-    kernel = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n))
-    spectrum = np.fft.fft(kernel, 1 << (2 * n - 2).bit_length())
-    spectrum.flags.writeable = False
-    return spectrum
-
-
-def spectral_derivative(x: np.ndarray) -> np.ndarray:
-    """Derivative of a band-limited waveform via its FFT (unit sample period).
-
-    Equal to ``ifft(2*pi*j*fftfreq(n) * fft(x))``: the circular
-    convolution with the derivative kernel, taken as a linear one on a
-    power-of-two FFT whose tail is wrapped onto its head. A length such
-    as 32 128 = 2^7*251 makes numpy's FFT about 10x slower than a
-    power of two.
-    """
-    x = np.asarray(x, complex)
-    n = x.size
-    spectrum = _derivative_spectrum(n)
-    linear = np.fft.ifft(np.fft.fft(x, spectrum.size) * spectrum)
-    out = linear[:n]
-    out[:n - 1] += linear[n:2 * n - 1]
-    return out
-
-
-def jitter_sample(x: np.ndarray, sigma_j: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """First-order sampling-jitter model x + e*x_dot.
-
-    ``sigma_j`` is the jitter standard deviation as a fraction of the
-    sample period of the oversampled waveform.
-    """
-    if sigma_j < 0:
-        raise ConfigurationError("jitter level must be >= 0")
-    x = np.asarray(x, complex)
-    if sigma_j > 0:
-        x = x + rng.normal(0.0, sigma_j, x.size) * spectral_derivative(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -281,60 +234,31 @@ class FilterSpec:
             raise ConfigurationError(
                 "filter needs order >= 1 and a cutoff in (0, 1)")
 
-    def coefficients(self):
-        """Digital Butterworth (b, a) as ``scipy.signal.butter`` designs it.
-
-        The analogue prototype's poles are pre-warped and mapped by the
-        bilinear transform (fs = 2), and all N zeros land at z = -1.
-        """
+    def _zpk(self):
+        """Gain and poles as ``scipy.signal.butter`` designs them; the N
+        zeros are at z = -1. The analogue prototype's poles are pre-warped
+        and mapped by the bilinear transform (fs = 2)."""
         n = self.order
         warped = 4.0 * np.tan(np.pi * self.cutoff / 2)
         poles = warped * -np.exp(1j * np.pi * np.arange(1 - n, n, 2) / (2 * n))
         gain = warped ** n * np.real(1 / np.prod(4.0 - poles))
-        return (gain * np.poly(-np.ones(n)),
-                np.poly((4.0 + poles) / (4.0 - poles)).real)
+        return gain, (4.0 + poles) / (4.0 - poles)
 
-    @cached_property
-    def _impulse_response(self) -> np.ndarray:
-        """Taps of the recursion A(z) y = B(z) x, cut once below 1e-18.
+    @property
+    def length(self) -> int:
+        """Samples for the impulse response to decay below 1e-18: twice the
+        slowest pole's envelope (radius at least 0.5), for its residue."""
+        rho = max(np.abs(self._zpk()[1]).max(), 0.5)
+        return 2 * math.ceil(math.log(1e-18) / math.log(rho)) + 8 * self.order
 
-        The recursion runs twice as long as the slowest pole's envelope
-        (radius at least 0.5) takes to reach 1e-18, which leaves room for
-        its residue; the taps after the last one of at least 1e-18 are
-        dropped. They sum to the DC gain of 1, so some tap is kept.
-        """
-        b, a = self.coefficients()
-        rho = max(np.abs(np.roots(a)).max(), 0.5)
-        length = 2 * math.ceil(math.log(1e-18) / math.log(rho)) + 8 * self.order
-        h = [0.0] * length
-        for k in range(length):
-            acc = b[k] if k <= self.order else 0.0
-            for i in range(1, min(k, self.order) + 1):
-                acc -= a[i] * h[k - i]
-            h[k] = acc
-        h = np.array(h)
-        return h[:np.nonzero(np.abs(h) >= 1e-18)[0][-1] + 1]
-
-    @lru_cache(maxsize=8)
-    def _spectrum(self, nfft: int) -> np.ndarray:
-        """Read-only nfft-point spectrum of the impulse response."""
-        # the real taps' spectrum is Hermitian
-        half = np.fft.rfft(self._impulse_response, nfft)
-        spectrum = np.concatenate([half, half[-2:0:-1].conj()])
-        spectrum.flags.writeable = False
-        return spectrum
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``scipy.signal.lfilter(b, a, x)`` for a 1-D complex waveform.
-
-        An FFT convolution with the impulse response, cut where it has
-        decayed below 1e-18, on the smallest power of two that holds the
-        linear convolution; the taps' spectrum is cached per FFT length.
-        """
-        x = np.asarray(x, complex)
-        n = x.size
-        nfft = 1 << (n + self._impulse_response.size - 2).bit_length()
-        return np.fft.ifft(np.fft.fft(x, nfft) * self._spectrum(nfft))[:n]
+    def response(self, nfft: int) -> np.ndarray:
+        """gain*(1 + z^-1)^N / prod(1 - p_k z^-1) at z = exp(2j*pi*k/nfft):
+        on n + ``length`` points or more, its product with a length-n
+        waveform's spectrum is the filtered waveform's."""
+        gain, poles = self._zpk()
+        zinv = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
+        return (gain * (1 + zinv) ** self.order
+                / np.prod(1 - np.outer(poles, zinv), axis=0))
 
 
 # the transponder chain: QPSK symbols shaped by a root-raised-cosine pulse,
@@ -405,10 +329,42 @@ def _draw_symbols(rng: np.random.Generator, n: int) -> np.ndarray:
     return QPSK[rng.integers(len(QPSK), size=n)]
 
 
-def _shape(symbols: np.ndarray, taps: np.ndarray, oversampling: int) -> np.ndarray:
-    x = np.zeros(symbols.size * oversampling, complex)
-    x[::oversampling] = symbols
-    return np.convolve(x, taps)
+@lru_cache(maxsize=16)
+def _spectrum(nfft: int, spec: Optional[FilterSpec] = None) -> np.ndarray:
+    """Read-only nfft-point spectrum of the RRC pulse, or of a filter."""
+    spectrum = (np.fft.fft(rrc_taps(ROLLOFF, SPAN, OVERSAMPLING), nfft)
+                if spec is None else spec.response(nfft))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _transmit(symbols: np.ndarray, config: ChainConfig,
+              rng: np.random.Generator, spd: Optional[SpdParams] = None,
+              clip: Optional[float] = None):
+    """Front end of the chain: shaping at the drive, on-ground SPD, IMUX, jitter.
+
+    Returns the first n = OVERSAMPLING*m + 2*SPAN*OVERSAMPLING samples and
+    the grid size nfft, which holds n plus the pulse's, IMUX's and OMUX's
+    longest decay. The jitter term of the model x + e*x' draws e ~ N(0,
+    sigma_j) per sample, and x' is the band-limited waveform's derivative.
+    """
+    pulse = 2 * SPAN * OVERSAMPLING
+    n = OVERSAMPLING * symbols.size + pulse
+    tail = max([pulse] + [spec.length for spec in (config.imux, config.omux)
+                          if spec is not None])
+    nfft = 1 << (n + tail - 1).bit_length()
+    # the zero-stuffed train's spectrum is the symbols' spectrum, tiled
+    x = np.tile(np.fft.fft(symbols, nfft // OVERSAMPLING), OVERSAMPLING)
+    x *= _spectrum(nfft) * config.drive
+    if config.spd_location == "onground":
+        x = np.fft.fft(spd_apply(spd, np.fft.ifft(x)[:n], clip_at=clip), nfft)
+    if config.imux is not None:
+        x *= _spectrum(nfft, config.imux)
+    z = np.fft.ifft(x)[:n]
+    if config.sigma_j > 0:
+        x *= 2j * np.pi * np.fft.fftfreq(nfft)
+        z += rng.normal(0.0, config.sigma_j, n) * np.fft.ifft(x)[:n]
+    return z, nfft
 
 
 @lru_cache(maxsize=4)
@@ -416,15 +372,12 @@ def _training_burst(imux: Optional[FilterSpec], sigma_j: float) -> np.ndarray:
     """Read-only training burst at drive 1: the IMUX output and its jitter term.
 
     The symbols and then the jitter draws come from one ``TRAIN_SEED``
-    stream. Both stages are linear in the drive, so one burst serves
+    stream. The front end is linear in the drive, so one burst serves
     every drive.
     """
     rng = np.random.default_rng(TRAIN_SEED)
-    s = _draw_symbols(rng, N_TRAIN_SYMBOLS)
-    x = _shape(s, rrc_taps(ROLLOFF, SPAN, OVERSAMPLING), OVERSAMPLING)
-    if imux is not None:
-        x = imux.apply(x)
-    x = jitter_sample(x, sigma_j, rng)
+    config = ChainConfig(sigma_j=sigma_j, imux=imux, omux=None)
+    x, _ = _transmit(_draw_symbols(rng, N_TRAIN_SYMBOLS), config, rng)
     x.flags.writeable = False
     return x
 
@@ -481,45 +434,30 @@ def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
         rng = np.random.default_rng(0)
     if config.spd_location != "none" and spd is None:
         spd = train_spd(config, hpa)
-    os_, taps = OVERSAMPLING, rrc_taps(ROLLOFF, SPAN, OVERSAMPLING)
     s = _draw_symbols(rng, n_symbols)
-    z = _shape(s, taps, os_) * config.drive
-    rs = hpa.r_sat
-    clip = rs if np.isfinite(rs) else None
-    if config.spd_location == "onground":
-        z = spd_apply(spd, z, clip_at=clip)
-    if config.imux is not None:
-        z = config.imux.apply(z)
-    if config.sigma_j > 0:
-        z = jitter_sample(z, config.sigma_j, rng)
+    clip = hpa.r_sat if np.isfinite(hpa.r_sat) else None
+    z, nfft = _transmit(s, config, rng, spd, clip)
     if config.spd_location == "onboard":
         z = spd_apply(spd, z, clip_at=clip)
     y = hpa_apply(hpa, z)
-    if np.isfinite(hpa.r_sat):
-        obo = 10 * np.log10(hpa.p_sat / np.mean(np.abs(y) ** 2))
-    else:
-        obo = np.inf            # linear device has no back-off reference
+    # a linear device (no r_sat) has no back-off reference
+    obo = (10 * np.log10(hpa.p_sat / np.mean(np.abs(y) ** 2))
+           if clip is not None else np.inf)
     if config.omux is not None:
-        y = config.omux.apply(y)
+        y = np.fft.ifft(np.fft.fft(y, nfft)
+                       * _spectrum(nfft, config.omux))[:z.size]
     nv = 10 ** (-config.snr_db / 10)
     y = y + np.sqrt(nv / 2) * (rng.standard_normal(y.size)
                                + 1j * rng.standard_normal(y.size))
-    r = np.convolve(y, taps)
-    # integer timing search over a window covering filter group delays
-    base = len(taps) - 1
-    window = range(base, base + 6 * os_)
-    probe = s[: min(400, n_symbols)]
-    best_t, best_c = base, -1.0
-    for t in window:
-        seg = r[t : t + probe.size * os_ : os_]
-        if seg.size < probe.size:
-            break
-        c = abs(np.vdot(probe, seg))
-        if c > best_c:
-            best_c, best_t = c, t
-    rx = r[best_t : best_t + n_symbols * os_ : os_]
-    n_eff = min(rx.size, n_symbols)
-    sinr = _equalized_sinr(rx[:n_eff], s[:n_eff], EQ_TAPS)
+    # receive matched filter, then an integer timing search over a window
+    # covering the filters' group delays (the first best correlation)
+    os_, base = OVERSAMPLING, 2 * SPAN * OVERSAMPLING
+    r = np.fft.ifft(np.fft.fft(y, nfft) * _spectrum(nfft))[:y.size + base]
+    probe = s[:400]
+    corr = [abs(np.vdot(probe, r[t:t + probe.size * os_:os_]))
+            for t in range(base, base + 6 * os_)]
+    rx = r[base + int(np.argmax(corr))::os_][:n_symbols]
+    sinr = _equalized_sinr(rx, s, EQ_TAPS)
     return ChainResult(sinr_db=float(sinr), obo_db=float(obo))
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from frame_reference import gen_batch, stats_batch
 from satkit import (access, caching, cli, cognitive, detection, precoding,
                     predistortion)
 from satkit.scenario import ChannelSet, average_cir, default_scenario
@@ -115,9 +116,9 @@ class TestAcceptance:
             # realised Pfa at the calibration (worst-case) noise level
             rng = np.random.default_rng(99)
             h = detection._draw_channels(rng, n_mc, 4.0)
-            x, s = detection._gen_batch(0, h, 6.0, -np.inf, eps, rng, n_mc,
-                                        460, 56, noise_var_db=eps)
-            stat = detection._stats_batch(kind, x, s, 10 ** 0.3, 56)
+            x, s = gen_batch(0, h, 6.0, -np.inf, eps, rng, n_mc,
+                             460, 56, noise_var_db=eps)
+            stat = stats_batch(kind, x, s, 10 ** 0.3, 56)
             hits = int(np.sum(stat > tau))
             lo, hi = detection.wilson_interval(hits, n_mc)
             assert lo <= pfa <= hi

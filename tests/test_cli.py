@@ -1,3 +1,4 @@
+import csv
 import functools
 import inspect
 import json
@@ -218,11 +219,12 @@ class TestConfigFaults:
     @pytest.mark.parametrize("cfg", [
         '{"direct_db": 1' + "0" * 400 + "}",
         '{"direct_db": 1' + "0" * 5000 + "}",
-        {"direct_db": 1e300}, {"cross_db": 1e300}],
-        ids=["int_400_digits", "int_5000_digits", "direct_db", "cross_db"])
+        {"direct_db": 1e300}, {"cross_db": 1e300}, {"p_values": [1e307]}],
+        ids=["int_400_digits", "int_5000_digits", "direct_db", "cross_db", "p_values"])
     def test_rate_region_gain_beyond_floats(self, tmp_path, capsys, cfg):
         # an OverflowError, or past 4300 digits a ValueError, used to end
-        # in a traceback
+        # in a traceback; a power of 1e307 overflowed FDM's p*g/beta and
+        # wrote R1 = inf
         self.fails_cleanly(tmp_path, capsys, "rate-region", cfg)
 
     @pytest.mark.parametrize("cfg", [
@@ -296,6 +298,9 @@ SWEEP_VALUES = [0, -1, [], "x", None, True, 0.0, -1.0]
 # magnitudes near the float limit, for float keys and lists of floats only:
 # a huge integer count would ask for a huge allocation
 HUGE_FLOATS = [1e30, -1e30, 1e300, -1e300]
+# the two documented non-finite CSV values: the gain over an exclusive band
+# that carries no rate, and the C/I of a pattern with no co-channel beam
+INF_COLUMNS = {"gain_factor", "avg_cir_db"}
 
 
 def sweep_values(default):
@@ -310,8 +315,9 @@ def sweep_values(default):
 def test_config_fault_sweep(tmp_path, capsys, sub):
     """Each key set to each sweep value either runs or fails cleanly.
 
-    A run exits 0 with a manifest and no header-only CSV, or exits 1 with
-    one ``error:`` line (a warning counts as a line) and no --out directory.
+    A run exits 0 with a manifest, no header-only CSV and only finite
+    numbers but the ``INF_COLUMNS``' inf, or exits 1 with one ``error:``
+    line (a warning counts as a line) and no --out directory.
     """
     cases = [(key, value) for key, default in cli.SUBCOMMANDS[sub][1].items()
              for value in sweep_values(default)]
@@ -329,6 +335,11 @@ def test_config_fault_sweep(tmp_path, capsys, sub):
         err = (capsys.readouterr().err.splitlines()
                + [str(w.message) for w in caught])
         if rc == 0:
+            # a nan or inf, as cli._fmt writes them
+            err += [f"{p.name}:{name}={cell}" for p in out.glob("*.csv")
+                    for row in csv.DictReader(p.read_text().splitlines())
+                    for name, cell in row.items() if cell in ("nan", "inf", "-inf")
+                    and not (cell == "inf" and name in INF_COLUMNS)]
             ok = (not err and (out / "manifest.json").exists()
                   and all(p.read_bytes().count(b"\r\n") > 1
                           for p in out.glob("*.csv")))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from frame_reference import gen_batch, stats_batch
 from satkit import detection as dt
 from satkit.scenario import ConfigurationError
 
@@ -15,13 +16,13 @@ AMP = 10 ** (6.0 / 20)                  # signal amplitude at 6 dB SNR
 
 def frame(hyp, isnr=-30.0, seed=0):
     """One 516-sample frame at h = 1, 56 pilots first: (samples, symbols)."""
-    x, s = dt._gen_batch(hyp, np.array([1.0 + 0j]), 6.0, isnr, 0.0,
-                         np.random.default_rng(seed), 1, 460, 56)
+    x, s = gen_batch(hyp, np.array([1.0 + 0j]), 6.0, isnr, 0.0,
+                     np.random.default_rng(seed), 1, 460, 56)
     return x[0], s[0]
 
 
 def stat(kind, x, s):
-    return dt._stats_batch(kind, x[None], s[None], AMP, 56)[0]
+    return stats_batch(kind, x[None], s[None], AMP, 56)[0]
 
 
 def measured_pfa(detector, snr_db=6.0, eps_db=0.0, n_mc=5000, seed=1,
@@ -29,10 +30,10 @@ def measured_pfa(detector, snr_db=6.0, eps_db=0.0, n_mc=5000, seed=1,
     """Realised false-alarm rate of whole H0 frames, with its Wilson interval."""
     rng = np.random.default_rng(seed)
     h = dt._draw_channels(rng, n_mc, fade_db)
-    x, s = dt._gen_batch(0, h, snr_db, -np.inf, eps_db, rng, n_mc,
-                         dt.N_DATA, dt.N_PILOT)
-    t = dt._stats_batch(detector.kind, x, s, 10 ** (snr_db / 20),
-                        dt.N_PILOT)
+    x, s = gen_batch(0, h, snr_db, -np.inf, eps_db, rng, n_mc,
+                     dt.N_DATA, dt.N_PILOT)
+    t = stats_batch(detector.kind, x, s, 10 ** (snr_db / 20),
+                    dt.N_PILOT)
     hits = int(np.sum(t > detector.threshold))
     return hits / n_mc, dt.wilson_interval(hits, n_mc)
 
@@ -62,8 +63,8 @@ class TestGenFrame:
     def test_isnr_definition(self):
         # interferer power = 10^(isnr/10) * (signal + noise power)
         rng = np.random.default_rng(4)
-        x, s = dt._gen_batch(1, np.ones(4000, complex), 6.0, 3.0, 0.0, rng,
-                             4000, 460, 56)
+        x, s = gen_batch(1, np.ones(4000, complex), 6.0, 3.0, 0.0, rng,
+                         4000, 460, 56)
         amp = 10 ** (6.0 / 20)
         p_meas = np.mean(np.abs(x - amp * s) ** 2) - 1.0
         assert p_meas == pytest.approx(10 ** 0.3 * (amp ** 2 + 1), rel=0.05)
@@ -96,9 +97,9 @@ class TestStatistics:
     def test_edscp_unbiased_with_long_pilot_block(self):
         # perfect-cancellation limit: statistic mean equals noise variance
         rng = np.random.default_rng(7)
-        x, s = dt._gen_batch(0, np.ones(200, complex), 6.0, 0.0, 0.0, rng,
-                             200, 0, 20000)
-        t = dt._stats_batch("edscp", x, s, 10 ** 0.3, 20000)
+        x, s = gen_batch(0, np.ones(200, complex), 6.0, 0.0, 0.0, rng,
+                         200, 0, 20000)
+        t = stats_batch("edscp", x, s, 10 ** 0.3, 20000)
         assert np.mean(t) == pytest.approx(1.0, abs=0.01)
 
 
@@ -142,9 +143,9 @@ def frame_oracle(request):
     hyp, isnr, noise_db = SAMPLER_CASES[request.param]
     rng = np.random.default_rng(40)
     h = dt._draw_channels(rng, 4000, 4.0)
-    x, s = dt._gen_batch(hyp, h, 6.0, isnr, 2.0, rng, 4000, 460, 56,
-                         noise_var_db=noise_db)
-    return request.param, {kind: dt._stats_batch(kind, x, s, 10 ** 0.3, 56)
+    x, s = gen_batch(hyp, h, 6.0, isnr, 2.0, rng, 4000, 460, 56,
+                     noise_var_db=noise_db)
+    return request.param, {kind: stats_batch(kind, x, s, 10 ** 0.3, 56)
                            for kind in dt.DETECTOR_KINDS}
 
 

@@ -1,11 +1,12 @@
 """Source-level guards.
 
 Every public name, optional parameter and dataclass field of ``satkit``
-has a user outside the tests, and every import is used. A user is code
-in ``src/``, ``demos/`` or a non-test file of ``benchmarks/``; names are
-matched as written, without resolving what they refer to.
+has a user outside the tests, every private function a reference in
+``src/``, and every import a use. A user is code in ``src/``, ``demos/`` or
+a non-test file of ``benchmarks/``; names are matched as written.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +52,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 and not any(stmt.name in used for key, used in names.items()
                             if key != (p, stmt.lineno))}
     assert uncalled == NO_CALLER_ALLOWED
+
+
+def test_every_private_function_is_referenced_in_src():
+    """Outside its own definition; a docstring mention is no reference."""
+    def names(node):
+        return Counter(getattr(n, "id", getattr(n, "attr", None))
+                       for n in ast.walk(node))
+
+    everywhere = sum(map(names, MODULES.values()), Counter())
+    unreferenced = {f"{p.stem}.{fn.name}" for p, tree in MODULES.items()
+                    for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    and fn.name.startswith("_") and not fn.name.endswith("__")
+                    and everywhere[fn.name] == names(fn)[fn.name]}
+    assert not unreferenced, sorted(unreferenced)
 
 
 def public_functions():

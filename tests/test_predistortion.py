@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,52 +108,66 @@ class TestFitHpa:
             pd.fit_hpa(np.ones(3, complex), np.ones(4, complex))
 
 
+def imux_output(symbols, order=4, cutoff=0.13):
+    """Shaping and IMUX sample by sample: convolution, then recursion."""
+    up = np.zeros(symbols.size * pd.OVERSAMPLING, complex)
+    up[::pd.OVERSAMPLING] = symbols
+    x = np.convolve(up, pd.rrc_taps(pd.ROLLOFF, pd.SPAN, pd.OVERSAMPLING))
+    return signal.lfilter(*signal.butter(order, cutoff), x)
+
+
+def front_end(symbols, sigma_j, seed, **config):
+    """``_transmit``'s waveform, its jitter term e*x' and e, from ``seed``."""
+    cfg = pd.ChainConfig(sigma_j=0.0, omux=None, **config)
+    z0, _ = pd._transmit(symbols, cfg, None)
+    z1, _ = pd._transmit(symbols, replace(cfg, sigma_j=sigma_j),
+                         np.random.default_rng(seed))
+    return z0, z1 - z0, np.random.default_rng(seed).normal(0, sigma_j, z0.size)
+
+
 class TestJitter:
     def test_spectral_derivative_of_tone(self):
-        n = 256
-        k = 9
-        x = np.exp(2j * np.pi * k * np.arange(n) / n)
-        want = 2j * np.pi * k / n * x
-        np.testing.assert_allclose(pd.spectral_derivative(x), want, atol=1e-10)
+        # an order-7 IMUX at 0.05 leaves the shaped tone free of the pulse's
+        # images, so the jitter term is e * j*omega*x inside the waveform
+        f = 0.03                            # cycles per symbol
+        s = np.exp(2j * np.pi * f * np.arange(4000))
+        z, jitter, e = front_end(s, 0.5, 1,
+                                 imux=pd.FilterSpec(order=7, cutoff=0.05))
+        err = np.abs(jitter - e * 2j * np.pi * f / pd.OVERSAMPLING * z)
+        assert np.all(err[3000:-3000] <= 1e-7 * np.abs(e[3000:-3000]))
 
-    @pytest.mark.parametrize("n", [1, 2, 251, 6528, 12128, 32128])
+    @pytest.mark.parametrize("n", [6528, 12128, 32128])
     def test_spectral_derivative_matches_the_dft_formula(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        want = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n) * np.fft.fft(x))
-        got = pd.spectral_derivative(x)
-        assert got.shape == (n,)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_cached_derivative_spectrum_is_read_only(self):
-        x = np.exp(0.3j * np.arange(100))
-        want = pd.spectral_derivative(x).copy()
-        spectrum = pd._derivative_spectrum(100)
-        assert spectrum.size == 256 and not spectrum.flags.writeable
-        with pytest.raises(ValueError):
-            spectrum[0] = 1.0
-        pd.spectral_derivative(x)[:] = 0   # the result is the caller's own
-        np.testing.assert_array_equal(pd.spectral_derivative(x), want)
+        # the derivative of the band-limited IMUX output against the
+        # circular derivative of its first n samples: they part only near
+        # the ends, where the truncation wraps the circular one
+        s = pd._draw_symbols(np.random.default_rng(n), (n - 128) // 8)
+        _, jitter, e = front_end(s, 0.5, n, imux=pd.FilterSpec(4, 0.13))
+        x = imux_output(s)
+        dx = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n) * np.fft.fft(x))
+        err = np.abs(jitter - e * dx)[256:-256]
+        assert np.all(err <= 1e-5 * np.abs(e[256:-256]) + 1e-14)
 
     def test_zero_jitter_identity(self):
-        x = np.arange(10, dtype=complex)
-        out = pd.jitter_sample(x, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, x)
-
-    def test_tone_mse_matches_first_order_model(self):
-        # E|e * x_dot|^2 = sigma_j^2 * omega^2 for a unit tone
-        n, k = 4096, 100
-        omega = 2 * np.pi * k / n
-        x = np.exp(1j * omega * np.arange(n))
-        sigma = 0.02
-        out = pd.jitter_sample(x, sigma, np.random.default_rng(2))
-        mse = np.mean(np.abs(out - x) ** 2)
-        assert mse == pytest.approx(sigma ** 2 * omega ** 2, rel=0.1)
+        # the IMUX output of the shaped train, with no draw from the rng
+        s = pd._draw_symbols(np.random.default_rng(3), 4000)
+        z, _ = pd._transmit(s, pd.ChainConfig(sigma_j=0.0), rng=None)
+        want = imux_output(s)
+        assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_negative_levels_rejected(self):
         with pytest.raises(ConfigurationError):
-            pd.jitter_sample(np.ones(4, complex), -0.1,
-                             np.random.default_rng(0))
+            pd._training_burst(pd.FilterSpec(), -0.1)
+
+    def test_tone_mse_matches_first_order_model(self):
+        # E|e * x_dot|^2 = sigma_j^2 * omega^2 * |x|^2 for a tone
+        f, sigma = 0.1, 0.02                # cycles per symbol, jitter
+        z, jitter, _ = front_end(np.exp(2j * np.pi * f * np.arange(4000)),
+                                 sigma, 2)
+        omega = 2 * np.pi * f / pd.OVERSAMPLING
+        mse = np.mean(np.abs(jitter[256:-256]) ** 2)
+        want = sigma ** 2 * omega ** 2 * np.mean(np.abs(z[256:-256]) ** 2)
+        assert mse == pytest.approx(want, rel=0.1)
 
 
 class TestSpdPolynomialAndLut:
@@ -295,40 +310,60 @@ class TestFitSpd:
             pd.fit_spd(pd.HpaParams(), np.zeros(100, complex))
 
 
+def grid_filter(spec, x):
+    """A filter as a product on a power-of-two grid of n + length points."""
+    nfft = 1 << (x.size + spec.length - 1).bit_length()
+    return np.fft.ifft(np.fft.fft(x, nfft) * spec.response(nfft))[:x.size]
+
+
 class TestFilterSpec:
     @pytest.mark.parametrize("order,cutoff", [(4, 0.13), (4, 0.30), (1, 0.5),
                                               (7, 0.05), (2, 0.9)])
     def test_matches_scipy_signal(self, order, cutoff):
         spec = pd.FilterSpec(order=order, cutoff=cutoff)
-        b, a = spec.coefficients()
+        gain, poles = spec._zpk()
+        _, want_poles, want_gain = signal.butter(order, cutoff, output="zpk")
+        np.testing.assert_allclose(np.sort_complex([gain, *poles]),
+                                   np.sort_complex([want_gain, *want_poles]),
+                                   rtol=1e-12)
         want_b, want_a = signal.butter(order, cutoff)
-        np.testing.assert_allclose(b, want_b, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(a, want_a, rtol=1e-12, atol=1e-15)
         rng = np.random.default_rng(order)
-        x = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
-        want = signal.lfilter(want_b, want_a, x)
-        # the recursions round differently, and poles near z = 1 amplify
-        # it: at order 7, cutoff 0.05 lfilter itself is 4.5e-10 from a
-        # 40-digit recursion (apply: 1.2e-10)
-        np.testing.assert_allclose(spec.apply(x), want, rtol=0,
-                                   atol=1e-8 * np.abs(want).max())
+        for n in (100, 3000, 12128, 32128):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            want = signal.lfilter(want_b, want_a, x)
+            # the recursions round differently, and poles near z = 1
+            # amplify it: at order 7, cutoff 0.05 lfilter itself is 4.5e-10
+            # from a 40-digit recursion (the response: up to 9.2e-10 from lfilter)
+            np.testing.assert_allclose(grid_filter(spec, x), want, rtol=0,
+                                       atol=1e-8 * np.abs(want).max())
 
     def test_lengths_sharing_one_spec_match_scipy_signal(self):
-        # the taps' spectrum is cached per (filter, FFT length): each length,
-        # shorter or longer than the 260 taps, must get its own
+        # each length, shorter or longer than the 574-sample decay, gets a
+        # grid of its own
         spec = pd.FilterSpec(order=4, cutoff=0.13)
         b, a = signal.butter(4, 0.13)
         rng = np.random.default_rng(11)
         for n in (12128, 100, 32128, 12128):
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             want = signal.lfilter(b, a, x)
-            np.testing.assert_allclose(spec.apply(x), want, rtol=0,
+            np.testing.assert_allclose(grid_filter(spec, x), want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
-        for nfft in (512, 16384, 32768):
-            spectrum = spec._spectrum(nfft)
-            assert spectrum.size == nfft and not spectrum.flags.writeable
+
+    def test_order_7_imux_does_not_wrap(self):
+        # 4064 symbols are 32 640 samples, which with the pulse's 128-sample
+        # tail alone fit 32 768 points, where the 2438-sample IMUX would wrap
+        imux = pd.FilterSpec(order=7, cutoff=0.05)
+        s = pd._draw_symbols(np.random.default_rng(5), 4064)
+        z, nfft = pd._transmit(s, pd.ChainConfig(imux=imux, sigma_j=0.0), None)
+        assert imux.length == 2438 and nfft == 65536
+        want = imux_output(s, 7, 0.05)
+        np.testing.assert_allclose(z, want, rtol=0,
+                                   atol=1e-8 * np.abs(want).max())
+
+    def test_cached_spectra_are_read_only(self):
+        for spectrum in (pd._spectrum(64), pd._spectrum(64, pd.FilterSpec())):
             with pytest.raises(ValueError):
-                spectrum[0] = 0.0
+                spectrum[0] = 1.0
 
     @pytest.mark.parametrize("order,cutoff", [(0, 0.2), (4, 0.0), (4, 1.0)])
     def test_invalid_spec(self, order, cutoff):
@@ -505,20 +540,15 @@ print(after[main] - before[main],
     assert workers < 0.05 * main
 
 
-def train_spd_uncached(config, hpa):
-    """train_spd as it was: the burst drawn and driven per call."""
+def burst_drawn_per_call(config, drive):
+    """The burst that train_spd fits for ``config``, drawn at ``drive``."""
     rng = np.random.default_rng(pd.TRAIN_SEED)
-    up = np.zeros(pd.N_TRAIN_SYMBOLS * pd.OVERSAMPLING, complex)
-    up[::pd.OVERSAMPLING] = pd.QPSK[rng.integers(4, size=pd.N_TRAIN_SYMBOLS)]
-    x = np.convolve(up, pd.rrc_taps(pd.ROLLOFF, pd.SPAN, pd.OVERSAMPLING))
-    x = x * config.drive
-    if config.spd_location == "onboard":
-        if config.imux is not None:
-            x = config.imux.apply(x)
-        if config.jitter_aware:
-            x = pd.jitter_sample(x, config.sigma_j, rng)
-    params, _ = pd.fit_spd(hpa, x)
-    return params
+    s = pd._draw_symbols(rng, pd.N_TRAIN_SYMBOLS)
+    onboard = config.spd_location == "onboard"
+    front = pd.ChainConfig(
+        drive=drive, imux=config.imux if onboard else None, omux=None,
+        sigma_j=config.sigma_j if onboard and config.jitter_aware else 0.0)
+    return pd._transmit(s, front, rng)[0]
 
 
 class TestTrainSpd:
@@ -529,13 +559,15 @@ class TestTrainSpd:
         dict(spd_location="onground", sigma_j=0.05)],
         ids=["onboard_aware", "onboard_blind", "no_imux", "onground"])
     def test_matches_the_burst_drawn_per_call(self, cfg):
+        # the front end is linear in the drive, so the drive-1 burst scaled
+        # is the burst drawn at the drive, and train_spd fits it
         hpa = pd.HpaParams()
         for drive in (1.7, 0.4):
             config = pd.ChainConfig(drive=drive, **cfg)
-            got = pd.train_spd(config, hpa)
-            want = train_spd_uncached(config, hpa)
-            assert got.gamma == pytest.approx(want.gamma, rel=1e-9)
-            assert got.delta == pytest.approx(want.delta, rel=1e-9)
+            burst = burst_drawn_per_call(config, 1.0) * drive
+            driven = burst_drawn_per_call(config, drive)
+            assert np.abs(driven - burst).max() <= 1e-12 * np.abs(driven).max()
+            assert pd.train_spd(config, hpa) == pd.fit_spd(hpa, burst)[0]
 
     def test_cached_burst_is_read_only(self):
         config = pd.ChainConfig(spd_location="onboard", drive=2.0)
