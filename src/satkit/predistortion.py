@@ -1,17 +1,18 @@
-"""Onboard signal predistortion chain: jitter, SPD, cubic HPA, LS fits.
+"""Onboard signal predistortion chain: jitter, SPD, cubic HPA, LS fit.
 
 The amplifier is a memoryless third-order Volterra model y = a*r +
 b*|r|^2*r whose drive is clipped at the AM/AM peak r_sat; output
 back-off (OBO) is defined against that peak. The SPD is a third-order
 polynomial fitted by direct-learning least squares (a Levenberg-Marquardt
-loop on 4x4 normal equations); a LUT path offers a quantised
-implementation. Every linear stage of the transponder chain (shaping,
-IMUX, jitter derivative, OMUX, matched filter) is a product on one
-power-of-two FFT grid per waveform length, which none of them wraps.
+loop on 4x4 normal equations); ``build_lut`` quantises its gain per |x|
+bin. Every linear stage of the transponder chain (shaping, IMUX, jitter
+derivative, OMUX, matched filter) is a product on one power-of-two FFT
+grid per waveform length, which none of them wraps. The drive-to-OBO
+curve stops at the lowest target, and its points end at the amplifier.
 
-The SPD fit and the equalizer reduce their long vectors with zgemm or
-elementwise numpy only: a threaded level-1/2 BLAS call (zgemv, zgelsd,
-dot, norm) on such a vector leaves numpy's OpenBLAS worker thread
+The fit's normal equations come from one dgemm on a float view and the
+equalizer's from one zgemm: a threaded level-1/2 BLAS call (zgemv, zgelsd,
+dot, norm) on a long vector leaves numpy's OpenBLAS worker thread
 spinning afterwards, which doubled spd-bench's CPU time.
 """
 from __future__ import annotations
@@ -24,10 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .scenario import ConfigurationError
-
-
-class FitError(RuntimeError):
-    """Raised when a model fit is ill-posed."""
 
 
 @dataclass(frozen=True)
@@ -88,24 +85,6 @@ def hpa_apply(params: HpaParams, r: np.ndarray) -> np.ndarray:
     return params.alpha * r + params.beta * np.abs(r) ** 2 * r
 
 
-def fit_hpa(x_in: np.ndarray, y_out: np.ndarray) -> HpaParams:
-    """Linear least squares on the regressors [r, |r|^2 r].
-
-    Requires amplitude diversity in the input: a constant-modulus drive
-    makes the regressors collinear and the fit is rejected.
-    """
-    x_in = np.asarray(x_in, complex).ravel()
-    y_out = np.asarray(y_out, complex).ravel()
-    if x_in.shape != y_out.shape or x_in.size < 2:
-        raise ConfigurationError("need matching input/output sample vectors")
-    reg = np.stack([x_in, np.abs(x_in) ** 2 * x_in], axis=1)
-    sv = np.linalg.svd(reg, compute_uv=False)
-    if sv[0] == 0 or sv[1] / sv[0] < 1e-10:
-        raise FitError("constant-envelope input: regressors are collinear")
-    coef, *_ = np.linalg.lstsq(reg, y_out, rcond=None)
-    return HpaParams(alpha=complex(coef[0]), beta=complex(coef[1]))
-
-
 @dataclass(frozen=True)
 class SpdParams:
     """Predistorter r = gamma*x + delta*|x|^2*x, with an optional LUT."""
@@ -139,17 +118,6 @@ def build_lut(params: SpdParams, dynamic_range: float, n_bins: int) -> SpdParams
     return replace(params, lut=lut)
 
 
-def spd_apply_lut(params: SpdParams, x: np.ndarray) -> np.ndarray:
-    """LUT predistortion path: per-magnitude-bin complex gain."""
-    if params.lut is None:
-        raise ConfigurationError("SpdParams carries no LUT")
-    x = np.asarray(x, complex)
-    edges = params.lut[:, 0].real
-    idx = np.clip(np.searchsorted(edges, np.abs(x), side="right") - 1,
-                  0, len(edges) - 1)
-    return params.lut[idx, 2] * x
-
-
 # Levenberg-Marquardt loop of fit_spd: the damping starts at LM_LAMBDA0
 # (relative to diag(J^T J)) and the loop stops after LM_MAX_ITER cost
 # evaluations, when an accepted step lowers the cost by at most LM_FTOL of
@@ -158,6 +126,47 @@ LM_FTOL = 1e-10
 LM_XTOL = 1e-10
 LM_MAX_ITER = 100
 LM_LAMBDA0 = 1e-3
+
+
+def _spd_gram(hpa: HpaParams, s: np.ndarray):
+    """The fit's Re Gram of [J | e] (J^T J, J^T r, cost) as a function of p.
+
+    The fit sees x only through s = |x|^2. With u = x*g, g = gamma +
+    delta*s and m^2 = s|g|^2, the Wirtinger derivatives put x*(A + B),
+    x*j(A - B), x*s(A + B), x*j*s(A - B) in J and x*E in e, with A =
+    a + 2b*m^2, B = b*s*g^2, E = a(g - 1) + b*m^2*g (c_sat forms above
+    r_sat). So Re(C^H C) = D^T D, D the float view of sqrt(s) times those.
+    """
+    a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
+    c_sat = a * rs + b * rs ** 3 if np.isfinite(rs) else 0.0
+    rt = np.sqrt(s)
+    cols = np.empty((5, s.size), complex)   # reused: a fresh one per call
+    d = cols.view(float)                    # costs more in page faults
+
+    def gram(p):
+        gamma, delta = complex(p[0], p[1]), complex(p[2], p[3])
+        g = gamma + delta * s
+        m2 = s * (g.real ** 2 + g.imag ** 2)
+        sg2 = s * g * g
+        plus, minus = a + 2 * b * m2, b * sg2
+        # g - 1 is formed first, so that a small residual keeps its digits
+        e = a * ((gamma - 1) + delta * s) + b * m2 * g
+        over = m2 > rs ** 2                 # y = c_sat*u/m there
+        if over.any():
+            m = np.sqrt(m2[over])
+            plus[over] = c_sat / (2 * m)
+            minus[over] = -c_sat * sg2[over] / (2 * m ** 3)
+            e[over] = c_sat * g[over] / m - a
+        cols[0] = rt * (plus + minus)
+        cols[1] = 1j * rt * (plus - minus)
+        cols[2] = s * cols[0]
+        cols[3] = s * cols[1]
+        cols[4] = rt * e
+        # a dgemm: numpy hands d @ d.T to dsyrk, which is ~8x slower here
+        top = d[:4] @ d.T
+        return np.vstack([top, np.append(top[:, 4], np.square(d[4]).sum())])
+
+    return gram
 
 
 def fit_spd(hpa: HpaParams, training_waveform: np.ndarray):
@@ -177,30 +186,8 @@ def fit_spd(hpa: HpaParams, training_waveform: np.ndarray):
         raise ConfigurationError("training waveform must be finite")
     if not np.any(x):
         raise ConfigurationError("training waveform is all zero")
-    a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
-    x2x = np.abs(x) ** 2 * x
-    # above r_sat the amplifier gives y = c_sat * u/|u|; a linear one never clips
-    c_sat = a * rs + b * rs ** 3 if np.isfinite(rs) else 0.0
-    cols = np.empty((5, x.size), complex)
-
-    def gram(p):
-        """Re of the Gram matrix of [J | e]: J^T J, J^T r and the cost."""
-        gamma, delta = complex(p[0], p[1]), complex(p[2], p[3])
-        u = gamma * x + delta * x2x
-        # analytic Jacobian, from the Wirtinger derivatives dy/du, dy/d(conj u)
-        m = np.abs(u)
-        dy_du, dy_duc = a + 2 * b * m ** 2, b * u ** 2
-        over = m > rs
-        dy_du[over] = c_sat / (2 * m[over])
-        dy_duc[over] = -c_sat * u[over] ** 2 / (2 * m[over] ** 3)
-        for k, v in ((0, x), (2, x2x)):
-            # du/dp is v for the real part of a coefficient, 1j*v for its imaginary one
-            cols[k] = dy_du * v + dy_duc * v.conj()
-            cols[k + 1] = 1j * (dy_du * v - dy_duc * v.conj())
-        cols[4] = hpa_apply(hpa, u) - a * x
-        return (cols.conj() @ cols.T).real
-
-    p = np.array([(1 / a).real, (1 / a).imag, 0.0, 0.0])
+    gram = _spd_gram(hpa, x.real ** 2 + x.imag ** 2)
+    p = np.array([(1 / hpa.alpha).real, (1 / hpa.alpha).imag, 0.0, 0.0])
     g = gram(p)
     trace = [g[4, 4] / x.size]
     lam = LM_LAMBDA0
@@ -416,6 +403,24 @@ def _equalized_sinr(rx_symbols: np.ndarray, symbols: np.ndarray,
     return 10 * np.log10(sig / max(mse, 1e-300))
 
 
+def _amplify(config: ChainConfig, spd: Optional[SpdParams], hpa: HpaParams,
+             n_symbols: int, rng: np.random.Generator):
+    """The chain up to the amplifier (the SPD fitted if placed and not
+    given): symbols, HPA output, OBO and FFT grid size."""
+    if config.spd_location != "none" and spd is None:
+        spd = train_spd(config, hpa)
+    s = _draw_symbols(rng, n_symbols)
+    clip = hpa.r_sat if np.isfinite(hpa.r_sat) else None
+    z, nfft = _transmit(s, config, rng, spd, clip)
+    if config.spd_location == "onboard":
+        z = spd_apply(spd, z, clip_at=clip)
+    y = hpa_apply(hpa, z)
+    # a linear device (no r_sat) has no back-off reference
+    obo = (10 * np.log10(hpa.p_sat / np.mean(np.abs(y) ** 2))
+           if clip is not None else np.inf)
+    return s, y, float(obo), nfft
+
+
 def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
                    hpa: HpaParams, n_symbols: int = 4000,
                    rng: Optional[np.random.Generator] = None) -> ChainResult:
@@ -432,20 +437,10 @@ def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
             f"n_symbols must be >= {EQ_TAPS}, the equalizer's tap count")
     if rng is None:
         rng = np.random.default_rng(0)
-    if config.spd_location != "none" and spd is None:
-        spd = train_spd(config, hpa)
-    s = _draw_symbols(rng, n_symbols)
-    clip = hpa.r_sat if np.isfinite(hpa.r_sat) else None
-    z, nfft = _transmit(s, config, rng, spd, clip)
-    if config.spd_location == "onboard":
-        z = spd_apply(spd, z, clip_at=clip)
-    y = hpa_apply(hpa, z)
-    # a linear device (no r_sat) has no back-off reference
-    obo = (10 * np.log10(hpa.p_sat / np.mean(np.abs(y) ** 2))
-           if clip is not None else np.inf)
+    s, y, obo, nfft = _amplify(config, spd, hpa, n_symbols, rng)
     if config.omux is not None:
         y = np.fft.ifft(np.fft.fft(y, nfft)
-                       * _spectrum(nfft, config.omux))[:z.size]
+                       * _spectrum(nfft, config.omux))[:y.size]
     nv = 10 ** (-config.snr_db / 10)
     y = y + np.sqrt(nv / 2) * (rng.standard_normal(y.size)
                                + 1j * rng.standard_normal(y.size))
@@ -458,22 +453,19 @@ def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
             for t in range(base, base + 6 * os_)]
     rx = r[base + int(np.argmax(corr))::os_][:n_symbols]
     sinr = _equalized_sinr(rx, s, EQ_TAPS)
-    return ChainResult(sinr_db=float(sinr), obo_db=float(obo))
+    return ChainResult(sinr_db=float(sinr), obo_db=obo)
 
 
 def obo_vs_drive(config: ChainConfig, hpa: HpaParams,
                  drives: Sequence[float]) -> np.ndarray:
     """OBO (dB) achieved at each drive level, SPD refitted per drive.
 
-    Each point runs ``CURVE_SYMBOLS`` symbols with noise seed ``CURVE_SEED``.
+    Each point runs the chain up to the amplifier, on ``CURVE_SYMBOLS``
+    symbols with seed ``CURVE_SEED``.
     """
-    out = []
-    for dr in drives:
-        cfg = replace(config, drive=float(dr))
-        res = evaluate_chain(cfg, None, hpa, n_symbols=CURVE_SYMBOLS,
-                             rng=np.random.default_rng(CURVE_SEED))
-        out.append(res.obo_db)
-    return np.array(out)
+    return np.array([
+        _amplify(replace(config, drive=float(dr)), None, hpa, CURVE_SYMBOLS,
+                 np.random.default_rng(CURVE_SEED))[2] for dr in drives])
 
 
 def drive_for_obo(config: ChainConfig, hpa: HpaParams,
@@ -481,11 +473,18 @@ def drive_for_obo(config: ChainConfig, hpa: HpaParams,
     """Drive level reaching a target OBO, interpolated on ``DRIVE_GRID``'s curve.
 
     ``obo_target_db`` is one target (a float is returned) or a sequence
-    of them (an array of drives is returned).
+    of them (an array of drives is returned). The curve stops at the first
+    drive whose OBO is below every target: OBO falls with drive, so no
+    later drive brackets a target.
     """
-    obo = obo_vs_drive(config, hpa, DRIVE_GRID)
-    order = np.argsort(obo)
     target = np.asarray(obo_target_db, float)
+    obo = []
+    for dr in DRIVE_GRID:
+        obo.extend(obo_vs_drive(config, hpa, [dr]))
+        if obo[-1] < target.min(initial=np.inf):
+            break
+    obo = np.array(obo)
+    order = np.argsort(obo)
     if not np.all((obo[order[0]] <= target) & (target <= obo[order[-1]])):
         raise ConfigurationError("OBO target outside the drive grid's range")
     return np.exp(np.interp(target, obo[order], np.log(DRIVE_GRID)[order]))

@@ -1,0 +1,41 @@
+"""Reference models of ``predistortion`` that only the tests use: the
+least-squares amplifier fit that the chain's cubic model is checked
+against, and the LUT apply rule that gives ``build_lut``'s table its
+meaning (per-bin gain times input, the bin chosen by |x|)."""
+import numpy as np
+
+from satkit.predistortion import HpaParams, SpdParams
+from satkit.scenario import ConfigurationError
+
+
+class FitError(RuntimeError):
+    """Raised when a model fit is ill-posed."""
+
+
+def fit_hpa(x_in: np.ndarray, y_out: np.ndarray) -> HpaParams:
+    """Linear least squares on the regressors [r, |r|^2 r].
+
+    Requires amplitude diversity in the input: a constant-modulus drive
+    makes the regressors collinear and the fit is rejected.
+    """
+    x_in = np.asarray(x_in, complex).ravel()
+    y_out = np.asarray(y_out, complex).ravel()
+    if x_in.shape != y_out.shape or x_in.size < 2:
+        raise ConfigurationError("need matching input/output sample vectors")
+    reg = np.stack([x_in, np.abs(x_in) ** 2 * x_in], axis=1)
+    sv = np.linalg.svd(reg, compute_uv=False)
+    if sv[0] == 0 or sv[1] / sv[0] < 1e-10:
+        raise FitError("constant-envelope input: regressors are collinear")
+    coef, *_ = np.linalg.lstsq(reg, y_out, rcond=None)
+    return HpaParams(alpha=complex(coef[0]), beta=complex(coef[1]))
+
+
+def spd_apply_lut(params: SpdParams, x: np.ndarray) -> np.ndarray:
+    """LUT predistortion path: per-magnitude-bin complex gain."""
+    if params.lut is None:
+        raise ConfigurationError("SpdParams carries no LUT")
+    x = np.asarray(x, complex)
+    edges = params.lut[:, 0].real
+    idx = np.clip(np.searchsorted(edges, np.abs(x), side="right") - 1,
+                  0, len(edges) - 1)
+    return params.lut[idx, 2] * x

@@ -16,11 +16,6 @@ USER_FILES = {p: ast.parse(p.read_text())
               for p in [*(ROOT / "demos").glob("*.py"),
                         *(ROOT / "benchmarks").glob("*.py")]
               if not p.name.startswith("test_")}
-# Kept without a caller outside the tests: fit_hpa is the amplifier fit
-# that acceptance test 5 checks the chain against, and spd_apply_lut is the
-# only apply rule under which the LUT that spd-bench's lut_bins writes has
-# a meaning.
-NO_CALLER_ALLOWED = {"predistortion.fit_hpa", "predistortion.spd_apply_lut"}
 # Kept without a reader outside the tests: ill_conditioned is the one
 # observable of mmse_multicast's conditioning guard.
 NO_READER_ALLOWED = {"precoding.PrecodeMatrix.ill_conditioned"}
@@ -51,7 +46,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 and not stmt.name.startswith("_")
                 and not any(stmt.name in used for key, used in names.items()
                             if key != (p, stmt.lineno))}
-    assert uncalled == NO_CALLER_ALLOWED
+    assert not uncalled, sorted(uncalled)
 
 
 def test_every_private_function_is_referenced_in_src():

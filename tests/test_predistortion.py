@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from scipy import signal
 from scipy.optimize import least_squares, minimize
 
+from predistortion_reference import FitError, fit_hpa, spd_apply_lut
 from satkit import predistortion as pd
 from satkit.scenario import ConfigurationError
 
@@ -82,7 +85,7 @@ class TestFitHpa:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         x *= 0.9 * hpa.r_sat / np.max(np.abs(x))   # keep below clipping
-        fit = pd.fit_hpa(x, pd.hpa_apply(hpa, x))
+        fit = fit_hpa(x, pd.hpa_apply(hpa, x))
         assert abs(fit.alpha - hpa.alpha) < 1e-9
         assert abs(fit.beta - hpa.beta) < 1e-9
 
@@ -94,18 +97,18 @@ class TestFitHpa:
         y = pd.hpa_apply(hpa, x)
         y = y + 1e-3 * (rng.standard_normal(x.size)
                         + 1j * rng.standard_normal(x.size)) / np.sqrt(2)
-        fit = pd.fit_hpa(x, y)
+        fit = fit_hpa(x, y)
         assert abs(fit.alpha - hpa.alpha) < 1e-3
         assert abs(fit.beta - hpa.beta) < 1e-3
 
     def test_constant_envelope_rejected(self):
         x = np.exp(1j * np.linspace(0, 5, 100))
-        with pytest.raises(pd.FitError):
-            pd.fit_hpa(x, x)
+        with pytest.raises(FitError):
+            fit_hpa(x, x)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            pd.fit_hpa(np.ones(3, complex), np.ones(4, complex))
+            fit_hpa(np.ones(3, complex), np.ones(4, complex))
 
 
 def imux_output(symbols, order=4, cutoff=0.13):
@@ -190,15 +193,15 @@ class TestSpdPolynomialAndLut:
         errs = []
         for n_bins in (32, 64, 128):
             lut = pd.build_lut(p, 2.0, n_bins)
-            errs.append(np.max(np.abs(pd.spd_apply_lut(lut, x) - exact)))
+            errs.append(np.max(np.abs(spd_apply_lut(lut, x) - exact)))
         # quantisation of a smooth gain: error ~ 1/n_bins
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
 
     def test_lut_required(self):
         with pytest.raises(ConfigurationError):
-            pd.spd_apply_lut(pd.SpdParams(gamma=1.0, delta=0.0),
-                             np.ones(2, complex))
+            spd_apply_lut(pd.SpdParams(gamma=1.0, delta=0.0),
+                          np.ones(2, complex))
 
     def test_bad_lut_arguments(self):
         p = pd.SpdParams(gamma=1.0, delta=0.0)
@@ -299,6 +302,20 @@ class TestFitSpd:
         _, trace = pd.fit_spd(hpa, x)
         assert trace[-1] <= 2 * oracle.cost / x.size * (1 + 1e-8)
 
+    @pytest.mark.parametrize("drive", [0.4, 0.6])
+    def test_round_off_in_the_burst_moves_the_fit_by_round_off(self, drive):
+        # the cost at a low drive is far below the burst's power; it keeps
+        # its digits, so no accept or stop decision turns on round-off
+        hpa = pd.HpaParams()
+        x = pd._training_burst(pd.ChainConfig().imux, 0.005) * drive
+        want = pd.fit_spd(hpa, x)[0]
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            noise = 4e-14 * rng.standard_normal(x.size)
+            got = pd.fit_spd(hpa, x * (1 + noise))[0]
+            assert abs(got.gamma - want.gamma) <= 1e-12 * abs(want.gamma)
+            assert abs(got.delta - want.delta) <= 1e-12 * abs(want.delta)
+
     def test_non_finite_waveform_rejected(self):
         x = training_burst()
         x[7] = np.nan
@@ -308,6 +325,51 @@ class TestFitSpd:
     def test_zero_waveform_rejected(self):
         with pytest.raises(ConfigurationError):
             pd.fit_spd(pd.HpaParams(), np.zeros(100, complex))
+
+
+def wirtinger_gram(hpa, x, p):
+    """The fit's Gram from complex columns: the amplifier's Wirtinger
+    derivatives, the residual from hpa_apply and the real part of a complex
+    product. Also returns the share of samples the amplifier clips."""
+    a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
+    c_sat = a * rs + b * rs ** 3
+    x2x = np.abs(x) ** 2 * x
+    u = complex(p[0], p[1]) * x + complex(p[2], p[3]) * x2x
+    m = np.abs(u)
+    dy_du, dy_duc = a + 2 * b * m ** 2, b * u ** 2
+    over = m > rs
+    dy_du[over] = c_sat / (2 * m[over])
+    dy_duc[over] = -c_sat * u[over] ** 2 / (2 * m[over] ** 3)
+    cols = []
+    for v in (x, x2x):
+        cols += [dy_du * v + dy_duc * v.conj(),
+                 1j * (dy_du * v - dy_duc * v.conj())]
+    cols = np.array(cols + [pd.hpa_apply(hpa, u) - a * x])
+    return (cols.conj() @ cols.T).real, over.mean()
+
+
+class TestSpdGram:
+    @pytest.mark.parametrize("location", ["onboard", "onground"])
+    def test_matches_the_wirtinger_form(self, location):
+        # both default training bursts at every drive of the curve, at the
+        # start point and at the fit, where up to 91 % of samples clip
+        hpa = pd.HpaParams()
+        config = pd.ChainConfig(spd_location=location)
+        start = [(1 / hpa.alpha).real, (1 / hpa.alpha).imag, 0.0, 0.0]
+        clipped = []
+        for drive in pd.DRIVE_GRID:
+            x = pd._training_burst(
+                config.imux if location == "onboard" else None,
+                config.sigma_j if location == "onboard" else 0.0) * drive
+            gram = pd._spd_gram(hpa, x.real ** 2 + x.imag ** 2)
+            fit, _ = pd.fit_spd(hpa, x)
+            for p in (start, [fit.gamma.real, fit.gamma.imag,
+                              fit.delta.real, fit.delta.imag]):
+                want, share = wirtinger_gram(hpa, x, p)
+                got = gram(np.array(p))
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+                clipped.append(share)
+        assert max(clipped) > 0.4
 
 
 def grid_filter(spec, x):
@@ -446,6 +508,58 @@ class TestChain:
         assert sinr["onboard"] > sinr["none"] + 1.0
         for r in rows:
             assert r["obo_db"] == pytest.approx(4.0, abs=0.3)
+
+
+class TestDriveForObo:
+    @pytest.mark.parametrize("cfg", [
+        dict(spd_location="none"), dict(spd_location="onboard"),
+        dict(spd_location="onground"),
+        dict(spd_location="onboard", sigma_j=0.05),
+        dict(spd_location="onboard", imux=None)],
+        ids=["none", "onboard", "onground", "sigma_j", "no_imux"])
+    def test_walk_equals_interpolation_on_the_whole_curve(self, cfg):
+        config, hpa = pd.ChainConfig(**cfg), pd.HpaParams()
+        obo = pd.obo_vs_drive(config, hpa, pd.DRIVE_GRID)
+        order = np.argsort(obo)
+        for target in ([2.0, 4.0, 6.0, 8.0], [4.0], [1.0, 8.0]):
+            want = np.exp(np.interp(target, obo[order],
+                                    np.log(pd.DRIVE_GRID)[order]))
+            np.testing.assert_array_equal(
+                pd.drive_for_obo(config, hpa, target), want)
+        for target in ([-30.0], [50.0], [4.0, 50.0]):
+            with pytest.raises(ConfigurationError, match="outside"):
+                pd.drive_for_obo(config, hpa, target)
+
+    @pytest.mark.parametrize("location", ["none", "onboard", "onground"])
+    def test_curve_point_is_the_chain_obo(self, location):
+        config = pd.ChainConfig(spd_location=location, drive=1.3)
+        hpa = pd.HpaParams()
+        chain = pd.evaluate_chain(config, None, hpa,
+                                  n_symbols=pd.CURVE_SYMBOLS,
+                                  rng=np.random.default_rng(pd.CURVE_SEED))
+        assert pd.obo_vs_drive(config, hpa, [1.3])[0] == chain.obo_db
+        _, _, obo, _ = pd._amplify(config, None, hpa, 600,
+                                   np.random.default_rng(4))
+        assert obo == pd.evaluate_chain(config, None, hpa, n_symbols=600,
+                                        rng=np.random.default_rng(4)).obo_db
+
+
+def test_spd_benchmark_calls_every_span_the_benchmark_reads(monkeypatch):
+    # benchmarks/run.py's per_layer indexes these spans by name, so a traced
+    # run ends in a KeyError once one of them is no longer called
+    run = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
+    spans = set(re.findall(r'(?:self_s|calls)\["predistortion\.(\w+)"\]',
+                           run.read_text()))
+    assert spans == {"obo_vs_drive", "evaluate_chain", "fit_spd", "hpa_apply"}
+    calls = Counter()
+    for name in spans:
+        def counted(*args, _fn=getattr(pd, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pd, name, counted)
+    pd.spd_benchmark(pd.HpaParams(), [4.0], modes=("none", "onboard"),
+                     n_symbols=500)
+    assert set(calls) == spans
 
 
 def rrc_taps_loop(rolloff, span, oversampling):
