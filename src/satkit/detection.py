@@ -12,20 +12,17 @@ blocks whose size does not change the output. The tests hold the
 frame-level reference, which synthesises whole frames, and check all
 three against it.
 
-``pd_curve`` draws its grid points on a thread pool, one job per point,
-each from its own child seed; numpy releases the GIL while it draws and
-reduces. Hits, intervals and rows are formed on the calling thread in
-grid order, so the rows do not depend on the number of CPUs, and only
-private helpers run on the pool.
+The ISNR only raises each frame's noise-plus-interference variance, so
+``pd_curve`` draws one set of frames per curve and evaluates every grid
+point on it (common random numbers, Glasserman & Yao 1992). Each row
+keeps its own law and depends only on its ISNR, not on the rest of the
+grid or its order; rows of one curve are correlated.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +32,8 @@ N_DATA = 460            # data symbols per frame
 N_PILOT = 56            # pilot symbols per frame, sent first
 Z_95 = 1.959963984540054        # two-sided 95% normal quantile
 DETECTOR_KINDS = ("ced", "edscp", "edscd")
-_EDSCD_CHUNK = 256      # EDSCD frames per block of data normals (1.9 MB);
-                        # outputs do not depend on it
+_EDSCD_CHUNK = 256      # EDSCD frames per block of data normals (two
+                        # blocks, 3.8 MB); outputs do not depend on it
 
 
 @dataclass(frozen=True)
@@ -75,64 +72,69 @@ def _draw_channels(rng: np.random.Generator, n: int, fade_db: float) -> np.ndarr
     return amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
 
 
-def _sample_stats(kind: str, hypothesis: int, h: np.ndarray, snr_db: float,
-                  isnr_db: float, eps_db: float, rng: np.random.Generator,
-                  n_mc: int, n_data: int, n_pilot: int,
-                  noise_var_db: Optional[float] = None) -> np.ndarray:
-    """Draw the (n_mc,) statistics of whole frames from their laws.
+def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
+                  extra: Sequence[float], rng: np.random.Generator,
+                  n_data: int, n_pilot: int) -> np.ndarray:
+    """Draw the (len(extra), n_mc) statistics of whole frames from their laws.
 
-    With v the per-frame noise (plus interference) variance, CED is
-    v/(2N) * ncx2(2N, 2N|h|^2 a^2 / v) (Urkowitz 1967) and the pilot
-    residual is (v/2) * chi2(2(Np - 1)), independent of h and of the
-    channel-estimate error e ~ CN(0, v / (a^2 Np)). EDSCD has no closed
-    form, so its data samples are simulated: the QPSK decision regions and
-    the noise are invariant under 90-degree rotations and the residual under
-    a common phase, so every data symbol is (1+j)/sqrt(2) and the channel
-    is |h|. The circular noise is also invariant under the rotation by
-    -arg(h_hat), which turns each data sample into y with i.i.d. real parts
-    around the rotated data mean; the decision variable is then |h_hat| y.
-    The errors e are drawn for all frames first, then the data normals in
-    blocks of ``_EDSCD_CHUNK`` frames from the same stream, so the output
-    does not depend on the block size.
+    Row p holds the frames at noise (plus interference) variance
+    v = v0 + extra[p], and every row uses the same draws. CED is
+    v/(2N) * ncx2(2N, 2N|h|^2 a^2 / v) (Urkowitz 1967), drawn as
+    chi2(2N - 1) + (z + sqrt(2N|h|^2 a^2 / v))^2 with z standard normal,
+    and the pilot residual is (v/2) * chi2(2(Np - 1)), independent of h
+    and of the channel-estimate error e ~ CN(0, v / (a^2 Np)). EDSCD has
+    no closed form, so its data samples are simulated: the QPSK decision
+    regions and the noise are invariant under 90-degree rotations and the
+    residual under a common phase, so every data symbol is (1+j)/sqrt(2)
+    and the channel is |h|. The circular noise is also invariant under the
+    rotation by -arg(h_hat), which turns each data sample into y with
+    i.i.d. real parts around the rotated data mean; the decision variable
+    is then |h_hat| y. The errors e are drawn for all frames first, then
+    the data normals in blocks of ``_EDSCD_CHUNK`` frames from the same
+    stream, so the output does not depend on the block size.
     """
-    n = n_data + n_pilot
+    n, n_mc = n_data + n_pilot, len(h)
     a2 = _power("snr_db", snr_db)
-    if noise_var_db is None:
-        v = 10 ** (rng.uniform(-eps_db, eps_db, n_mc) / 10)
-    else:
-        v = np.full(n_mc, 10 ** (noise_var_db / 10))
-    if hypothesis == 1:
-        v = v + _power("isnr_db", isnr_db) * (a2 + 1.0)
+    extra = np.asarray(extra, dtype=float)
     if kind == "ced":
-        return v / (2 * n) * rng.noncentral_chisquare(
-            2 * n, 2 * n * np.abs(h) ** 2 * a2 / v)
-    pilot_res = v / 2 * rng.chisquare(2 * (n_pilot - 1), n_mc)
+        c, z = rng.chisquare(2 * n - 1, n_mc), rng.standard_normal(n_mc)
+        v = v0 + extra[:, None]
+        return v / (2 * n) * (c + (z + np.sqrt(2 * n * np.abs(h) ** 2 * a2
+                                                / v)) ** 2)
+    chi = rng.chisquare(2 * (n_pilot - 1), n_mc)
     if kind == "edscp":
-        return pilot_res / n_pilot
-    g, sd = np.abs(h), np.sqrt(v / 2)
+        return (v0 + extra[:, None]) / 2 * chi / n_pilot
+    g = np.abs(h)
     e = rng.standard_normal((n_mc, 2)).view(complex)[:, 0]
-    h_hat = g + np.sqrt(v / (2 * a2 * n_pilot)) * e
-    h_abs = np.abs(h_hat)
-    # data mean rotated by -arg(h_hat), in units of sd: (re, im) per frame
-    mu = (g * np.sqrt(a2 / 2) * (1 + 1j) * np.conj(h_hat) / (h_abs * sd)
-          ).view(float).reshape(n_mc, 2, 1)
-    sq, ab = np.empty(n_mc), np.empty(n_mc)
-    # (re, im) along axis 1, so that adding mu runs along contiguous rows
-    buf = np.empty((min(_EDSCD_CHUNK, n_mc), 2, n_data))
+    out = np.empty((len(extra), n_mc))
+    # the block's normals and their copy around one row's mean, with
+    # (re, im) along axis 1 so that adding the mean runs along contiguous rows
+    drawn = np.empty((min(_EDSCD_CHUNK, n_mc), 2, n_data))
+    shifted = np.empty_like(drawn)
     for lo in range(0, n_mc, _EDSCD_CHUNK):
         hi = min(lo + _EDSCD_CHUNK, n_mc)
-        w = buf[:hi - lo]
-        rng.standard_normal(out=w)
-        w += mu[lo:hi]
-        sq[lo:hi] = np.einsum("ijk,ijk->i", w, w)
-        ab[lo:hi] = np.abs(w, out=w).sum(axis=(1, 2))
-    # With y = sd w the rotated data samples, z = xd conj(h_hat) = |h_hat| y
-    # and the decisions s_d = (sign Re z + j sign Im z)/sqrt(2),
-    # sum |xd - h_hat a s_d|^2 expands to sum |y|^2
-    # - sqrt(2) a |h_hat| sum(|Re y| + |Im y|) + N_d a^2 |h_hat|^2.
-    data_res = (sd ** 2 * sq - np.sqrt(2 * a2) * h_abs * sd * ab
-                + n_data * a2 * h_abs ** 2)
-    return (pilot_res + data_res) / n
+        w0, w = drawn[:hi - lo], shifted[:hi - lo]
+        rng.standard_normal(out=w0)
+        for p, x in enumerate(extra):
+            v = v0[lo:hi] + x
+            sd = np.sqrt(v / 2)
+            h_hat = g[lo:hi] + np.sqrt(v / (2 * a2 * n_pilot)) * e[lo:hi]
+            h_abs = np.abs(h_hat)
+            # data mean rotated by -arg(h_hat), in units of sd: (re, im)
+            mu = (g[lo:hi] * np.sqrt(a2 / 2) * (1 + 1j) * np.conj(h_hat)
+                  / (h_abs * sd)).view(float).reshape(hi - lo, 2, 1)
+            np.add(w0, mu, out=w)
+            sq = np.einsum("ijk,ijk->i", w, w)
+            ab = np.abs(w, out=w).sum(axis=(1, 2))
+            # With y = sd w the rotated data samples, z = xd conj(h_hat)
+            # = |h_hat| y and the decisions
+            # s_d = (sign Re z + j sign Im z)/sqrt(2), sum |xd - h_hat a s_d|^2
+            # expands to sum |y|^2 - sqrt(2) a |h_hat| sum(|Re y| + |Im y|)
+            # + N_d a^2 |h_hat|^2.
+            data_res = (sd ** 2 * sq - np.sqrt(2 * a2) * h_abs * sd * ab
+                        + n_data * a2 * h_abs ** 2)
+            out[p, lo:hi] = (v / 2 * chi[lo:hi] + data_res) / n
+    return out
 
 
 def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
@@ -150,10 +152,10 @@ def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
         raise ConfigurationError("pfa_target must lie in (0,1)")
     rng = np.random.default_rng(seed)
     h = _draw_channels(rng, n_mc, fade_db)
-    eps_db = detector.noise_uncertainty_db
-    t = _sample_stats(detector.kind, 0, h, snr_db, -np.inf, eps_db, rng, n_mc,
-                      N_DATA, N_PILOT, noise_var_db=eps_db)
-    return float(np.quantile(t, 1.0 - pfa_target))
+    v0 = np.full(n_mc, 10 ** (detector.noise_uncertainty_db / 10))
+    t = _sample_stats(detector.kind, h, snr_db, v0, [0.0], rng, N_DATA,
+                      N_PILOT)
+    return float(np.quantile(t[0], 1.0 - pfa_target))
 
 
 def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
@@ -168,49 +170,34 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _point_stats(kind: str, snr_db: float, eps_db: float, n_mc: int,
-                 fade_db: float, isnr_db: float,
-                 seed: np.random.SeedSequence) -> np.ndarray:
-    """H1 statistics of one Pd point, drawn from that point's child seed."""
-    rng = np.random.default_rng(seed)
-    h = _draw_channels(rng, n_mc, fade_db)
-    return _sample_stats(kind, 1, h, snr_db, isnr_db, eps_db, rng, n_mc,
-                         N_DATA, N_PILOT)
-
-
 def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
              snr_db: float = 6.0, n_mc: int = 5000,
              seed: int = 0, fade_db: float = 4.0) -> list:
     """Monte Carlo detection probability per ISNR point with Wilson CIs.
 
     Each frame's noise level is drawn within the detector's
-    ``noise_uncertainty_db``. Grid points use independent child seeds so
-    results do not depend on evaluation order, and their statistics are
-    drawn on one thread per CPU, up to one per point.
+    ``noise_uncertainty_db``. One set of frames, drawn from the first
+    child of ``seed``, serves every grid point, so a row depends only on
+    its ISNR, ``n_mc``, ``seed`` and the detector.
     """
     if len(isnr_grid_db) == 0:
         raise ConfigurationError("isnr_grid_db must hold at least one ISNR")
     grid = [float(v) for v in isnr_grid_db]
-    children = np.random.SeedSequence(seed).spawn(len(grid))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    h = _draw_channels(rng, n_mc, fade_db)
     eps_db = detector.noise_uncertainty_db
-    draw = partial(_point_stats, detector.kind, snr_db, eps_db, n_mc, fade_db)
+    v0 = 10 ** (rng.uniform(-eps_db, eps_db, n_mc) / 10)
+    a2 = _power("snr_db", snr_db)
+    extra = [_power("isnr_db", v) * (a2 + 1.0) for v in grid]
+    t = _sample_stats(detector.kind, h, snr_db, v0, extra, rng, N_DATA,
+                      N_PILOT)
     rows = []
-    with ThreadPoolExecutor(min(len(grid), _cpu_count())) as pool:
-        # map yields in grid order and cancels the jobs left after a fault
-        points = pool.map(draw, grid, children)
-        for isnr_db, t in zip(grid, points):
-            hits = int(np.sum(t > detector.threshold))
-            lo, hi = wilson_interval(hits, n_mc)
-            rows.append({"detector": detector.kind, "eps_db": eps_db,
-                         "isnr_db": isnr_db, "pd": hits / n_mc,
-                         "pd_lo": lo, "pd_hi": hi, "n_mc": n_mc})
+    for isnr_db, hits in zip(grid, np.count_nonzero(t > detector.threshold,
+                                                    axis=1).tolist()):
+        lo, hi = wilson_interval(hits, n_mc)
+        rows.append({"detector": detector.kind, "eps_db": eps_db,
+                     "isnr_db": isnr_db, "pd": hits / n_mc,
+                     "pd_lo": lo, "pd_hi": hi, "n_mc": n_mc})
     return rows
 
 

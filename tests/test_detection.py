@@ -1,5 +1,4 @@
-import os
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,62 +131,79 @@ class TestCalibration:
             dt.calibrate_threshold(dt.DetectorConfig(kind="ced"), 0.01, 0)
 
 
-# (hypothesis, ISNR dB, pinned noise dB): H0 as calibrated, H1 as pd_curve
-SAMPLER_CASES = {"h0": (0, -np.inf, 2.0), "h1-4dB": (1, -4.0, None),
-                 "h1+2dB": (1, 2.0, None)}
+# (hypothesis, ISNR dB) of the rows of one sampler call, with the noise
+# drawn within eps = 2 dB per frame as pd_curve draws it
+SAMPLER_CASES = {"h0": (0, -np.inf), "h1-4dB": (1, -4.0),
+                 "h1+2dB": (1, 2.0)}
+CASE_ROWS = sorted(SAMPLER_CASES)
+# variance each row adds to the frame's noise, in CASE_ROWS order
+CASE_EXTRA = [10 ** (SAMPLER_CASES[c][1] / 10) * (AMP ** 2 + 1)
+              for c in CASE_ROWS]
 
 
-@pytest.fixture(scope="module", params=sorted(SAMPLER_CASES))
+@pytest.fixture(scope="module", params=CASE_ROWS)
 def frame_oracle(request):
     """Statistics of 4000 synthesised frames per detector, eps = 2 dB."""
-    hyp, isnr, noise_db = SAMPLER_CASES[request.param]
+    hyp, isnr = SAMPLER_CASES[request.param]
     rng = np.random.default_rng(40)
     h = dt._draw_channels(rng, 4000, 4.0)
-    x, s = gen_batch(hyp, h, 6.0, isnr, 2.0, rng, 4000, 460, 56,
-                     noise_var_db=noise_db)
+    x, s = gen_batch(hyp, h, 6.0, isnr, 2.0, rng, 4000, 460, 56)
     return request.param, {kind: stats_batch(kind, x, s, 10 ** 0.3, 56)
                            for kind in dt.DETECTOR_KINDS}
 
 
-class TestExactSampler:
-    @staticmethod
-    def sample(case, kind):
-        hyp, isnr, noise_db = SAMPLER_CASES[case]
-        rng = np.random.default_rng(41)
-        h = dt._draw_channels(rng, 4000, 4.0)
-        return dt._sample_stats(kind, hyp, h, 6.0, isnr, 2.0, rng, 4000, 460,
-                                56, noise_var_db=noise_db)
+def sample(kind):
+    """One sampler call whose rows are the SAMPLER_CASES levels."""
+    rng = np.random.default_rng(41)
+    h = dt._draw_channels(rng, 4000, 4.0)
+    v0 = 10 ** (rng.uniform(-2.0, 2.0, 4000) / 10)
+    return dt._sample_stats(kind, h, 6.0, v0, CASE_EXTRA, rng, 460, 56)
 
+
+@pytest.fixture(scope="module")
+def samples():
+    return {kind: sample(kind) for kind in dt.DETECTOR_KINDS}
+
+
+@pytest.fixture(scope="module")
+def edscd_by_chunk():
+    """EDSCD rows of the same call at several block sizes."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 7, 1500, 4000, 5000):      # 1500 + 1500 + 1000, ...
+            mp.setattr(dt, "_EDSCD_CHUNK", chunk)
+            out[chunk] = sample("edscd")
+    return out
+
+
+class TestExactSampler:
     @pytest.mark.parametrize("kind", dt.DETECTOR_KINDS)
-    def test_matches_frame_simulation(self, frame_oracle, kind):
+    def test_matches_frame_simulation(self, frame_oracle, samples, kind):
         case, oracle = frame_oracle
-        t = self.sample(case, kind)
-        assert t.shape == (4000,)
+        assert samples[kind].shape == (len(CASE_ROWS), 4000)
+        t = samples[kind][CASE_ROWS.index(case)]
         assert stats.ks_2samp(t, oracle[kind]).pvalue > 0.001
 
-    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
-    def test_edscd_partial_last_chunk(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", CASE_ROWS)
+    def test_edscd_partial_last_chunk(self, case, samples, edscd_by_chunk):
         # one stream of data normals: the block size changes no bit
-        want = self.sample(case, "edscd")
-        for chunk in (1, 7, 1500, 4000, 5000):        # 1500 + 1500 + 1000, ...
-            monkeypatch.setattr(dt, "_EDSCD_CHUNK", chunk)
-            assert np.array_equal(self.sample(case, "edscd"), want), chunk
+        p = CASE_ROWS.index(case)
+        for chunk, t in edscd_by_chunk.items():
+            assert np.array_equal(t[p], samples["edscd"][p]), chunk
 
-    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+    @pytest.mark.parametrize("case", CASE_ROWS)
     def test_edscd_rotation_identity(self, case):
-        """The rotated residual equals the decision residual of the unrotated
-        data samples, rebuilt from the same draws."""
-        hyp, isnr, noise_db = SAMPLER_CASES[case]
+        """The row's rotated residual equals the decision residual of the
+        unrotated data samples, rebuilt from the same draws."""
         n_mc, nd, n_p, a2 = 6, 460, 56, 10 ** 0.6
-        h = dt._draw_channels(np.random.default_rng(3), n_mc, 4.0)
-        t = dt._sample_stats("edscd", hyp, h, 6.0, isnr, 2.0,
-                             np.random.default_rng(42), n_mc, nd, n_p,
-                             noise_var_db=noise_db)
+        rng = np.random.default_rng(3)
+        h = dt._draw_channels(rng, n_mc, 4.0)
+        v0 = 10 ** (rng.uniform(-2.0, 2.0, n_mc) / 10)
+        p = CASE_ROWS.index(case)
+        t = dt._sample_stats("edscd", h, 6.0, v0, CASE_EXTRA,
+                             np.random.default_rng(42), nd, n_p)[p]
         rng = np.random.default_rng(42)
-        v = (10 ** (rng.uniform(-2.0, 2.0, n_mc) / 10) if noise_db is None
-             else np.full(n_mc, 10 ** (noise_db / 10)))
-        if hyp:
-            v = v + 10 ** (isnr / 10) * (a2 + 1)
+        v = v0 + CASE_EXTRA[p]
         pilot_res = v / 2 * rng.chisquare(2 * (n_p - 1), n_mc)
         e = rng.standard_normal((n_mc, 2))
         h_hat = (np.abs(h)
@@ -259,71 +275,31 @@ class TestPdCurve:
             dt.pd_curve(dt.DetectorConfig(kind="ced", threshold=1.0), [])
 
     def test_order_independent_of_grid(self):
-        det = dt.DetectorConfig(kind="edscp", threshold=1.3,
+        """Every row of a 21-point curve equals, bit for bit, the one-point
+        curve at its ISNR and its row of the reversed grid."""
+        grid = [float(v) for v in np.linspace(-12.0, 4.0, 21)]
+        for kind in dt.DETECTOR_KINDS:
+            det = dt.DetectorConfig(kind=kind, noise_uncertainty_db=2.0)
+            det = replace(det, threshold=dt.calibrate_threshold(
+                det, 0.05, 2000, seed=4))
+            rows = dt.pd_curve(det, grid, n_mc=300, seed=5)
+            assert 0 < sum(r["pd"] for r in rows) < len(grid)
+            assert dt.pd_curve(det, grid[::-1], n_mc=300, seed=5) == rows[::-1]
+            assert [dt.pd_curve(det, [v], n_mc=300, seed=5)[0]
+                    for v in grid] == rows
+
+    def test_edscd_memory_grows_only_by_the_output(self):
+        """The (points, n_mc) output is the one array that grows with the
+        grid; the sampler's blocks and per-block vectors do not."""
+        det = dt.DetectorConfig(kind="edscd", threshold=1.3,
                                 noise_uncertainty_db=2.0)
-        a = dt.pd_curve(det, [-4.0, 0.0], n_mc=500, seed=9)
-        b = dt.pd_curve(det, [0.0, -4.0], n_mc=500, seed=9)
-        assert a[1]["pd"] == b[0]["pd"]
-
-
-def serial_rows(det, grid, n_mc, seed):
-    """pd_curve's rows, at its default SNR and fading, from a serial loop
-    over the spawned child seeds."""
-    rows = []
-    for isnr, child in zip(grid, np.random.SeedSequence(seed).spawn(len(grid))):
-        rng = np.random.default_rng(child)
-        h = dt._draw_channels(rng, n_mc, 4.0)
-        t = dt._sample_stats(det.kind, 1, h, 6.0, isnr,
-                             det.noise_uncertainty_db, rng, n_mc, dt.N_DATA,
-                             dt.N_PILOT)
-        hits = sum(1 for v in t if v > det.threshold)
-        lo, hi = dt.wilson_interval(hits, n_mc)
-        rows.append({"detector": det.kind, "eps_db": det.noise_uncertainty_db,
-                     "isnr_db": isnr, "pd": hits / n_mc, "pd_lo": lo,
-                     "pd_hi": hi, "n_mc": n_mc})
-    return rows
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Worker counts of the pools pd_curve makes, in call order."""
-    sizes = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(dt, "ThreadPoolExecutor", Pool)
-    return sizes
-
-
-class TestThreadedPdCurve:
-    @pytest.mark.parametrize("kind", dt.DETECTOR_KINDS)
-    def test_rows_equal_serial_loop_for_any_cpu_count(self, kind, pool_sizes,
-                                                      monkeypatch):
-        det = dt.DetectorConfig(kind=kind, noise_uncertainty_db=2.0)
-        det = replace(det, threshold=dt.calibrate_threshold(det, 0.05, 2000,
-                                                            seed=4))
-        cpus = dt._cpu_count()
-        grid = [float(v) for v in np.linspace(-10.0, 4.0, cpus + 3)]
-        want = serial_rows(det, grid, 300, 5)
-        assert 0 < sum(r["pd"] for r in want) < len(grid)
-        assert dt.pd_curve(det, grid, n_mc=300, seed=5) == want
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        assert dt.pd_curve(det, grid, n_mc=300, seed=5) == want
-        # without an affinity set, the pool is sized from os.cpu_count
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert dt.pd_curve(det, grid, n_mc=300, seed=5) == want
-        assert pool_sizes == [cpus, 1, 3]
-
-    def test_pool_no_larger_than_grid(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(dt, "_cpu_count", lambda: 64)
-        dt.pd_curve(dt.DetectorConfig(kind="ced", threshold=1.3), [0.0, 2.0],
-                    n_mc=50)
-        assert pool_sizes == [2]
+        tracemalloc.start()
+        try:
+            dt.pd_curve(det, np.linspace(-14.0, 6.0, 21), n_mc=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, peak
 
 
 class TestWilson:

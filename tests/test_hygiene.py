@@ -137,6 +137,16 @@ def literal_head(node):
     return None
 
 
+def tracer_tables():
+    """The tracer's tree and its LABELS and COUNTS, as {table: {span: value}}."""
+    tracer = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
+    tables = {stmt.targets[0].id: stmt.value for stmt in tracer.body
+              if isinstance(stmt, ast.Assign) and getattr(
+                  stmt.targets[0], "id", None) in ("LABELS", "COUNTS")}
+    return tracer, {name: {k.value: v for k, v in zip(d.keys, d.values)}
+                    for name, d in tables.items()}
+
+
 def test_names_the_benchmark_reads_are_public_functions():
     """The traced benchmark finds spans by ``module.function`` name.
 
@@ -153,10 +163,7 @@ def test_names_the_benchmark_reads_are_public_functions():
     spans = {literal_head(n.slice) for n in ast.walk(per_layer)
              if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
              and n.value.id in ("self_s", "calls")}
-    tracer = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
-    tables = {stmt.targets[0].id: {k.value for k in stmt.value.keys}
-              for stmt in tracer.body if isinstance(stmt, ast.Assign)
-              and getattr(stmt.targets[0], "id", None) in ("LABELS", "COUNTS")}
+    tracer, tables = tracer_tables()
     read = {f"{n.value.attr}.{n.attr}" for n in ast.walk(tracer)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
             and getattr(n.value.value, "id", None) == "package"}
@@ -169,3 +176,28 @@ def test_names_the_benchmark_reads_are_public_functions():
               for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
               and not stmt.name.startswith("_")}
     assert not wanted - public, sorted(wanted - public)
+
+
+def test_arguments_the_tracer_reads_are_parameters():
+    """The tracer's LABELS and COUNTS functions read a call's bound
+    arguments as ``params["name"]``, so a renamed parameter of the wrapped
+    function ends a traced run in a ``KeyError``."""
+    tracer, tables = tracer_tables()
+    helpers = {f.name: f for f in tracer.body if isinstance(f, ast.FunctionDef)}
+    functions = {f"{p.stem}.{stmt.name}": stmt.args
+                 for p, tree in MODULES.items() for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef)}
+    missing, n_read = set(), 0
+    for table in tables.values():
+        for span, value in table.items():
+            fn = helpers.get(getattr(value, "id", None), value)
+            read = {literal_head(n.slice) for n in ast.walk(fn)
+                    if isinstance(n, ast.Subscript)
+                    and getattr(n.value, "id", None) == "params"}
+            a = functions[span]
+            named = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            missing |= {f"{span}({k})" for k in read - named}
+            n_read += len(read)
+    # pd_curve's detector, n_mc and isnr_grid_db; calibrate_threshold's n_mc
+    assert n_read >= 4
+    assert not missing, sorted(missing)
