@@ -8,21 +8,23 @@ interference power over (signal power + noise power). Threshold
 calibration and Pd curves draw each statistic from its exact law: CED
 and EDSCP from closed-form laws, EDSCD by simulating only its data
 samples, rotated into the phase of the channel estimate and drawn in
-blocks whose size does not change the output. The tests hold the
-frame-level reference, which synthesises whole frames, and check all
+blocks whose size does not change the output. One helper thread draws
+the next block while the calling thread reduces this one. The tests hold
+the frame-level reference, which synthesises whole frames, and check all
 three against it.
 
 The ISNR only raises each frame's noise-plus-interference variance, so
 ``pd_curve`` draws one set of frames per curve and evaluates every grid
-point on it (common random numbers, Glasserman & Yao 1992). Each row
-keeps its own law and depends only on its ISNR, not on the rest of the
-grid or its order; rows of one curve are correlated.
+point on it (common random numbers, Glasserman & Yao 1992), from one sort
+and prefix sum of each block. Each row keeps its own law and depends only
+on its ISNR, not on the rest of the grid or its order; rows of one curve
+are correlated.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +34,8 @@ N_DATA = 460            # data symbols per frame
 N_PILOT = 56            # pilot symbols per frame, sent first
 Z_95 = 1.959963984540054        # two-sided 95% normal quantile
 DETECTOR_KINDS = ("ced", "edscp", "edscd")
-_EDSCD_CHUNK = 256      # EDSCD frames per block of data normals (two
-                        # blocks, 3.8 MB); outputs do not depend on it
+_EDSCD_CHUNK = 128      # EDSCD frames per block, which changes no output;
+                        # its 3 buffers, 2.8 MB, keep 10 000 frames in 8 MB
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,49 @@ def _draw_channels(rng: np.random.Generator, n: int, fade_db: float) -> np.ndarr
     return amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
 
 
+def _sums_once(w: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, frames) sums of (w + mu)^2 and |w + mu| for a block w, (frames,
+    2, n), and means mu, (rows, frames, 2), by one pass for each row."""
+    shifted = np.empty_like(w)
+    sq, ab = np.empty((2, len(mu), len(w)))
+    for p, m in enumerate(mu):
+        np.add(w, m[:, :, None], out=shifted)
+        sq[p] = np.einsum("ijk,ijk->i", shifted, shifted)
+        ab[p] = np.abs(shifted, out=shifted).sum(axis=(1, 2))
+    return sq, ab
+
+
+def _count_below(ws: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Entries of each sorted (frame, component) row of ``ws`` below ``x``,
+    (rows, frames, 2), by one bisection over all rows. An index past a
+    row's end reads its last entry, so k passes n only if all of it is."""
+    n = ws.shape[2]
+    first = np.arange(0, ws.size, n).reshape(ws.shape[:2])
+    k = np.zeros(x.shape, dtype=np.intp)
+    for step in reversed([1 << b for b in range(n.bit_length())]):
+        k += (ws.take(np.minimum(first + k + (step - 1), first + n - 1))
+              < x) * step
+    return np.minimum(k, n)
+
+
+def _sums_sorted(w: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``_sums_once`` from one sort of ``w``, in place. With tot = sum w, cs
+    the prefix sums of the sorted w and k the count of w below -mu, the sums
+    are sum w^2 + 2 mu tot + n mu^2 and tot + n mu - 2 (cs[k] + k mu)."""
+    n = w.shape[2]
+    tot, sq = w.sum(axis=2), np.einsum("ijk,ijk->ij", w, w)
+    w.sort(axis=2)
+    cs = np.zeros(w.shape[:2] + (n + 1,))
+    np.cumsum(w, axis=2, out=cs[:, :, 1:])
+    k = _count_below(w, -mu)
+    cs_k = cs.take(k + np.arange(0, cs.size, n + 1).reshape(w.shape[:2]))
+    return ((sq + 2 * mu * tot + n * mu ** 2).sum(axis=2),
+            (tot + n * mu - 2 * (cs_k + k * mu)).sum(axis=2))
+
+
 def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
                   extra: Sequence[float], rng: np.random.Generator,
-                  n_data: int, n_pilot: int) -> np.ndarray:
+                  n_data: int, n_pilot: int, sums: Callable) -> np.ndarray:
     """Draw the (len(extra), n_mc) statistics of whole frames from their laws.
 
     Row p holds the frames at noise (plus interference) variance
@@ -91,7 +133,8 @@ def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
     i.i.d. real parts around the rotated data mean; the decision variable
     is then |h_hat| y. The errors e are drawn for all frames first, then
     the data normals in blocks of ``_EDSCD_CHUNK`` frames from the same
-    stream, so the output does not depend on the block size.
+    stream, so the output does not depend on the block size; ``sums``
+    reduces each block for all rows.
     """
     n, n_mc = n_data + n_pilot, len(h)
     a2 = _power("snr_db", snr_db)
@@ -107,33 +150,38 @@ def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
     g = np.abs(h)
     e = rng.standard_normal((n_mc, 2)).view(complex)[:, 0]
     out = np.empty((len(extra), n_mc))
-    # the block's normals and their copy around one row's mean, with
-    # (re, im) along axis 1 so that adding the mean runs along contiguous rows
-    drawn = np.empty((min(_EDSCD_CHUNK, n_mc), 2, n_data))
-    shifted = np.empty_like(drawn)
-    for lo in range(0, n_mc, _EDSCD_CHUNK):
-        hi = min(lo + _EDSCD_CHUNK, n_mc)
-        w0, w = drawn[:hi - lo], shifted[:hi - lo]
-        rng.standard_normal(out=w0)
-        for p, x in enumerate(extra):
-            v = v0[lo:hi] + x
-            sd = np.sqrt(v / 2)
-            h_hat = g[lo:hi] + np.sqrt(v / (2 * a2 * n_pilot)) * e[lo:hi]
-            h_abs = np.abs(h_hat)
-            # data mean rotated by -arg(h_hat), in units of sd: (re, im)
-            mu = (g[lo:hi] * np.sqrt(a2 / 2) * (1 + 1j) * np.conj(h_hat)
-                  / (h_abs * sd)).view(float).reshape(hi - lo, 2, 1)
-            np.add(w0, mu, out=w)
-            sq = np.einsum("ijk,ijk->i", w, w)
-            ab = np.abs(w, out=w).sum(axis=(1, 2))
-            # With y = sd w the rotated data samples, z = xd conj(h_hat)
-            # = |h_hat| y and the decisions
-            # s_d = (sign Re z + j sign Im z)/sqrt(2), sum |xd - h_hat a s_d|^2
-            # expands to sum |y|^2 - sqrt(2) a |h_hat| sum(|Re y| + |Im y|)
-            # + N_d a^2 |h_hat|^2.
-            data_res = (sd ** 2 * sq - np.sqrt(2 * a2) * h_abs * sd * ab
-                        + n_data * a2 * h_abs ** 2)
-            out[p, lo:hi] = (v / 2 * chi[lo:hi] + data_res) / n
+    # (re, im) along axis 1, so that a mean is added along contiguous rows
+    bufs = np.empty((2, min(_EDSCD_CHUNK, n_mc), 2, n_data))
+    blocks = [bufs[j % 2, :n_mc - lo] for j, lo in
+              enumerate(range(0, n_mc, _EDSCD_CHUNK))]
+    # Imported here, as it takes ~10 ms. The helper draws block j + 1, in
+    # order and as rng's only user, while block j is reduced: a serial stream.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(rng.standard_normal, out=blocks[0])
+        try:
+            for j, w in enumerate(blocks):
+                ahead.result()
+                if j + 1 < len(blocks):
+                    ahead = pool.submit(rng.standard_normal, out=blocks[j + 1])
+                lo, hi = j * _EDSCD_CHUNK, j * _EDSCD_CHUNK + len(w)
+                v = v0[lo:hi] + extra[:, None]
+                sd = np.sqrt(v / 2)
+                h_hat = g[lo:hi] + np.sqrt(v / (2 * a2 * n_pilot)) * e[lo:hi]
+                h_abs = np.abs(h_hat)
+                # data mean rotated by -arg(h_hat), in units of sd: (re, im)
+                mu = (g[lo:hi] * np.sqrt(a2 / 2) * (1 + 1j) * np.conj(h_hat)
+                      / (h_abs * sd)).view(float).reshape(*v.shape, 2)
+                sq, ab = sums(w, mu)
+                # With y = sd w the rotated data samples, z = xd conj(h_hat) =
+                # |h_hat| y and s_d = (sign Re z + j sign Im z)/sqrt(2) the
+                # decisions, sum |xd - h_hat a s_d|^2 expands to sum |y|^2
+                # - sqrt(2) a |h_hat| sum(|Re y| + |Im y|) + N_d a^2 |h_hat|^2.
+                data_res = (sd ** 2 * sq - np.sqrt(2 * a2) * h_abs * sd * ab
+                            + n_data * a2 * h_abs ** 2)
+                out[:, lo:hi] = (v / 2 * chi[lo:hi] + data_res) / n
+        finally:
+            ahead.exception()       # wait for the draw in flight
     return out
 
 
@@ -153,9 +201,20 @@ def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
     rng = np.random.default_rng(seed)
     h = _draw_channels(rng, n_mc, fade_db)
     v0 = np.full(n_mc, 10 ** (detector.noise_uncertainty_db / 10))
+    # one row: a pass over each block costs less than sorting it
     t = _sample_stats(detector.kind, h, snr_db, v0, [0.0], rng, N_DATA,
-                      N_PILOT)
-    return float(np.quantile(t[0], 1.0 - pfa_target))
+                      N_PILOT, _sums_once)
+    return _quantile(t[0], 1.0 - pfa_target)
+
+
+def _quantile(x: np.ndarray, q: float) -> float:
+    """``np.quantile(x, q)``, numpy's linear interpolation at (n - 1) q, by
+    partition: np.quantile's first call imports numpy.ma."""
+    pos, last = (len(x) - 1) * q, len(x) - 1
+    i, j = min(math.floor(pos), last), min(math.floor(pos) + 1, last)
+    a, b = np.partition(x, (i, j))[[i, j]]
+    d, t = b - a, pos - i
+    return float(a + d * t if t < 0.5 else b - d * (1 - t))
 
 
 def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
@@ -189,8 +248,9 @@ def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
     v0 = 10 ** (rng.uniform(-eps_db, eps_db, n_mc) / 10)
     a2 = _power("snr_db", snr_db)
     extra = [_power("isnr_db", v) * (a2 + 1.0) for v in grid]
+    # sorted at every grid length, so a row's bits do not depend on the grid
     t = _sample_stats(detector.kind, h, snr_db, v0, extra, rng, N_DATA,
-                      N_PILOT)
+                      N_PILOT, _sums_sorted)
     rows = []
     for isnr_db, hits in zip(grid, np.count_nonzero(t > detector.threshold,
                                                     axis=1).tolist()):

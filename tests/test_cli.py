@@ -401,13 +401,16 @@ for sub, cfg in configs.items():
     path = tmp / f"{sub}.json"
     path.write_text(json.dumps(cfg))
     assert satkit.cli.main([sub, "--config", str(path), "--out", str(tmp / sub)]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy"
+             or m.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
 def test_cli_runs_load_no_scipy(tmp_path):
     # scipy costs about half a second of imports, which every CLI run would
-    # pay before doing any work; it is a test-only dependency
+    # pay before doing any work; it is a test-only dependency. numpy.ma,
+    # which np.quantile and np.unique import on first use, costs 10-20 ms.
     assert sorted(SMALL_CONFIGS) == sorted(cli.SUBCOMMANDS)
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

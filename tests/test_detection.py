@@ -1,3 +1,7 @@
+import concurrent.futures
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -152,28 +156,77 @@ def frame_oracle(request):
                            for kind in dt.DETECTOR_KINDS}
 
 
-def sample(kind):
+SUMS = {"once": dt._sums_once, "sorted": dt._sums_sorted}
+
+
+def sample(kind, sums="sorted", extra=CASE_EXTRA, n_mc=4000):
     """One sampler call whose rows are the SAMPLER_CASES levels."""
     rng = np.random.default_rng(41)
-    h = dt._draw_channels(rng, 4000, 4.0)
-    v0 = 10 ** (rng.uniform(-2.0, 2.0, 4000) / 10)
-    return dt._sample_stats(kind, h, 6.0, v0, CASE_EXTRA, rng, 460, 56)
+    h = dt._draw_channels(rng, n_mc, 4.0)
+    v0 = 10 ** (rng.uniform(-2.0, 2.0, n_mc) / 10)
+    return dt._sample_stats(kind, h, 6.0, v0, extra, rng, 460, 56,
+                            SUMS[sums])
 
 
 @pytest.fixture(scope="module")
 def samples():
-    return {kind: sample(kind) for kind in dt.DETECTOR_KINDS}
+    out = {kind: sample(kind) for kind in dt.DETECTOR_KINDS}
+    out["edscd-once"] = sample("edscd", "once")
+    return out
 
 
 @pytest.fixture(scope="module")
 def edscd_by_chunk():
-    """EDSCD rows of the same call at several block sizes."""
+    """EDSCD rows of the same call at several block sizes, both reductions."""
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         for chunk in (1, 7, 1500, 4000, 5000):      # 1500 + 1500 + 1000, ...
             mp.setattr(dt, "_EDSCD_CHUNK", chunk)
-            out[chunk] = sample("edscd")
+            for sums in SUMS:
+                out[sums, chunk] = sample("edscd", sums)
     return out
+
+
+class SerialPool:
+    """An executor that runs each task when it is submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def raise_at_block(monkeypatch, name, block=2):
+    """Make the reduction ``name`` raise on its call for ``block``; returns
+    the thread count seen by each call."""
+    counts, sums = [], getattr(dt, name)
+
+    def failing(w, mu):
+        counts.append(threading.active_count())
+        if len(counts) > block:
+            raise RuntimeError(f"reduction failed at block {block}")
+        return sums(w, mu)
+    monkeypatch.setattr(dt, name, failing)
+    return counts
+
+
+def threads_back_to(baseline, timeout=5.0):
+    """Whether the thread count falls to ``baseline`` within ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > baseline:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 class TestExactSampler:
@@ -188,20 +241,32 @@ class TestExactSampler:
     def test_edscd_partial_last_chunk(self, case, samples, edscd_by_chunk):
         # one stream of data normals: the block size changes no bit
         p = CASE_ROWS.index(case)
-        for chunk, t in edscd_by_chunk.items():
-            assert np.array_equal(t[p], samples["edscd"][p]), chunk
+        ref = {"once": samples["edscd-once"], "sorted": samples["edscd"]}
+        for (sums, chunk), t in edscd_by_chunk.items():
+            assert np.array_equal(t[p], ref[sums][p]), (sums, chunk)
+
+    def test_edscd_reductions_agree(self, samples):
+        np.testing.assert_allclose(samples["edscd"], samples["edscd-once"],
+                                   rtol=1e-12, atol=0)
+
+    def test_edscd_sorted_row_independent_of_other_rows(self):
+        for p, x in enumerate(CASE_EXTRA):
+            assert np.array_equal(sample("edscd", extra=[x], n_mc=300)[0],
+                                  sample("edscd", n_mc=300)[p])
 
     @pytest.mark.parametrize("case", CASE_ROWS)
     def test_edscd_rotation_identity(self, case):
-        """The row's rotated residual equals the decision residual of the
-        unrotated data samples, rebuilt from the same draws."""
+        """The row's rotated residual, by either reduction, equals the
+        decision residual of the unrotated data samples, rebuilt from the
+        same draws."""
         n_mc, nd, n_p, a2 = 6, 460, 56, 10 ** 0.6
         rng = np.random.default_rng(3)
         h = dt._draw_channels(rng, n_mc, 4.0)
         v0 = 10 ** (rng.uniform(-2.0, 2.0, n_mc) / 10)
         p = CASE_ROWS.index(case)
-        t = dt._sample_stats("edscd", h, 6.0, v0, CASE_EXTRA,
-                             np.random.default_rng(42), nd, n_p)[p]
+        t = [dt._sample_stats("edscd", h, 6.0, v0, CASE_EXTRA,
+                              np.random.default_rng(42), nd, n_p, sums)[p]
+             for sums in SUMS.values()]
         rng = np.random.default_rng(42)
         v = v0 + CASE_EXTRA[p]
         pilot_res = v / 2 * rng.chisquare(2 * (n_p - 1), n_mc)
@@ -221,10 +286,83 @@ class TestExactSampler:
         s_d = (np.sign(z.real) + 1j * np.sign(z.imag)) / np.sqrt(2)
         direct = np.sum(np.abs(xd - h_hat[:, None] * np.sqrt(a2) * s_d) ** 2,
                         axis=1)
-        np.testing.assert_allclose(t, (pilot_res + old) / (nd + n_p),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(t, (pilot_res + direct) / (nd + n_p),
-                                   rtol=1e-12)
+        for row in t:
+            np.testing.assert_allclose(row, (pilot_res + old) / (nd + n_p),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(row, (pilot_res + direct) / (nd + n_p),
+                                       rtol=1e-12)
+
+
+class TestReductions:
+    """The sorted reduction against the one-pass reduction on one block."""
+
+    @staticmethod
+    def block(seed=8):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((9, 2, 460))
+        # rows whose means put all, most, about half and none of the normals
+        # below -mu, then means of either sign and a zero component
+        mu = np.concatenate([np.full((1, 9, 2), -40.0),
+                             np.full((1, 9, 2), -1.5),
+                             np.full((1, 9, 2), 0.0),
+                             np.full((1, 9, 2), 40.0),
+                             rng.normal(0.0, 2.0, (4, 9, 2))])
+        mu[-1, :, 0] = 0.0
+        return w, mu
+
+    def test_sorted_sums_match_one_pass(self):
+        w, mu = self.block()
+        want = dt._sums_once(w, mu)
+        got = dt._sums_sorted(w.copy(), mu)
+        for g, o in zip(got, want):
+            np.testing.assert_allclose(g, o, rtol=1e-12, atol=0)
+
+    def test_bisected_count_is_exact(self):
+        w, mu = self.block()
+        w.sort(axis=2)
+        # bounds drawn from the block itself hit ties with its entries
+        x = np.concatenate([-mu, w[None, :, :, 0], w[None, :, :, 229],
+                            w[None, :, :, -1], np.nextafter(w[None, :, :, 3],
+                                                            np.inf)])
+        np.testing.assert_array_equal(
+            dt._count_below(w, x), (w[None] < x[..., None]).sum(axis=3))
+
+
+class TestDrawAhead:
+    """The helper thread that draws the next block during a reduction."""
+
+    @pytest.mark.parametrize("sums", SUMS)
+    def test_matches_serial_loop_under_fast_switching(self, sums,
+                                                      monkeypatch):
+        monkeypatch.setattr(dt, "_EDSCD_CHUNK", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sample("edscd", sums, n_mc=600)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            SerialPool)
+        assert np.array_equal(threaded, sample("edscd", sums, n_mc=600))
+
+    def test_failed_curve_reduction_propagates_and_joins(self, monkeypatch):
+        det = dt.DetectorConfig(kind="edscd", threshold=1.3)
+        baseline = threading.active_count()
+        counts = raise_at_block(monkeypatch, "_sums_sorted")
+        with pytest.raises(RuntimeError, match="block 2"):
+            dt.pd_curve(det, [-4.0, 0.0], n_mc=5 * dt._EDSCD_CHUNK)
+        assert counts == [baseline + 1] * 3         # one helper, during the call
+        assert threads_back_to(baseline)
+
+    def test_failed_calibration_reduction_propagates_and_joins(
+            self, monkeypatch):
+        det = dt.DetectorConfig(kind="edscd")
+        baseline = threading.active_count()
+        counts = raise_at_block(monkeypatch, "_sums_once")
+        with pytest.raises(RuntimeError, match="block 2"):
+            dt.calibrate_threshold(det, 0.01, 5 * dt._EDSCD_CHUNK)
+        assert counts == [baseline + 1] * 3
+        assert threads_back_to(baseline)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +438,16 @@ class TestPdCurve:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6, peak
+
+
+class TestQuantile:
+    def test_matches_numpy_quantile(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 10, 101, 1000, 20_000, 30_000):
+            x = rng.standard_normal(n)
+            for q in (0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999,
+                      *rng.uniform(0.5, 0.999, 4)):
+                assert dt._quantile(x, q) == np.quantile(x, q), (n, q)
 
 
 class TestWilson:
