@@ -8,23 +8,23 @@ interference power over (signal power + noise power). Threshold
 calibration and Pd curves draw each statistic from its exact law: CED
 and EDSCP from closed-form laws, EDSCD by simulating only its data
 samples, rotated into the phase of the channel estimate and drawn in
-blocks whose size does not change the output. One helper thread draws
-the next block while the calling thread reduces this one. The tests hold
+blocks whose size does not change the output, each sorted once and reduced
+for all its means while one helper thread draws the next. The tests hold
 the frame-level reference, which synthesises whole frames, and check all
 three against it.
 
 The ISNR only raises each frame's noise-plus-interference variance, so
 ``pd_curve`` draws one set of frames per curve and evaluates every grid
-point on it (common random numbers, Glasserman & Yao 1992), from one sort
-and prefix sum of each block. Each row keeps its own law and depends only
-on its ISNR, not on the rest of the grid or its order; rows of one curve
-are correlated.
+point on it (common random numbers, Glasserman & Yao 1992); rows of one
+curve are correlated, but each keeps its own law and depends only on its
+ISNR. EDSCD's calibration shares each set of data normals among 16 draws
+of the scalars that carry most of its variance (a crossed design).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -34,8 +34,9 @@ N_DATA = 460            # data symbols per frame
 N_PILOT = 56            # pilot symbols per frame, sent first
 Z_95 = 1.959963984540054        # two-sided 95% normal quantile
 DETECTOR_KINDS = ("ced", "edscp", "edscd")
-_EDSCD_CHUNK = 128      # EDSCD frames per block, which changes no output;
-                        # its 3 buffers, 2.8 MB, keep 10 000 frames in 8 MB
+_EDSCD_CHUNK = 128      # EDSCD data-normal sets per block, which changes no
+                        # output; its 3 buffers, 2.8 MB, keep 10 000 in 8 MB
+_EDSCD_SHARE = 16       # outer draws per set of data normals in calibration
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,6 @@ def _draw_channels(rng: np.random.Generator, n: int, fade_db: float) -> np.ndarr
     return amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
 
 
-def _sums_once(w: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, frames) sums of (w + mu)^2 and |w + mu| for a block w, (frames,
-    2, n), and means mu, (rows, frames, 2), by one pass for each row."""
-    shifted = np.empty_like(w)
-    sq, ab = np.empty((2, len(mu), len(w)))
-    for p, m in enumerate(mu):
-        np.add(w, m[:, :, None], out=shifted)
-        sq[p] = np.einsum("ijk,ijk->i", shifted, shifted)
-        ab[p] = np.abs(shifted, out=shifted).sum(axis=(1, 2))
-    return sq, ab
-
-
 def _count_below(ws: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Entries of each sorted (frame, component) row of ``ws`` below ``x``,
     (rows, frames, 2), by one bisection over all rows. An index past a
@@ -100,9 +89,10 @@ def _count_below(ws: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _sums_sorted(w: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``_sums_once`` from one sort of ``w``, in place. With tot = sum w, cs
-    the prefix sums of the sorted w and k the count of w below -mu, the sums
-    are sum w^2 + 2 mu tot + n mu^2 and tot + n mu - 2 (cs[k] + k mu)."""
+    """(rows, frames) sums of (w + mu)^2 and |w + mu|, w (frames, 2, n) sorted
+    in place, mu (rows, frames, 2): with tot = sum w, cs the sorted prefix
+    sums and k = #(w < -mu), sum w^2 + 2 mu tot + n mu^2 and tot + n mu
+    - 2 (cs[k] + k mu)."""
     n = w.shape[2]
     tot, sq = w.sum(axis=2), np.einsum("ijk,ijk->ij", w, w)
     w.sort(axis=2)
@@ -116,44 +106,46 @@ def _sums_sorted(w: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
 def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
                   extra: Sequence[float], rng: np.random.Generator,
-                  n_data: int, n_pilot: int, sums: Callable) -> np.ndarray:
-    """Draw the (len(extra), n_mc) statistics of whole frames from their laws.
+                  n_data: int, n_pilot: int) -> np.ndarray:
+    """Draw the (len(extra), K, M) statistics of whole frames from their laws.
 
-    Row p holds the frames at noise (plus interference) variance
-    v = v0 + extra[p], and every row uses the same draws. CED is
-    v/(2N) * ncx2(2N, 2N|h|^2 a^2 / v) (Urkowitz 1967), drawn as
-    chi2(2N - 1) + (z + sqrt(2N|h|^2 a^2 / v))^2 with z standard normal,
-    and the pilot residual is (v/2) * chi2(2(Np - 1)), independent of h
-    and of the channel-estimate error e ~ CN(0, v / (a^2 Np)). EDSCD has
-    no closed form, so its data samples are simulated: the QPSK decision
+    Frame (k, m) has channel h[k, m], and row p holds the frames at noise
+    (plus interference) variance v = v0[k, m] + extra[p]; every row uses the
+    same draws. CED is v/(2N) * ncx2(2N, 2N|h|^2 a^2 / v) (Urkowitz 1967),
+    drawn as chi2(2N - 1) + (z + sqrt(2N|h|^2 a^2 / v))^2 with z standard
+    normal, and the pilot residual is (v/2) * chi2(2(Np - 1)), independent
+    of h and of the channel-estimate error e ~ CN(0, v / (a^2 Np)). EDSCD
+    has no closed form, so its data samples are simulated: the QPSK decision
     regions and the noise are invariant under 90-degree rotations and the
     residual under a common phase, so every data symbol is (1+j)/sqrt(2)
     and the channel is |h|. The circular noise is also invariant under the
     rotation by -arg(h_hat), which turns each data sample into y with
     i.i.d. real parts around the rotated data mean; the decision variable
-    is then |h_hat| y. The errors e are drawn for all frames first, then
-    the data normals in blocks of ``_EDSCD_CHUNK`` frames from the same
-    stream, so the output does not depend on the block size; ``sums``
-    reduces each block for all rows.
+    is then |h_hat| y. The outer draws (the errors e and the pilot chi2) are
+    drawn for all frames first, then one set of data normals per column m,
+    in blocks of ``_EDSCD_CHUNK`` columns from the same stream, so the
+    output does not depend on the block size. The K frames of a column
+    share its data normals: each has a frame's law, as the data normals are
+    independent of the outer draws, but they are not independent.
     """
-    n, n_mc = n_data + n_pilot, len(h)
+    n, m = n_data + n_pilot, h.shape[1]
     a2 = _power("snr_db", snr_db)
-    extra = np.asarray(extra, dtype=float)
+    extra = np.asarray(extra, dtype=float)[:, None, None]
     if kind == "ced":
-        c, z = rng.chisquare(2 * n - 1, n_mc), rng.standard_normal(n_mc)
-        v = v0 + extra[:, None]
+        c, z = rng.chisquare(2 * n - 1, h.shape), rng.standard_normal(h.shape)
+        v = v0 + extra
         return v / (2 * n) * (c + (z + np.sqrt(2 * n * np.abs(h) ** 2 * a2
                                                 / v)) ** 2)
-    chi = rng.chisquare(2 * (n_pilot - 1), n_mc)
+    chi = rng.chisquare(2 * (n_pilot - 1), h.shape)
     if kind == "edscp":
-        return (v0 + extra[:, None]) / 2 * chi / n_pilot
+        return (v0 + extra) / 2 * chi / n_pilot
     g = np.abs(h)
-    e = rng.standard_normal((n_mc, 2)).view(complex)[:, 0]
-    out = np.empty((len(extra), n_mc))
-    # (re, im) along axis 1, so that a mean is added along contiguous rows
-    bufs = np.empty((2, min(_EDSCD_CHUNK, n_mc), 2, n_data))
-    blocks = [bufs[j % 2, :n_mc - lo] for j, lo in
-              enumerate(range(0, n_mc, _EDSCD_CHUNK))]
+    e = rng.standard_normal(h.shape + (2,)).view(complex)[..., 0]
+    out = np.empty((len(extra), *h.shape))
+    # (re, im) along axis 1, so that each row sorted and summed is contiguous
+    bufs = np.empty((2, min(_EDSCD_CHUNK, m), 2, n_data))
+    blocks = [bufs[j % 2, :m - lo] for j, lo in
+              enumerate(range(0, m, _EDSCD_CHUNK))]
     # Imported here, as it takes ~10 ms. The helper draws block j + 1, in
     # order and as rng's only user, while block j is reduced: a serial stream.
     from concurrent.futures import ThreadPoolExecutor
@@ -165,21 +157,24 @@ def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
                 if j + 1 < len(blocks):
                     ahead = pool.submit(rng.standard_normal, out=blocks[j + 1])
                 lo, hi = j * _EDSCD_CHUNK, j * _EDSCD_CHUNK + len(w)
-                v = v0[lo:hi] + extra[:, None]
+                v = v0[:, lo:hi] + extra
                 sd = np.sqrt(v / 2)
-                h_hat = g[lo:hi] + np.sqrt(v / (2 * a2 * n_pilot)) * e[lo:hi]
+                h_hat = (g[:, lo:hi]
+                         + np.sqrt(v / (2 * a2 * n_pilot)) * e[:, lo:hi])
                 h_abs = np.abs(h_hat)
-                # data mean rotated by -arg(h_hat), in units of sd: (re, im)
-                mu = (g[lo:hi] * np.sqrt(a2 / 2) * (1 + 1j) * np.conj(h_hat)
-                      / (h_abs * sd)).view(float).reshape(*v.shape, 2)
-                sq, ab = sums(w, mu)
+                # data mean rotated by -arg(h_hat), in units of sd: (re, im),
+                # reduced as one row of means per row and outer draw
+                mu = (g[:, lo:hi] * np.sqrt(a2 / 2) * (1 + 1j)
+                      * np.conj(h_hat) / (h_abs * sd)).view(float)
+                sq, ab = (s.reshape(v.shape) for s in
+                          _sums_sorted(w, mu.reshape(-1, len(w), 2)))
                 # With y = sd w the rotated data samples, z = xd conj(h_hat) =
                 # |h_hat| y and s_d = (sign Re z + j sign Im z)/sqrt(2) the
                 # decisions, sum |xd - h_hat a s_d|^2 expands to sum |y|^2
                 # - sqrt(2) a |h_hat| sum(|Re y| + |Im y|) + N_d a^2 |h_hat|^2.
                 data_res = (sd ** 2 * sq - np.sqrt(2 * a2) * h_abs * sd * ab
                             + n_data * a2 * h_abs ** 2)
-                out[:, lo:hi] = (v / 2 * chi[lo:hi] + data_res) / n
+                out[:, :, lo:hi] = (v / 2 * chi[:, lo:hi] + data_res) / n
         finally:
             ahead.exception()       # wait for the draw in flight
     return out
@@ -194,17 +189,23 @@ def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
     noise variance pinned at the upper edge of the detector's
     ``noise_uncertainty_db`` (eps), which keeps the realised false-alarm
     rate at or below the target for any noise level inside the
-    uncertainty interval.
+    uncertainty interval. CED and EDSCP draw ``n_mc`` frames. EDSCD uses a
+    crossed design (Owen 2013, ch. 8-9): it pairs each of M = ceil(n_mc / 4)
+    sets of data normals with K = 16 draws of |h|, the channel-estimate
+    error and the pilot chi2, which carry most of the variance. Each pair
+    has a frame's law, so 4 n_mc statistics from a quarter of the data
+    normals give a threshold as precise as n_mc frames.
     """
     if not 0.0 < pfa_target < 1.0:
         raise ConfigurationError("pfa_target must lie in (0,1)")
     rng = np.random.default_rng(seed)
-    h = _draw_channels(rng, n_mc, fade_db)
-    v0 = np.full(n_mc, 10 ** (detector.noise_uncertainty_db / 10))
-    # one row: a pass over each block costs less than sorting it
+    shape = ((_EDSCD_SHARE, (n_mc + 3) // 4) if detector.kind == "edscd"
+             else (1, n_mc))
+    h = _draw_channels(rng, shape[0] * shape[1], fade_db).reshape(shape)
+    v0 = np.full(shape, 10 ** (detector.noise_uncertainty_db / 10))
     t = _sample_stats(detector.kind, h, snr_db, v0, [0.0], rng, N_DATA,
-                      N_PILOT, _sums_once)
-    return _quantile(t[0], 1.0 - pfa_target)
+                      N_PILOT)
+    return _quantile(t.ravel(), 1.0 - pfa_target)
 
 
 def _quantile(x: np.ndarray, q: float) -> float:
@@ -243,14 +244,13 @@ def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
         raise ConfigurationError("isnr_grid_db must hold at least one ISNR")
     grid = [float(v) for v in isnr_grid_db]
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    h = _draw_channels(rng, n_mc, fade_db)
+    h = _draw_channels(rng, n_mc, fade_db)[None]
     eps_db = detector.noise_uncertainty_db
-    v0 = 10 ** (rng.uniform(-eps_db, eps_db, n_mc) / 10)
+    v0 = 10 ** (rng.uniform(-eps_db, eps_db, (1, n_mc)) / 10)
     a2 = _power("snr_db", snr_db)
     extra = [_power("isnr_db", v) * (a2 + 1.0) for v in grid]
-    # sorted at every grid length, so a row's bits do not depend on the grid
     t = _sample_stats(detector.kind, h, snr_db, v0, extra, rng, N_DATA,
-                      N_PILOT, _sums_sorted)
+                      N_PILOT)[:, 0]
     rows = []
     for isnr_db, hits in zip(grid, np.count_nonzero(t > detector.threshold,
                                                     axis=1).tolist()):

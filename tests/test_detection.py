@@ -156,35 +156,80 @@ def frame_oracle(request):
                            for kind in dt.DETECTOR_KINDS}
 
 
-SUMS = {"once": dt._sums_once, "sorted": dt._sums_sorted}
+def sums_once(w, mu):
+    """The reference reduction: (rows, frames) sums of (w + mu)^2 and
+    |w + mu| for a block w, (frames, 2, n), and means mu, (rows, frames, 2),
+    by one pass for each row."""
+    shifted = np.empty_like(w)
+    sq, ab = np.empty((2, len(mu), len(w)))
+    for p, m in enumerate(mu):
+        np.add(w, m[:, :, None], out=shifted)
+        sq[p] = np.einsum("ijk,ijk->i", shifted, shifted)
+        ab[p] = np.abs(shifted, out=shifted).sum(axis=(1, 2))
+    return sq, ab
+
+
+SUMS = {"once": sums_once, "sorted": dt._sums_sorted}
+CHUNKS = (1, 7, 300, 1500, 4000, 5000)      # 1500 + 1500 + 1000, ...
+PINNED_DB = 2.0                             # noise level of the crossed calls
+
+
+def sampler(*args, sums="sorted"):
+    """``dt._sample_stats(*args)`` with the reduction ``sums``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dt, "_sums_sorted", SUMS[sums])
+        return dt._sample_stats(*args)
 
 
 def sample(kind, sums="sorted", extra=CASE_EXTRA, n_mc=4000):
-    """One sampler call whose rows are the SAMPLER_CASES levels."""
+    """One sampler call whose rows are the SAMPLER_CASES levels, laid out
+    as pd_curve lays it out: one outer draw per set of data normals."""
     rng = np.random.default_rng(41)
-    h = dt._draw_channels(rng, n_mc, 4.0)
-    v0 = 10 ** (rng.uniform(-2.0, 2.0, n_mc) / 10)
-    return dt._sample_stats(kind, h, 6.0, v0, extra, rng, 460, 56,
-                            SUMS[sums])
+    h = dt._draw_channels(rng, n_mc, 4.0)[None]
+    v0 = 10 ** (rng.uniform(-2.0, 2.0, (1, n_mc)) / 10)
+    return sampler(kind, h, 6.0, v0, extra, rng, 460, 56, sums=sums)[:, 0]
+
+
+def crossed(sums="sorted", m=1000, seed=43):
+    """EDSCD's H0 statistics at PINNED_DB as calibrate_threshold draws them
+    for 4 m frames: (K, m), with pairing k of the m sets of data normals in
+    row k."""
+    rng = np.random.default_rng(seed)
+    shape = (dt._EDSCD_SHARE, m)
+    h = dt._draw_channels(rng, shape[0] * m, 4.0).reshape(shape)
+    v0 = np.full(shape, 10 ** (PINNED_DB / 10))
+    return sampler("edscd", h, 6.0, v0, [0.0], rng, 460, 56, sums=sums)[0]
 
 
 @pytest.fixture(scope="module")
 def samples():
     out = {kind: sample(kind) for kind in dt.DETECTOR_KINDS}
     out["edscd-once"] = sample("edscd", "once")
+    out["crossed"], out["crossed-once"] = crossed(), crossed("once")
     return out
 
 
 @pytest.fixture(scope="module")
 def edscd_by_chunk():
-    """EDSCD rows of the same call at several block sizes, both reductions."""
+    """EDSCD rows of the same calls at several block sizes, both reductions."""
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        for chunk in (1, 7, 1500, 4000, 5000):      # 1500 + 1500 + 1000, ...
+        for chunk in CHUNKS:
             mp.setattr(dt, "_EDSCD_CHUNK", chunk)
             for sums in SUMS:
-                out[sums, chunk] = sample("edscd", sums)
+                out["edscd", sums, chunk] = sample("edscd", sums)
+                out["crossed", sums, chunk] = crossed(sums)
     return out
+
+
+@pytest.fixture(scope="module")
+def pinned_oracle():
+    """EDSCD statistics of 4000 synthesised H0 frames at PINNED_DB."""
+    rng = np.random.default_rng(44)
+    h = dt._draw_channels(rng, 4000, 4.0)
+    x, s = gen_batch(0, h, 6.0, -np.inf, 0.0, rng, 4000, 460, 56,
+                     noise_var_db=PINNED_DB)
+    return stats_batch("edscd", x, s, 10 ** 0.3, 56)
 
 
 class SerialPool:
@@ -242,12 +287,20 @@ class TestExactSampler:
         # one stream of data normals: the block size changes no bit
         p = CASE_ROWS.index(case)
         ref = {"once": samples["edscd-once"], "sorted": samples["edscd"]}
-        for (sums, chunk), t in edscd_by_chunk.items():
-            assert np.array_equal(t[p], ref[sums][p]), (sums, chunk)
+        for sums, chunk in ((s, c) for s in SUMS for c in CHUNKS):
+            assert np.array_equal(edscd_by_chunk["edscd", sums, chunk][p],
+                                  ref[sums][p]), (sums, chunk)
+
+    def test_crossed_partial_last_chunk(self, samples, edscd_by_chunk):
+        ref = {"once": samples["crossed-once"], "sorted": samples["crossed"]}
+        for sums, chunk in ((s, c) for s in SUMS for c in CHUNKS):
+            assert np.array_equal(edscd_by_chunk["crossed", sums, chunk],
+                                  ref[sums]), (sums, chunk)
 
     def test_edscd_reductions_agree(self, samples):
-        np.testing.assert_allclose(samples["edscd"], samples["edscd-once"],
-                                   rtol=1e-12, atol=0)
+        for call in ("edscd", "crossed"):
+            np.testing.assert_allclose(samples[call], samples[f"{call}-once"],
+                                       rtol=1e-12, atol=0)
 
     def test_edscd_sorted_row_independent_of_other_rows(self):
         for p, x in enumerate(CASE_EXTRA):
@@ -258,39 +311,77 @@ class TestExactSampler:
     def test_edscd_rotation_identity(self, case):
         """The row's rotated residual, by either reduction, equals the
         decision residual of the unrotated data samples, rebuilt from the
-        same draws."""
+        same draws, with one outer draw per set of data normals as in
+        pd_curve and with three, which share that set, as in calibration."""
+        for share in (1, 3):
+            self.check_rotation_identity(CASE_ROWS.index(case), share)
+
+    @staticmethod
+    def check_rotation_identity(p, share):
         n_mc, nd, n_p, a2 = 6, 460, 56, 10 ** 0.6
         rng = np.random.default_rng(3)
-        h = dt._draw_channels(rng, n_mc, 4.0)
-        v0 = 10 ** (rng.uniform(-2.0, 2.0, n_mc) / 10)
-        p = CASE_ROWS.index(case)
-        t = [dt._sample_stats("edscd", h, 6.0, v0, CASE_EXTRA,
-                              np.random.default_rng(42), nd, n_p, sums)[p]
-             for sums in SUMS.values()]
+        h = dt._draw_channels(rng, share * n_mc, 4.0).reshape(share, n_mc)
+        v0 = 10 ** (rng.uniform(-2.0, 2.0, (share, n_mc)) / 10)
+        t = [sampler("edscd", h, 6.0, v0, CASE_EXTRA,
+                     np.random.default_rng(42), nd, n_p, sums=sums)[p]
+             for sums in SUMS]
         rng = np.random.default_rng(42)
         v = v0 + CASE_EXTRA[p]
-        pilot_res = v / 2 * rng.chisquare(2 * (n_p - 1), n_mc)
-        e = rng.standard_normal((n_mc, 2))
+        pilot_res = v / 2 * rng.chisquare(2 * (n_p - 1), (share, n_mc))
+        e = rng.standard_normal((share, n_mc, 2))
         h_hat = (np.abs(h)
-                 + np.sqrt(v / (2 * a2 * n_p)) * (e[:, 0] + 1j * e[:, 1]))
+                 + np.sqrt(v / (2 * a2 * n_p)) * (e[..., 0] + 1j * e[..., 1]))
         w = rng.standard_normal((n_mc, 2, nd))          # (re, im) rows
-        rot = np.exp(1j * np.angle(h_hat))[:, None]
-        y = (np.sqrt(v / 2)[:, None] * (w[:, 0] + 1j * w[:, 1])
-             + (np.abs(h) * np.sqrt(a2 / 2) * (1 + 1j))[:, None] / rot)
+        rot = np.exp(1j * np.angle(h_hat))[..., None]
+        y = (np.sqrt(v / 2)[..., None] * (w[:, 0] + 1j * w[:, 1])
+             + (np.abs(h) * np.sqrt(a2 / 2) * (1 + 1j))[..., None] / rot)
         xd = y * rot
-        z = xd * np.conj(h_hat)[:, None]
-        old = (np.sum(np.abs(xd) ** 2, axis=1)
+        z = xd * np.conj(h_hat)[..., None]
+        old = (np.sum(np.abs(xd) ** 2, axis=-1)
                - np.sqrt(2 * a2) * np.sum(np.abs(z.real) + np.abs(z.imag),
-                                          axis=1)
+                                          axis=-1)
                + nd * a2 * np.abs(h_hat) ** 2)
         s_d = (np.sign(z.real) + 1j * np.sign(z.imag)) / np.sqrt(2)
-        direct = np.sum(np.abs(xd - h_hat[:, None] * np.sqrt(a2) * s_d) ** 2,
-                        axis=1)
+        direct = np.sum(np.abs(xd - h_hat[..., None] * np.sqrt(a2) * s_d) ** 2,
+                        axis=-1)
         for row in t:
             np.testing.assert_allclose(row, (pilot_res + old) / (nd + n_p),
                                        rtol=1e-12)
             np.testing.assert_allclose(row, (pilot_res + direct) / (nd + n_p),
                                        rtol=1e-12)
+
+
+class TestCrossedCalibration:
+    """EDSCD's threshold from sets of data normals shared by outer draws."""
+
+    def test_threshold_is_the_quantile_of_the_crossed_call(self, samples):
+        det = dt.DetectorConfig(kind="edscd", noise_uncertainty_db=PINNED_DB)
+        assert samples["crossed"].shape == (dt._EDSCD_SHARE, 1000)
+        assert (dt.calibrate_threshold(det, 0.01, 4000, seed=43)
+                == dt._quantile(samples["crossed"].ravel(), 0.99))
+
+    def test_all_pairs_have_the_frame_law(self, samples, pinned_oracle):
+        t = samples["crossed"].ravel()
+        assert stats.ks_2samp(t, pinned_oracle).pvalue > 0.001
+
+    @pytest.mark.parametrize("k", range(dt._EDSCD_SHARE))
+    def test_each_pairing_has_the_frame_law(self, samples, pinned_oracle, k):
+        # row k pairs each set of data normals with its own outer draw, so
+        # its 1000 statistics are independent frames
+        assert stats.ks_2samp(samples["crossed"][k],
+                              pinned_oracle).pvalue > 0.001
+
+    def test_memory_at_the_default_size(self):
+        """The 16 outer draws per set of data normals, 80 000 at the
+        default 20 000, and the blocks fit in 10 MB."""
+        det = dt.DetectorConfig(kind="edscd", noise_uncertainty_db=2.0)
+        tracemalloc.start()
+        try:
+            dt.calibrate_threshold(det, 0.01, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6, peak
 
 
 class TestReductions:
@@ -312,7 +403,7 @@ class TestReductions:
 
     def test_sorted_sums_match_one_pass(self):
         w, mu = self.block()
-        want = dt._sums_once(w, mu)
+        want = sums_once(w, mu)
         got = dt._sums_sorted(w.copy(), mu)
         for g, o in zip(got, want):
             np.testing.assert_allclose(g, o, rtol=1e-12, atol=0)
@@ -334,16 +425,20 @@ class TestDrawAhead:
     @pytest.mark.parametrize("sums", SUMS)
     def test_matches_serial_loop_under_fast_switching(self, sums,
                                                       monkeypatch):
+        # the curve's layout, then the crossed calibration's
+        calls = (lambda: sample("edscd", sums, n_mc=600),
+                 lambda: crossed(sums, m=150))
         monkeypatch.setattr(dt, "_EDSCD_CHUNK", 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = sample("edscd", sums, n_mc=600)
+            threaded = [call() for call in calls]
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                             SerialPool)
-        assert np.array_equal(threaded, sample("edscd", sums, n_mc=600))
+        for t, call in zip(threaded, calls):
+            assert np.array_equal(t, call())
 
     def test_failed_curve_reduction_propagates_and_joins(self, monkeypatch):
         det = dt.DetectorConfig(kind="edscd", threshold=1.3)
@@ -358,9 +453,10 @@ class TestDrawAhead:
             self, monkeypatch):
         det = dt.DetectorConfig(kind="edscd")
         baseline = threading.active_count()
-        counts = raise_at_block(monkeypatch, "_sums_once")
+        counts = raise_at_block(monkeypatch, "_sums_sorted")
         with pytest.raises(RuntimeError, match="block 2"):
-            dt.calibrate_threshold(det, 0.01, 5 * dt._EDSCD_CHUNK)
+            # 3 blocks of sets of data normals, each shared by 16 outer draws
+            dt.calibrate_threshold(det, 0.01, 12 * dt._EDSCD_CHUNK)
         assert counts == [baseline + 1] * 3
         assert threads_back_to(baseline)
 
