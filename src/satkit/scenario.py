@@ -213,16 +213,21 @@ def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
 
     The amplitude follows a Bessel tapered-aperture curve of the off-axis
     angle, clamped at ``SIDELOBE_FLOOR_DB``. The taper is evaluated only
-    below the u where Landau's bound drops under the floor.
+    inside the squared distance at which u reaches ``_FLOOR_U``, where
+    Landau's bound drops under the floor.
     """
-    d = positions[:, None, :] - scenario.feed_centers[None, :, :]
-    off_axis = np.linalg.norm(d, axis=2) / SAT_ALTITUDE_KM
-    u = _U_3DB * off_axis / THETA_3DB_RAD
+    feeds = scenario.feed_centers
+    d2 = np.square(positions[:, 0, None] - feeds[:, 0])
+    d2 += np.square(positions[:, 1, None] - feeds[:, 1])
+    # beyond the cut |taper| <= floor, so the cut may err outwards
+    near = np.flatnonzero(d2 < (_FLOOR_U * THETA_3DB_RAD / _U_3DB
+                                * SAT_ALTITUDE_KM) ** 2 * (1 + 1e-9))
+    u = _U_3DB * (np.sqrt(d2.flat[near]) / SAT_ALTITUDE_KM) / THETA_3DB_RAD
     floor = 10 ** (SIDELOBE_FLOOR_DB / 20)
-    amp = np.full(u.shape, floor)
-    lit = u < _FLOOR_U
-    amp[lit] = np.maximum(np.abs(_taper(u[lit])), floor)
-    return BORESIGHT_GAIN * amp
+    amp = np.full(d2.shape, floor)
+    amp.flat[near] = np.maximum(np.abs(_taper(u)), floor)
+    amp *= BORESIGHT_GAIN
+    return amp
 
 
 def draw_users(scenario: Scenario, rng: np.random.Generator) -> UserSet:
@@ -251,10 +256,16 @@ def build_channel(scenario: Scenario, user_set: UserSet,
     slant = np.hypot(np.linalg.norm(pos, axis=1), SAT_ALTITUDE_KM) * 1e3  # m
     amps = _gain_amplitudes(scenario, pos)                    # (K*Nu, K)
     psi = rng.uniform(0, 2 * np.pi, (K * Nu, K))
-    gains = amps * np.exp(1j * psi)
     denom = 4 * np.pi * (slant / WAVELENGTH_M) * np.sqrt(
         BOLTZMANN * NOISE_TEMP_K * BANDWIDTH_HZ)
-    rows = RX_GAIN * gains / denom[:, None]                   # (K*Nu, K)
+    rows = np.empty((K * Nu, K), complex)
+    np.cos(psi, out=rows.real)
+    np.sin(psi, out=rows.imag)
+    del psi
+    parts = rows.view(float).reshape(K * Nu, K, 2)
+    parts *= amps[:, :, None]
+    parts *= RX_GAIN
+    parts *= (1 / denom)[:, None, None]
     h = rows.reshape(K, Nu, K).transpose(1, 0, 2)             # row k*Nu+i -> [i, k]
     if not np.isfinite(h).all():
         raise ConfigurationError("non-finite channel entries")
