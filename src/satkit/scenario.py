@@ -6,7 +6,6 @@ into the channel entries so the receiver noise has unit variance.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,68 +121,6 @@ def reuse_colors(scenario: Scenario, reuse_factor: int) -> np.ndarray:
     return ((q % 2) + 2 * (r % 2)).astype(int)
 
 
-# J0 and J1: a Chebyshev interpolant on [0, _CHEB_END], about 1e-15
-# absolute; the taper is evaluated only below _FLOOR_U, inside it. The
-# interpolant's node values are the trapezoid rule on Bessel's integral
-# J_n(x) = (1/2pi) int_0^2pi cos(n t - x sin t) dt, which converges
-# exponentially for a periodic integrand (Trefethen & Weideman, SIAM Review
-# 2014); the rule's error is J_64(20) ~ 1e-25.
-_CHEB_END = 20.0
-_CHEB_DEG = 40
-
-
-def _chebyshev_j01() -> np.ndarray:
-    """(deg + 1, 2) Chebyshev coefficients of J0 and J1 on [0, _CHEB_END]."""
-    n = _CHEB_DEG + 1
-    # cos(k * theta_j) with the angle reduced exactly in integers
-    k, j = np.arange(n)[:, None], np.arange(n)[None, :]
-    cos_k_theta = np.cos(np.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n))
-    nodes = _CHEB_END / 2 * (1 + cos_k_theta[1])
-    t = 2 * np.pi * np.arange(64) / 64
-    phase = nodes[:, None] * np.sin(t)
-    values = np.stack([np.cos(phase).mean(axis=1),
-                       np.cos(t - phase).mean(axis=1)], axis=1)
-    coef = 2 / n * cos_k_theta @ values
-    coef[0] /= 2
-    return coef
-
-
-_J01_CHEB = _chebyshev_j01()
-
-
-def _bessel_j01(x: np.ndarray):
-    """J0(x) and J1(x) for x in [0, _CHEB_END]."""
-    return chebyshev.chebval(x * (2 / _CHEB_END) - 1, _J01_CHEB)
-
-
-def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
-    """J_n by its power series; 15 terms reach rounding for |x| <= 3."""
-    z = (x / 2) ** 2
-    total = np.zeros_like(x)
-    for k in range(14, -1, -1):
-        total = total * (-z) + 1 / (math.factorial(k) * math.factorial(k + n))
-    return total * (x / 2) ** n
-
-
-def _taper(u: np.ndarray) -> np.ndarray:
-    """Tapered-aperture amplitude J1(u)/2u + 36 J3(u)/u^3, 1 at 0, |u| <= 20."""
-    u = np.asarray(u, float)
-    us = np.abs(u).ravel()
-    small = us < 1e-9
-    us[small] = 1.0
-    j_0, j_1 = _bessel_j01(us)
-    # J3 from the upward recurrence, which is accurate for u >= 3; below
-    # that it cancels, and J1/u loses J1's absolute error near 0, so those
-    # entries take the power series
-    j_3 = (8.0 / us ** 2 - 1.0) * j_1 - 4.0 / us * j_0
-    near = us < 3.0
-    j_1[near] = _bessel_series(1, us[near])
-    j_3[near] = _bessel_series(3, us[near])
-    b = j_1 / (2 * us) + 36.0 * j_3 / us ** 3
-    b[small] = 1.0
-    return b.reshape(u.shape)
-
-
 def _floor_cutoff(floor: float) -> float:
     """u at and beyond which |_taper(u)| <= ``floor``, for a floor > 0.
 
@@ -205,7 +142,42 @@ def _floor_cutoff(floor: float) -> float:
 
 
 _FLOOR_U = _floor_cutoff(10 ** (SIDELOBE_FLOOR_DB / 20))
-assert _FLOOR_U <= _CHEB_END, "the taper would need J0 and J1 beyond 20"
+
+# The taper J1(u)/2u + 36 J3(u)/u^3 is, by Poisson's integral (DLMF
+# 10.9.4), (1/pi) int_{-pi/2}^{pi/2} [cos^2 t / 2 + 2.4 cos^6 t] cos(u sin t) dt,
+# an entire function of w = u^2; one Chebyshev series in w on
+# [0, _FLOOR_U^2] reaches rounding at degree 23 (Trefethen, Approximation
+# Theory and Approximation Practice, ch. 8). Its node values are the
+# midpoint rule on that integral, whose integrand has period pi, so 64
+# points converge exponentially (Trefethen & Weideman, SIAM Review 2014).
+_TAPER_DEG = 23
+
+
+def _taper_series() -> np.ndarray:
+    """Chebyshev coefficients of the taper in w = u^2 on [0, _FLOOR_U^2]."""
+    n = _TAPER_DEG + 1
+    # cos(k * theta_j) with the angle reduced exactly in integers
+    k, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    cos_k_theta = np.cos(np.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n))
+    nodes = _FLOOR_U * np.sqrt((1 + cos_k_theta[1]) / 2)
+    t = np.pi * (np.arange(64) + 0.5) / 64 - np.pi / 2
+    weight = np.cos(t) ** 2 / 2 + 2.4 * np.cos(t) ** 6
+    values = (weight * np.cos(np.outer(nodes, np.sin(t)))).mean(axis=1)
+    coef = 2 / n * cos_k_theta @ values
+    coef[0] /= 2
+    if np.abs(coef[-2:]).max() >= 1e-15:
+        raise ConfigurationError(
+            f"the taper's series on [0, {_FLOOR_U:.4g}] needs a degree above "
+            f"{_TAPER_DEG}")
+    return coef
+
+
+_TAPER_CHEB = _taper_series()
+
+
+def _taper(u: np.ndarray) -> np.ndarray:
+    """Tapered-aperture amplitude J1(u)/2u + 36 J3(u)/u^3 for |u| <= _FLOOR_U."""
+    return chebyshev.chebval(u * u * (2 / _FLOOR_U ** 2) - 1, _TAPER_CHEB)
 
 
 def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
@@ -219,9 +191,8 @@ def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
     feeds = scenario.feed_centers
     d2 = np.square(positions[:, 0, None] - feeds[:, 0])
     d2 += np.square(positions[:, 1, None] - feeds[:, 1])
-    # beyond the cut |taper| <= floor, so the cut may err outwards
     near = np.flatnonzero(d2 < (_FLOOR_U * THETA_3DB_RAD / _U_3DB
-                                * SAT_ALTITUDE_KM) ** 2 * (1 + 1e-9))
+                                * SAT_ALTITUDE_KM) ** 2)
     u = _U_3DB * (np.sqrt(d2.flat[near]) / SAT_ALTITUDE_KM) / THETA_3DB_RAD
     floor = 10 ** (SIDELOBE_FLOOR_DB / 20)
     amp = np.full(d2.shape, floor)
@@ -245,7 +216,9 @@ def build_channel(scenario: Scenario, user_set: UserSet,
 
     Entry (k, n) of user slot i is
     G_R * a * exp(j*psi) / (4*pi*(d/lambda)*sqrt(K_B*T_R*B_W)),
-    with a frozen uniform phase psi per (feed, user).
+    with a frozen uniform phase psi per (feed, user). cos(psi) and sin(psi)
+    are written into the entries' real and imaginary parts, which are then
+    scaled in place by a, G_R and the denominator's reciprocal.
     """
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
@@ -261,7 +234,8 @@ def build_channel(scenario: Scenario, user_set: UserSet,
     rows = np.empty((K * Nu, K), complex)
     np.cos(psi, out=rows.real)
     np.sin(psi, out=rows.imag)
-    del psi
+    # complex arithmetic would round the same: a real factor scales both
+    # parts, and division by a real multiplies by its reciprocal
     parts = rows.view(float).reshape(K * Nu, K, 2)
     parts *= amps[:, :, None]
     parts *= RX_GAIN

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import j0, j1, jv
+from scipy.special import j1, jv
 
 from satkit import scenario as sc
 
@@ -98,33 +100,52 @@ class TestBeamGain:
                    for a1, a2 in zip(amps, amps[1:]))
 
     def test_taper_matches_direct_bessel_formula(self):
-        # J1 and J3 switch from their power series to the recurrence at u = 3;
-        # the taper is evaluated up to the floor's cut-off
+        # the series in u^2 over its whole interval, ends and small u included
         u = np.concatenate([np.linspace(0.0, sc._FLOOR_U, 20001),
-                            2.0 + np.linspace(-1e-3, 1e-3, 201),
-                            3.0 + np.linspace(-1e-3, 1e-3, 201),
-                            np.nextafter([2.0, 2.0, 3.0, 3.0], [0.0, 4.0] * 2)])
+                            [1e-9, 1e-6, 1e-3, np.nextafter(sc._FLOOR_U, 0.0)],
+                            sc._FLOOR_U * (1 - np.linspace(0.0, 1e-6, 101))])
         us = np.where(u == 0.0, 1.0, u)
         direct = np.where(u == 0.0, 1.0,
                           j1(us) / (2 * us) + 36.0 * jv(3, us) / us ** 3)
         np.testing.assert_allclose(sc._taper(u), direct, rtol=0, atol=1e-14)
 
-    def test_bessel_j01_matches_scipy(self):
-        # the Chebyshev interpolant on its whole interval, ends included
-        x = np.linspace(0.0, sc._CHEB_END, 400001)
-        x = np.append(x, np.nextafter(sc._CHEB_END, 0.0))
-        got_j0, got_j1 = sc._bessel_j01(x)
-        np.testing.assert_allclose(got_j0, j0(x), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(got_j1, j1(x), rtol=0, atol=1e-14)
+    def test_gain_amplitudes_match_scipy(self):
+        # a whole K = 512 layout, plus u = 0 (every feed's own centre) and
+        # positions just either side of the floor's cut-off from feed 0
+        scn = make_scenario(n_beams=512)
+        users = sc.draw_users(scn, np.random.default_rng(9)).positions
+        r_cut = sc._FLOOR_U / sc._U_3DB * sc.BEAM_RADIUS_KM
+        steps = 1 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])
+        edge = scn.feed_centers[0] + np.outer(r_cut * steps, [0.6, 0.8])
+        pos = np.concatenate([users.reshape(-1, 2), scn.feed_centers, edge])
+        u = sc._U_3DB * np.linalg.norm(pos[:, None] - scn.feed_centers,
+                                       axis=2) / sc.BEAM_RADIUS_KM
+        assert (u == 0.0).sum() == scn.K
+        assert (u[-5:, 0] < sc._FLOOR_U).any()
+        assert (u[-5:, 0] >= sc._FLOOR_U).any()
+        us = np.where(u == 0.0, 1.0, u)
+        taper = np.where(u == 0.0, 1.0,
+                         j1(us) / (2 * us) + 36.0 * jv(3, us) / us ** 3)
+        floor = 10 ** (sc.SIDELOBE_FLOOR_DB / 20)
+        np.testing.assert_allclose(
+            sc._gain_amplitudes(scn, pos),
+            sc.BORESIGHT_GAIN * np.maximum(np.abs(taper), floor),
+            rtol=1e-12, atol=0)
 
-    def test_floor_cutoff_is_bit_identical(self, monkeypatch):
-        # entries beyond the cut-off sit at the floor; evaluating the taper
-        # up to the end of the Bessel interpolant must give the same bits
+    def test_floor_cutoff_is_bit_identical(self):
+        # entries at and beyond the cut-off are the floor exactly, and the
+        # taper, from scipy's Bessel functions, is below the floor there
         scn = make_scenario(n_beams=256)
         pos = sc.draw_users(scn, np.random.default_rng(2)).positions.reshape(-1, 2)
-        cut = sc._gain_amplitudes(scn, pos)
-        monkeypatch.setattr(sc, "_FLOOR_U", sc._CHEB_END)
-        np.testing.assert_array_equal(cut, sc._gain_amplitudes(scn, pos))
+        amps = sc._gain_amplitudes(scn, pos)
+        u = sc._U_3DB * (np.linalg.norm(pos[:, None] - scn.feed_centers, axis=2)
+                         / sc.SAT_ALTITUDE_KM) / sc.THETA_3DB_RAD
+        beyond = u >= sc._FLOOR_U
+        assert beyond.any() and not beyond.all()
+        floor = 10 ** (sc.SIDELOBE_FLOOR_DB / 20)
+        np.testing.assert_array_equal(amps[beyond], sc.BORESIGHT_GAIN * floor)
+        ub = u[beyond]
+        assert np.abs(j1(ub) / (2 * ub) + 36.0 * jv(3, ub) / ub ** 3).max() < floor
 
     def test_floor_cutoff_bounds_the_taper(self):
         floor = 10 ** (sc.SIDELOBE_FLOOR_DB / 20)
@@ -193,6 +214,18 @@ class TestUsersAndChannel:
         ch = sc.build_channel(scn, users, rng=np.random.default_rng(4))
         np.testing.assert_array_equal(
             ch.H, h_double_loop(scn, users, np.random.default_rng(4)))
+
+    def test_build_channel_peak_memory(self):
+        # H, the amplitudes and the phases: no full-size complex temporaries
+        scn = make_scenario(n_beams=512)
+        users = sc.draw_users(scn, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            h = sc.build_channel(scn, users, rng=np.random.default_rng(1)).H
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * h.nbytes, peak / h.nbytes
 
     def test_dimension_mismatch_rejected(self):
         scn = make_scenario()
