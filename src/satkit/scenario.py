@@ -189,13 +189,17 @@ def _gain_amplitudes(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
     Landau's bound drops under the floor.
     """
     feeds = scenario.feed_centers
-    d2 = np.square(positions[:, 0, None] - feeds[:, 0])
-    d2 += np.square(positions[:, 1, None] - feeds[:, 1])
+    d2 = positions[:, 0, None] - feeds[:, 0]
+    d2 *= d2
+    dy2 = positions[:, 1, None] - feeds[:, 1]
+    dy2 *= dy2
+    d2 += dy2
     near = np.flatnonzero(d2 < (_FLOOR_U * THETA_3DB_RAD / _U_3DB
                                 * SAT_ALTITUDE_KM) ** 2)
     u = _U_3DB * (np.sqrt(d2.flat[near]) / SAT_ALTITUDE_KM) / THETA_3DB_RAD
     floor = 10 ** (SIDELOBE_FLOOR_DB / 20)
-    amp = np.full(d2.shape, floor)
+    amp = dy2                           # the squares are not needed again
+    amp.fill(floor)
     amp.flat[near] = np.maximum(np.abs(_taper(u)), floor)
     amp *= BORESIGHT_GAIN
     return amp
