@@ -238,9 +238,10 @@ def cmd_spd_bench(cfg: dict, out: Path):
                                        n_symbols=cfg["n_symbols"],
                                        seed=cfg["seed"])
     write_csv(out / "spd_bench.csv",
-              ["spd_location", "jitter_aware", "obo_db", "sinr_db", "seed"],
+              ["spd_location", "jitter_aware", "obo_db", "obo_target_db",
+               "sinr_db", "seed"],
               [(r["spd_location"], r["jitter_aware"], r["obo_db"],
-                r["sinr_db"], r["seed"]) for r in rows])
+                r["obo_target_db"], r["sinr_db"], r["seed"]) for r in rows])
     if cfg["lut_bins"]:
         cfg_fit = replace(base, spd_location="onboard", drive=1.0)
         spd = predistortion.train_spd(cfg_fit, hpa)

@@ -7,8 +7,10 @@ polynomial fitted by direct-learning least squares (a Levenberg-Marquardt
 loop on 4x4 normal equations); ``build_lut`` quantises its gain per |x|
 bin. Every linear stage of the transponder chain (shaping, IMUX, jitter
 derivative, OMUX, matched filter) is a product on one power-of-two FFT
-grid per waveform length, which none of them wraps. The drive-to-OBO
-curve stops at the lowest target, and its points end at the amplifier.
+grid per waveform length, which none of them wraps. The draws and the
+stages before the drive are computed once per seed and placement, and the
+drive scales their waveform. The drive-to-OBO curve stops at the lowest
+target, and its points end at the amplifier.
 
 The fit's normal equations come from one dgemm on a float view and the
 equalizer's from one zgemm: a threaded level-1/2 BLAS call (zgemv, zgelsd,
@@ -23,6 +25,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .scenario import ConfigurationError
 
@@ -136,35 +139,43 @@ def _spd_gram(hpa: HpaParams, s: np.ndarray):
     x*j(A - B), x*s(A + B), x*j*s(A - B) in J and x*E in e, with A =
     a + 2b*m^2, B = b*s*g^2, E = a(g - 1) + b*m^2*g (c_sat forms above
     r_sat). So Re(C^H C) = D^T D, D the float view of sqrt(s) times those.
+    Its buffers are allocated once per fit and filled in place.
     """
     a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
     c_sat = a * rs + b * rs ** 3 if np.isfinite(rs) else 0.0
     rt = np.sqrt(s)
-    cols = np.empty((5, s.size), complex)   # reused: a fresh one per call
-    d = cols.view(float)                    # costs more in page faults
+    jrt = 1j * rt                           # the same for every p
+    cols = np.empty((7, s.size), complex)   # rows 2-6 are scratch at first
+    d = cols.view(float)                    # fresh ones per call cost more
+    reals = np.empty((2, s.size))           # in page faults
 
     def gram(p):
         gamma, delta = complex(p[0], p[1]), complex(p[2], p[3])
-        g = gamma + delta * s
-        m2 = s * (g.real ** 2 + g.imag ** 2)
-        sg2 = s * g * g
-        plus, minus = a + 2 * b * m2, b * sg2
+        (plus, minus, e, g, sg2), (m2, sq) = cols[2:], reals
+        np.add(gamma, np.multiply(delta, s, out=e), out=g)
+        np.add(np.square(g.real, out=m2), np.square(g.imag, out=sq), out=m2)
+        m2 *= s
+        np.multiply(np.multiply(s, g, out=sg2), g, out=sg2)
+        np.add(a, np.multiply(2 * b, m2, out=plus), out=plus)
+        np.multiply(b, sg2, out=minus)
         # g - 1 is formed first, so that a small residual keeps its digits
-        e = a * ((gamma - 1) + delta * s) + b * m2 * g
+        np.multiply(a, np.add(gamma - 1, e, out=e), out=e)
+        e += np.multiply(np.multiply(b, m2, out=cols[0]), g, out=cols[0])
         over = m2 > rs ** 2                 # y = c_sat*u/m there
         if over.any():
             m = np.sqrt(m2[over])
             plus[over] = c_sat / (2 * m)
             minus[over] = -c_sat * sg2[over] / (2 * m ** 3)
             e[over] = c_sat * g[over] / m - a
-        cols[0] = rt * (plus + minus)
-        cols[1] = 1j * rt * (plus - minus)
-        cols[2] = s * cols[0]
-        cols[3] = s * cols[1]
-        cols[4] = rt * e
+        np.multiply(rt, np.add(plus, minus, out=cols[0]), out=cols[0])
+        np.multiply(jrt, np.subtract(plus, minus, out=cols[1]), out=cols[1])
+        np.multiply(s, cols[0], out=cols[2])
+        np.multiply(s, cols[1], out=cols[3])
+        e *= rt
         # a dgemm: numpy hands d @ d.T to dsyrk, which is ~8x slower here
-        top = d[:4] @ d.T
-        return np.vstack([top, np.append(top[:, 4], np.square(d[4]).sum())])
+        top = d[:4] @ d[:5].T
+        cost = np.square(d[4], out=d[4]).sum()
+        return np.vstack([top, np.append(top[:, 4], cost)])
 
     return gram
 
@@ -312,10 +323,6 @@ def rrc_taps(rolloff: float, span: int, oversampling: int) -> np.ndarray:
     return h / np.sqrt(np.sum(h ** 2))
 
 
-def _draw_symbols(rng: np.random.Generator, n: int) -> np.ndarray:
-    return QPSK[rng.integers(len(QPSK), size=n)]
-
-
 @lru_cache(maxsize=16)
 def _spectrum(nfft: int, spec: Optional[FilterSpec] = None) -> np.ndarray:
     """Read-only nfft-point spectrum of the RRC pulse, or of a filter."""
@@ -325,48 +332,53 @@ def _spectrum(nfft: int, spec: Optional[FilterSpec] = None) -> np.ndarray:
     return spectrum
 
 
-def _transmit(symbols: np.ndarray, config: ChainConfig,
-              rng: np.random.Generator, spd: Optional[SpdParams] = None,
-              clip: Optional[float] = None):
-    """Front end of the chain: shaping at the drive, on-ground SPD, IMUX, jitter.
+def _imux_and_jitter(x: np.ndarray, n: int, imux: Optional[FilterSpec],
+                     e: Optional[np.ndarray]) -> np.ndarray:
+    """IMUX output z of spectrum x (overwritten), first n samples, plus e*z'."""
+    if imux is not None:
+        x *= _spectrum(x.size, imux)
+    z = np.fft.ifft(x)[:n]
+    if e is not None:
+        x *= 2j * np.pi * np.fft.fftfreq(x.size)
+        z += e * np.fft.ifft(x)[:n]
+    return z
 
-    Returns the first n = OVERSAMPLING*m + 2*SPAN*OVERSAMPLING samples and
-    the grid size nfft, which holds n plus the pulse's, IMUX's and OMUX's
-    longest decay. The jitter term of the model x + e*x' draws e ~ N(0,
-    sigma_j) per sample, and x' is the band-limited waveform's derivative.
+
+@lru_cache(maxsize=8)
+def _front_end(n_symbols: int, seed: int, imux: Optional[FilterSpec],
+               omux: Optional[FilterSpec], sigma_j: float, onground: bool):
+    """Read-only front end at drive 1: symbols, waveform, e, noise and nfft.
+
+    A ``seed`` stream draws the symbols, the jitter e ~ N(0, sigma_j) per
+    sample (None for sigma_j = 0) and the unit complex noise, in that order.
+    The waveform is the first n = OVERSAMPLING*m + 2*SPAN*OVERSAMPLING
+    samples of the IMUX output plus its jitter term or, ``onground``, of the
+    shaped waveform, on nfft points that hold n plus the longest decay. The
+    drive only scales the waveform, so one entry serves every drive.
     """
+    rng = np.random.default_rng(seed)
+    symbols = QPSK[rng.integers(len(QPSK), size=n_symbols)]
     pulse = 2 * SPAN * OVERSAMPLING
-    n = OVERSAMPLING * symbols.size + pulse
-    tail = max([pulse] + [spec.length for spec in (config.imux, config.omux)
-                          if spec is not None])
+    n = OVERSAMPLING * n_symbols + pulse
+    tail = max([pulse] + [f.length for f in (imux, omux) if f is not None])
     nfft = 1 << (n + tail - 1).bit_length()
     # the zero-stuffed train's spectrum is the symbols' spectrum, tiled
     x = np.tile(np.fft.fft(symbols, nfft // OVERSAMPLING), OVERSAMPLING)
-    x *= _spectrum(nfft) * config.drive
-    if config.spd_location == "onground":
-        x = np.fft.fft(spd_apply(spd, np.fft.ifft(x)[:n], clip_at=clip), nfft)
-    if config.imux is not None:
-        x *= _spectrum(nfft, config.imux)
-    z = np.fft.ifft(x)[:n]
-    if config.sigma_j > 0:
-        x *= 2j * np.pi * np.fft.fftfreq(nfft)
-        z += rng.normal(0.0, config.sigma_j, n) * np.fft.ifft(x)[:n]
-    return z, nfft
+    x *= _spectrum(nfft)
+    e = rng.normal(0.0, sigma_j, n) if sigma_j > 0 else None
+    z = np.fft.ifft(x)[:n] if onground else _imux_and_jitter(x, n, imux, e)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for part in filter(lambda a: a is not None, (symbols, z, e, noise)):
+        part.flags.writeable = False
+    return symbols, z, e, noise, nfft
 
 
-@lru_cache(maxsize=4)
 def _training_burst(imux: Optional[FilterSpec], sigma_j: float) -> np.ndarray:
-    """Read-only training burst at drive 1: the IMUX output and its jitter term.
-
-    The symbols and then the jitter draws come from one ``TRAIN_SEED``
-    stream. The front end is linear in the drive, so one burst serves
-    every drive.
-    """
-    rng = np.random.default_rng(TRAIN_SEED)
-    config = ChainConfig(sigma_j=sigma_j, imux=imux, omux=None)
-    x, _ = _transmit(_draw_symbols(rng, N_TRAIN_SYMBOLS), config, rng)
-    x.flags.writeable = False
-    return x
+    """Read-only training burst at drive 1: the IMUX output and its jitter
+    term, the front end of ``N_TRAIN_SYMBOLS`` symbols from ``TRAIN_SEED``
+    on a grid with no OMUX. It serves every drive, scaled."""
+    ChainConfig(sigma_j=sigma_j)            # the chain's check of the level
+    return _front_end(N_TRAIN_SYMBOLS, TRAIN_SEED, imux, None, sigma_j, False)[1]
 
 
 def train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
@@ -387,10 +399,10 @@ def train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
 def _equalized_sinr(rx_symbols: np.ndarray, symbols: np.ndarray,
                     n_taps: int) -> float:
     """Data-aided symbol-spaced LS equalizer, then error-vector SINR."""
-    n = symbols.size
-    half = n_taps // 2
-    cols = [np.roll(rx_symbols, half - t) for t in range(n_taps)]
-    data = np.stack(cols + [symbols], axis=1)[half:n - half]
+    n, half = symbols.size, n_taps // 2
+    # row r: the taps' inputs rx[r:r + n_taps], then the symbol at r + half
+    windows = sliding_window_view(rx_symbols, n_taps)[:n - 2 * half]
+    data = np.concatenate([windows, symbols[half:n - half, None]], axis=1)
     mat, ref = data[:, :n_taps], data[:, n_taps]
     # normal equations from one zgemm; lstsq keeps the minimum-norm taps
     # when mat is rank-deficient (an all-zero rx gives w = 0)
@@ -404,46 +416,47 @@ def _equalized_sinr(rx_symbols: np.ndarray, symbols: np.ndarray,
 
 
 def _amplify(config: ChainConfig, spd: Optional[SpdParams], hpa: HpaParams,
-             n_symbols: int, rng: np.random.Generator):
-    """The chain up to the amplifier (the SPD fitted if placed and not
-    given): symbols, HPA output, OBO and FFT grid size."""
+             n_symbols: int, seed: int):
+    """The chain up to the amplifier (the SPD fitted if placed and not given):
+    the front end, HPA output and OBO. The drive d makes z(d) = d*z(1) exactly."""
     if config.spd_location != "none" and spd is None:
         spd = train_spd(config, hpa)
-    s = _draw_symbols(rng, n_symbols)
+    front = _front_end(n_symbols, seed, config.imux, config.omux,
+                       config.sigma_j, config.spd_location == "onground")
     clip = hpa.r_sat if np.isfinite(hpa.r_sat) else None
-    z, nfft = _transmit(s, config, rng, spd, clip)
-    if config.spd_location == "onboard":
+    z = front[1] * config.drive
+    if config.spd_location == "onground":
+        x = np.fft.fft(spd_apply(spd, z, clip_at=clip), front[4])
+        z = _imux_and_jitter(x, z.size, config.imux, front[2])
+    elif config.spd_location == "onboard":
         z = spd_apply(spd, z, clip_at=clip)
     y = hpa_apply(hpa, z)
     # a linear device (no r_sat) has no back-off reference
     obo = (10 * np.log10(hpa.p_sat / np.mean(np.abs(y) ** 2))
            if clip is not None else np.inf)
-    return s, y, float(obo), nfft
+    return front, y, float(obo)
 
 
 def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
                    hpa: HpaParams, n_symbols: int = 4000,
-                   rng: Optional[np.random.Generator] = None) -> ChainResult:
+                   seed: int = 0) -> ChainResult:
     """Run the transmit chain once and measure OBO and data-aided SINR.
 
     Pipeline: pulse shaping, optional on-ground SPD, IMUX, sampling
     jitter, optional onboard SPD, cubic HPA (clipped at r_sat), OMUX,
     AWGN, receive matched filter, timing search and a data-aided
     symbol-spaced equalizer. ``spd`` may be None when spd_location is
-    "none"; it is fitted internally when omitted otherwise.
+    "none"; it is fitted internally when omitted otherwise. The symbols,
+    jitter and noise come from one ``seed`` stream.
     """
     if n_symbols < EQ_TAPS:
         raise ConfigurationError(
             f"n_symbols must be >= {EQ_TAPS}, the equalizer's tap count")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    s, y, obo, nfft = _amplify(config, spd, hpa, n_symbols, rng)
+    (s, _, _, noise, nfft), y, obo = _amplify(config, spd, hpa, n_symbols, seed)
     if config.omux is not None:
         y = np.fft.ifft(np.fft.fft(y, nfft)
                        * _spectrum(nfft, config.omux))[:y.size]
-    nv = 10 ** (-config.snr_db / 10)
-    y = y + np.sqrt(nv / 2) * (rng.standard_normal(y.size)
-                               + 1j * rng.standard_normal(y.size))
+    y = y + np.sqrt(10 ** (-config.snr_db / 10) / 2) * noise
     # receive matched filter, then an integer timing search over a window
     # covering the filters' group delays (the first best correlation)
     os_, base = OVERSAMPLING, 2 * SPAN * OVERSAMPLING
@@ -465,7 +478,7 @@ def obo_vs_drive(config: ChainConfig, hpa: HpaParams,
     """
     return np.array([
         _amplify(replace(config, drive=float(dr)), None, hpa, CURVE_SYMBOLS,
-                 np.random.default_rng(CURVE_SEED))[2] for dr in drives])
+                 CURVE_SEED)[2] for dr in drives])
 
 
 def drive_for_obo(config: ChainConfig, hpa: HpaParams,
@@ -504,7 +517,7 @@ def spd_benchmark(hpa: HpaParams, obo_grid_db: Sequence[float],
         for target, dr in zip(obo_grid_db, drives):
             cfg = replace(cfg0, drive=float(dr))
             res = evaluate_chain(cfg, None, hpa, n_symbols=n_symbols,
-                                 rng=np.random.default_rng(seed))
+                                 seed=seed)
             rows.append({"spd_location": mode,
                          "jitter_aware": cfg.jitter_aware and mode == "onboard",
                          "obo_db": res.obo_db, "obo_target_db": float(target),

@@ -490,8 +490,10 @@ class TestHeavySubcommandsSmallConfig:
                "lut_bins": 8}
         out = run(tmp_path, "spd-bench", cfg, "v")
         lines = (out / "spd_bench.csv").read_bytes().decode().strip().split("\r\n")
-        assert lines[0] == "spd_location,jitter_aware,obo_db,sinr_db,seed"
+        assert lines[0] == ("spd_location,jitter_aware,obo_db,obo_target_db,"
+                            "sinr_db,seed")
         assert len(lines) == 2
+        assert lines[1].split(",")[3] == "4"
         lut = (out / "spd_lut.csv").read_bytes().decode().strip().split("\r\n")
         assert lut[0] == "bin_lo,bin_hi,gain_re,gain_im"
         assert len(lut) == 9

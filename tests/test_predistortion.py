@@ -2,8 +2,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,21 +111,27 @@ class TestFitHpa:
             fit_hpa(np.ones(3, complex), np.ones(4, complex))
 
 
-def imux_output(symbols, order=4, cutoff=0.13):
-    """Shaping and IMUX sample by sample: convolution, then recursion."""
+def shaped(symbols):
+    """The pulse-shaped train sample by sample: zero-stuffing, convolution."""
     up = np.zeros(symbols.size * pd.OVERSAMPLING, complex)
     up[::pd.OVERSAMPLING] = symbols
-    x = np.convolve(up, pd.rrc_taps(pd.ROLLOFF, pd.SPAN, pd.OVERSAMPLING))
-    return signal.lfilter(*signal.butter(order, cutoff), x)
+    return np.convolve(up, pd.rrc_taps(pd.ROLLOFF, pd.SPAN, pd.OVERSAMPLING))
 
 
-def front_end(symbols, sigma_j, seed, **config):
-    """``_transmit``'s waveform, its jitter term e*x' and e, from ``seed``."""
-    cfg = pd.ChainConfig(sigma_j=0.0, omux=None, **config)
-    z0, _ = pd._transmit(symbols, cfg, None)
-    z1, _ = pd._transmit(symbols, replace(cfg, sigma_j=sigma_j),
-                         np.random.default_rng(seed))
-    return z0, z1 - z0, np.random.default_rng(seed).normal(0, sigma_j, z0.size)
+def imux_output(symbols, order=4, cutoff=0.13):
+    """Shaping and IMUX sample by sample: convolution, then recursion."""
+    return signal.lfilter(*signal.butter(order, cutoff), shaped(symbols))
+
+
+def tone_jitter(f, sigma_j, seed, imux):
+    """A shaped tone's IMUX output z, the jitter term e*z' that
+    ``_imux_and_jitter`` adds to it, and e ~ N(0, sigma_j) from ``seed``."""
+    x = shaped(np.exp(2j * np.pi * f * np.arange(4000)))
+    nfft = 1 << 16                      # holds x and the IMUX's decay
+    e = np.random.default_rng(seed).normal(0, sigma_j, x.size)
+    z = pd._imux_and_jitter(np.fft.fft(x, nfft), x.size, imux, None)
+    jittered = pd._imux_and_jitter(np.fft.fft(x, nfft), x.size, imux, e)
+    return z, jittered - z, e
 
 
 class TestJitter:
@@ -133,29 +139,32 @@ class TestJitter:
         # an order-7 IMUX at 0.05 leaves the shaped tone free of the pulse's
         # images, so the jitter term is e * j*omega*x inside the waveform
         f = 0.03                            # cycles per symbol
-        s = np.exp(2j * np.pi * f * np.arange(4000))
-        z, jitter, e = front_end(s, 0.5, 1,
-                                 imux=pd.FilterSpec(order=7, cutoff=0.05))
+        imux = pd.FilterSpec(order=7, cutoff=0.05)
+        z, jitter, e = tone_jitter(f, 0.5, 1, imux)
         err = np.abs(jitter - e * 2j * np.pi * f / pd.OVERSAMPLING * z)
         assert np.all(err[3000:-3000] <= 1e-7 * np.abs(e[3000:-3000]))
 
     @pytest.mark.parametrize("n", [6528, 12128, 32128])
     def test_spectral_derivative_matches_the_dft_formula(self, n):
-        # the derivative of the band-limited IMUX output against the
-        # circular derivative of its first n samples: they part only near
-        # the ends, where the truncation wraps the circular one
-        s = pd._draw_symbols(np.random.default_rng(n), (n - 128) // 8)
-        _, jitter, e = front_end(s, 0.5, n, imux=pd.FilterSpec(4, 0.13))
+        # the front end's jitter term against the circular derivative of the
+        # first n samples of the IMUX output: they part only near the ends,
+        # where the truncation wraps the circular one
+        imux = pd.FilterSpec(4, 0.13)
+        s, z, _, _, _ = pd._front_end((n - 128) // 8, n, imux, None, 0.0, False)
+        _, jittered, e, _, _ = pd._front_end((n - 128) // 8, n, imux, None, 0.5,
+                                             False)
         x = imux_output(s)
         dx = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n) * np.fft.fft(x))
-        err = np.abs(jitter - e * dx)[256:-256]
+        err = np.abs(jittered - z - e * dx)[256:-256]
         assert np.all(err <= 1e-5 * np.abs(e[256:-256]) + 1e-14)
 
     def test_zero_jitter_identity(self):
-        # the IMUX output of the shaped train, with no draw from the rng
-        s = pd._draw_symbols(np.random.default_rng(3), 4000)
-        z, _ = pd._transmit(s, pd.ChainConfig(sigma_j=0.0), rng=None)
+        # the IMUX output of the shaped train, with no jitter draw
+        config = pd.ChainConfig(sigma_j=0.0)
+        s, z, e, _, _ = pd._front_end(4000, 3, config.imux, config.omux, 0.0,
+                                      False)
         want = imux_output(s)
+        assert e is None
         assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_negative_levels_rejected(self):
@@ -165,12 +174,63 @@ class TestJitter:
     def test_tone_mse_matches_first_order_model(self):
         # E|e * x_dot|^2 = sigma_j^2 * omega^2 * |x|^2 for a tone
         f, sigma = 0.1, 0.02                # cycles per symbol, jitter
-        z, jitter, _ = front_end(np.exp(2j * np.pi * f * np.arange(4000)),
-                                 sigma, 2)
+        z, jitter, _ = tone_jitter(f, sigma, 2, pd.ChainConfig().imux)
         omega = 2 * np.pi * f / pd.OVERSAMPLING
         mse = np.mean(np.abs(jitter[256:-256]) ** 2)
         want = sigma ** 2 * omega ** 2 * np.mean(np.abs(z[256:-256]) ** 2)
         assert mse == pytest.approx(want, rel=0.1)
+
+
+class TestFrontEnd:
+    def test_cached_arrays_are_read_only(self):
+        config = pd.ChainConfig()
+        front = pd._front_end(500, 1, config.imux, config.omux, 0.005, False)
+        assert front[4] == 8192
+        for part in front[:4]:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+
+    def test_none_and_onboard_rows_share_one_entry(self):
+        # the onboard SPD is given, so no training burst enters the cache
+        hpa, spd = pd.HpaParams(), pd.SpdParams(gamma=1.0, delta=0.05)
+        pd._front_end.cache_clear()
+        for location, drive in [("none", 1.3), ("onboard", 0.8),
+                                ("none", 0.5), ("onboard", 2.0)]:
+            config = pd.ChainConfig(spd_location=location, drive=drive)
+            pd.evaluate_chain(config, spd, hpa, n_symbols=300, seed=9)
+        info = pd._front_end.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        pd.evaluate_chain(pd.ChainConfig(spd_location="onground"), spd, hpa,
+                          n_symbols=300, seed=9)
+        assert pd._front_end.cache_info().currsize == 2
+
+    def test_seeds_draw_apart(self):
+        config = pd.ChainConfig()
+        a, b = (pd._front_end(500, seed, config.imux, config.omux, 0.005, False)
+                for seed in (1, 2))
+        for i in range(4):          # symbols, waveform, jitter, noise
+            assert not np.array_equal(a[i], b[i])
+
+    @pytest.mark.parametrize("imux, atol", [(pd.FilterSpec(4, 0.13), 1e-12),
+                                            (pd.FilterSpec(7, 0.05), 1e-8)])
+    def test_amplifier_input_is_the_drive_times_the_front_end(
+            self, monkeypatch, imux, atol):
+        # the pre-HPA waveform at drive d is d times the one at drive 1, bit
+        # for bit, and the sample-by-sample chain times d
+        seen, apply = [], pd.hpa_apply
+        monkeypatch.setattr(pd, "hpa_apply",
+                            lambda hpa, z: seen.append(z) or apply(hpa, z))
+        hpa = pd.HpaParams()
+        drives = (1.0, 0.37, 2.9)
+        for drive in drives:
+            config = pd.ChainConfig(sigma_j=0.0, imux=imux, drive=drive)
+            front, _, _ = pd._amplify(config, None, hpa, 4064, 5)
+        want = imux_output(front[0], imux.order, imux.cutoff)
+        for drive, z in zip(drives, seen):
+            np.testing.assert_array_equal(z, drive * seen[0])
+            np.testing.assert_allclose(z, drive * want, rtol=0,
+                                       atol=atol * np.abs(drive * want).max())
 
 
 class TestSpdPolynomialAndLut:
@@ -371,6 +431,26 @@ class TestSpdGram:
                 clipped.append(share)
         assert max(clipped) > 0.4
 
+    def test_calls_after_the_first_allocate_at_most_one_complex_array(self):
+        # the buffers belong to the fit: a later call, at a drive that
+        # clips no sample, allocates little more than the clipping mask
+        hpa = pd.HpaParams()
+        x = pd._training_burst(pd.ChainConfig().imux, 0.005) * 0.6
+        fit, _ = pd.fit_spd(hpa, x)
+        gram = pd._spd_gram(hpa, x.real ** 2 + x.imag ** 2)
+        for p in ([1.0, 0.0, 0.0, 0.0], [fit.gamma.real, fit.gamma.imag,
+                                         fit.delta.real, fit.delta.imag]):
+            assert wirtinger_gram(hpa, x, p)[1] == 0
+            gram(np.array(p))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                gram(np.array(p))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - before <= 16 * x.size
+
 
 def grid_filter(spec, x):
     """A filter as a product on a power-of-two grid of n + length points."""
@@ -415,8 +495,8 @@ class TestFilterSpec:
         # 4064 symbols are 32 640 samples, which with the pulse's 128-sample
         # tail alone fit 32 768 points, where the 2438-sample IMUX would wrap
         imux = pd.FilterSpec(order=7, cutoff=0.05)
-        s = pd._draw_symbols(np.random.default_rng(5), 4064)
-        z, nfft = pd._transmit(s, pd.ChainConfig(imux=imux, sigma_j=0.0), None)
+        omux = pd.ChainConfig().omux
+        s, z, _, _, nfft = pd._front_end(4064, 5, imux, omux, 0.0, False)
         assert imux.length == 2438 and nfft == 65536
         want = imux_output(s, 7, 0.05)
         np.testing.assert_allclose(z, want, rtol=0,
@@ -439,18 +519,15 @@ class TestChain:
         cfg = pd.ChainConfig(spd_location="none", sigma_j=0.0, imux=None,
                              omux=None, snr_db=30.0, drive=0.5)
         hpa = pd.HpaParams(alpha=1.0, beta=0.0)
-        res = pd.evaluate_chain(cfg, None, hpa, n_symbols=4000,
-                                rng=np.random.default_rng(0))
+        res = pd.evaluate_chain(cfg, None, hpa, n_symbols=4000, seed=0)
         assert res.sinr_db == pytest.approx(30.0 + 20 * np.log10(0.5), abs=0.2)
         assert res.obo_db == np.inf
 
     def test_determinism(self):
         cfg = pd.ChainConfig(spd_location="onboard", drive=1.2)
         hpa = pd.HpaParams()
-        a = pd.evaluate_chain(cfg, None, hpa, n_symbols=1000,
-                              rng=np.random.default_rng(1))
-        b = pd.evaluate_chain(cfg, None, hpa, n_symbols=1000,
-                              rng=np.random.default_rng(1))
+        a = pd.evaluate_chain(cfg, None, hpa, n_symbols=1000, seed=1)
+        b = pd.evaluate_chain(cfg, None, hpa, n_symbols=1000, seed=1)
         assert a == b
 
     def test_obo_decreases_with_drive(self):
@@ -466,7 +543,7 @@ class TestChain:
         dr = pd.drive_for_obo(cfg, hpa, 4.0)
         res = pd.evaluate_chain(pd.ChainConfig(spd_location="none", drive=dr),
                                 None, hpa, n_symbols=pd.CURVE_SYMBOLS,
-                                rng=np.random.default_rng(pd.CURVE_SEED))
+                                seed=pd.CURVE_SEED)
         assert res.obo_db == pytest.approx(4.0, abs=0.3)
         # a sequence of targets gives the same drive per target
         both = pd.drive_for_obo(cfg, hpa, [4.0, 6.0])
@@ -536,12 +613,11 @@ class TestDriveForObo:
         hpa = pd.HpaParams()
         chain = pd.evaluate_chain(config, None, hpa,
                                   n_symbols=pd.CURVE_SYMBOLS,
-                                  rng=np.random.default_rng(pd.CURVE_SEED))
+                                  seed=pd.CURVE_SEED)
         assert pd.obo_vs_drive(config, hpa, [1.3])[0] == chain.obo_db
-        _, _, obo, _ = pd._amplify(config, None, hpa, 600,
-                                   np.random.default_rng(4))
+        _, _, obo = pd._amplify(config, None, hpa, 600, 4)
         assert obo == pd.evaluate_chain(config, None, hpa, n_symbols=600,
-                                        rng=np.random.default_rng(4)).obo_db
+                                        seed=4).obo_db
 
 
 def test_spd_benchmark_calls_every_span_the_benchmark_reads(monkeypatch):
@@ -614,8 +690,32 @@ class TestEqualizedSinr:
         got = pd._equalized_sinr(rx, s, 11)
         assert got == pytest.approx(self.lstsq_sinr_db(rx, s, 11), abs=1e-9)
 
+    @staticmethod
+    def rolled_sinr_db(rx, symbols, n_taps):
+        # the data matrix from n_taps rolled copies of rx and one stack
+        n, half = symbols.size, n_taps // 2
+        cols = [np.roll(rx, half - t) for t in range(n_taps)]
+        data = np.stack(cols + [symbols], axis=1)[half:n - half]
+        mat, ref = data[:, :n_taps], data[:, n_taps]
+        gram = data.conj().T @ data
+        w, *_ = np.linalg.lstsq(gram[:n_taps, :n_taps], gram[:n_taps, n_taps],
+                                rcond=None)
+        mse = float(np.mean(np.abs((mat * w).sum(axis=1) - ref) ** 2))
+        sig = float(np.mean(np.abs(ref) ** 2))
+        return 10 * np.log10(sig / max(mse, 1e-300))
+
+    @pytest.mark.parametrize("n_taps", [pd.EQ_TAPS, 4, 1])
+    def test_windows_build_the_rolled_data_matrix(self, n_taps):
+        # bit for bit: the same data, Gram and taps as the rolled copies
+        rng = np.random.default_rng(n_taps)
+        s = pd.QPSK[rng.integers(4, size=3000)]
+        rx = np.convolve(s, [0.1j, 1.0, -0.2])[1:s.size + 1] + 0.01 * (
+            rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
+        assert pd._equalized_sinr(rx, s, n_taps) == self.rolled_sinr_db(
+            rx, s, n_taps)
+
     def test_zero_rx_gives_zero_db(self):
-        s = pd._draw_symbols(np.random.default_rng(7), 500)
+        s = pd.QPSK[np.random.default_rng(7).integers(4, size=500)]
         assert pd._equalized_sinr(np.zeros(500, complex), s, 11) == 0.0
 
 
@@ -658,15 +758,14 @@ print(after[main] - before[main],
     assert workers < 0.05 * main
 
 
-def burst_drawn_per_call(config, drive):
-    """The burst that train_spd fits for ``config``, drawn at ``drive``."""
-    rng = np.random.default_rng(pd.TRAIN_SEED)
-    s = pd._draw_symbols(rng, pd.N_TRAIN_SYMBOLS)
+def burst_drawn_per_call(config):
+    """The symbols and burst that train_spd fits for ``config``, from the
+    front end run afresh, past its cache."""
     onboard = config.spd_location == "onboard"
-    front = pd.ChainConfig(
-        drive=drive, imux=config.imux if onboard else None, omux=None,
-        sigma_j=config.sigma_j if onboard and config.jitter_aware else 0.0)
-    return pd._transmit(s, front, rng)[0]
+    imux = config.imux if onboard else None
+    sigma_j = config.sigma_j if onboard and config.jitter_aware else 0.0
+    return pd._front_end.__wrapped__(pd.N_TRAIN_SYMBOLS, pd.TRAIN_SEED, imux,
+                                     None, sigma_j, False)[:2]
 
 
 class TestTrainSpd:
@@ -677,15 +776,17 @@ class TestTrainSpd:
         dict(spd_location="onground", sigma_j=0.05)],
         ids=["onboard_aware", "onboard_blind", "no_imux", "onground"])
     def test_matches_the_burst_drawn_per_call(self, cfg):
-        # the front end is linear in the drive, so the drive-1 burst scaled
-        # is the burst drawn at the drive, and train_spd fits it
+        # train_spd fits the drive-1 burst scaled by the drive; without
+        # jitter, the burst is the sample-by-sample shaping and IMUX
         hpa = pd.HpaParams()
         for drive in (1.7, 0.4):
             config = pd.ChainConfig(drive=drive, **cfg)
-            burst = burst_drawn_per_call(config, 1.0) * drive
-            driven = burst_drawn_per_call(config, drive)
-            assert np.abs(driven - burst).max() <= 1e-12 * np.abs(driven).max()
-            assert pd.train_spd(config, hpa) == pd.fit_spd(hpa, burst)[0]
+            s, burst = burst_drawn_per_call(config)
+            assert pd.train_spd(config, hpa) == pd.fit_spd(hpa, burst * drive)[0]
+        if cfg.get("jitter_aware", True) and cfg["spd_location"] == "onboard":
+            return
+        want = imux_output(s) if cfg["spd_location"] == "onboard" else shaped(s)
+        assert np.abs(burst - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_cached_burst_is_read_only(self):
         config = pd.ChainConfig(spd_location="onboard", drive=2.0)
@@ -705,5 +806,5 @@ class TestJitterAwareTraining:
         for aware in (True, False):
             cfg = pd.ChainConfig(jitter_aware=aware, **base)
             res[aware] = pd.evaluate_chain(cfg, None, hpa, n_symbols=2000,
-                                           rng=np.random.default_rng(5))
+                                           seed=5)
         assert res[True].sinr_db >= res[False].sinr_db - 0.1
