@@ -27,15 +27,20 @@ class PopularityModel:
         if self.alpha < 0:
             raise ConfigurationError("alpha must be >= 0")
 
+    def _weights(self) -> np.ndarray:
+        """(1/i)^alpha over the ranks i = 1..I."""
+        ranks = np.arange(1, self.library_size + 1, dtype=float)
+        return ranks ** -float(self.alpha)
+
     @property
     def pmf(self) -> np.ndarray:
-        return zipf_pmf(self.library_size, self.alpha)
+        """Normalised pmf over the ranks, non-increasing."""
+        return self._weights() / self.normalizer
 
     @property
     def normalizer(self) -> float:
         """The Zipf normalizing constant sum_j (1/j)^alpha."""
-        ranks = np.arange(1, self.library_size + 1, dtype=float)
-        return float(np.sum(ranks ** -self.alpha))
+        return float(np.sum(self._weights()))
 
 
 @dataclass(frozen=True)
@@ -48,17 +53,6 @@ class DeliveryPlan:
     @property
     def t_tot(self) -> float:
         return self.t_uc + self.t_bc
-
-
-def zipf_pmf(library_size: int, alpha: float) -> np.ndarray:
-    """Normalised Zipf pmf over ranks 1..I, non-increasing."""
-    if library_size < 1:
-        raise ConfigurationError("library size must be >= 1")
-    if alpha < 0:
-        raise ConfigurationError("alpha must be >= 0")
-    ranks = np.arange(1, library_size + 1, dtype=float)
-    w = ranks ** -float(alpha)
-    return w / w.sum()
 
 
 def _check_link(file_size_bits, n_stations, rate_uc, rate_bc):

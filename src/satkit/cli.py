@@ -124,11 +124,14 @@ def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
             loaded = json.load(fh, parse_constant=_reject_constant,
                                parse_float=_finite_float, parse_int=_json_int)
         # accept a previous run's manifest directly
-        if "config" in loaded and "subcommand" in loaded:
+        if (isinstance(loaded, dict) and "config" in loaded
+                and "subcommand" in loaded):
             if loaded["subcommand"] != subcommand:
                 raise ConfigurationError(
                     f"manifest is for {loaded['subcommand']!r}, not {subcommand!r}")
             loaded = loaded["config"]
+        if not isinstance(loaded, dict):
+            raise ConfigurationError("config must be a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -243,14 +246,13 @@ def cmd_spd_bench(cfg: dict, out: Path):
               [(r["spd_location"], r["jitter_aware"], r["obo_db"],
                 r["obo_target_db"], r["sinr_db"], r["seed"]) for r in rows])
     if cfg["lut_bins"]:
-        cfg_fit = replace(base, spd_location="onboard", drive=1.0)
-        spd = predistortion.train_spd(cfg_fit, hpa)
-        spd = predistortion.build_lut(spd, dynamic_range=hpa.r_sat,
-                                      n_bins=cfg["lut_bins"])
+        spd = predistortion.train_spd(replace(base, spd_location="onboard"), hpa)
+        edges, gains = predistortion.build_lut(spd, dynamic_range=hpa.r_sat,
+                                               n_bins=cfg["lut_bins"])
         write_csv(out / "spd_lut.csv",
                   ["bin_lo", "bin_hi", "gain_re", "gain_im"],
-                  [(float(lo.real), float(hi.real), float(g.real),
-                    float(g.imag)) for lo, hi, g in spd.lut])
+                  [(float(lo), float(hi), float(g.real), float(g.imag))
+                   for lo, hi, g in zip(edges[:-1], edges[1:], gains)])
 
 
 def cmd_carrier_assign(cfg: dict, out: Path):

@@ -4,13 +4,14 @@ The amplifier is a memoryless third-order Volterra model y = a*r +
 b*|r|^2*r whose drive is clipped at the AM/AM peak r_sat; output
 back-off (OBO) is defined against that peak. The SPD is a third-order
 polynomial fitted by direct-learning least squares (a Levenberg-Marquardt
-loop on 4x4 normal equations); ``build_lut`` quantises its gain per |x|
-bin. Every linear stage of the transponder chain (shaping, IMUX, jitter
-derivative, OMUX, matched filter) is a product on one power-of-two FFT
-grid per waveform length, which none of them wraps. The draws and the
-stages before the drive are computed once per seed and placement, and the
-drive scales their waveform. The drive-to-OBO curve stops at the lowest
-target, and its points end at the amplifier.
+loop on 4x4 normal equations); ``build_lut`` returns |x| bin edges and
+the SPD's complex gain per bin. Every linear stage of the transponder
+chain (shaping, IMUX, jitter derivative, OMUX, matched filter) is a
+product on one power-of-two FFT grid per waveform length, which none of
+them wraps. The draws and the stages before the drive are computed once
+per seed and placement, and the drive scales their waveform. The
+drive-to-OBO curve stops at the lowest target, and its points end at the
+amplifier.
 
 The fit's normal equations come from one dgemm on a float view and the
 equalizer's from one zgemm: a threaded level-1/2 BLAS call (zgemv, zgelsd,
@@ -78,23 +79,27 @@ class HpaParams:
         return float(abs(self.alpha * rs + self.beta * rs ** 3) ** 2)
 
 
+def _clip(r: np.ndarray, limit: float) -> np.ndarray:
+    """r with every magnitude above ``limit`` scaled down to it."""
+    m = np.abs(r)
+    return np.where(m > limit, r * (limit / np.maximum(m, 1e-300)), r)
+
+
 def hpa_apply(params: HpaParams, r: np.ndarray) -> np.ndarray:
     """Amplifier response; drive magnitude is clipped at r_sat."""
     r = np.asarray(r, complex)
     rs = params.r_sat
     if np.isfinite(rs):
-        m = np.abs(r)
-        r = np.where(m > rs, r * (rs / np.maximum(m, 1e-300)), r)
+        r = _clip(r, rs)
     return params.alpha * r + params.beta * np.abs(r) ** 2 * r
 
 
 @dataclass(frozen=True)
 class SpdParams:
-    """Predistorter r = gamma*x + delta*|x|^2*x, with an optional LUT."""
+    """Predistorter r = gamma*x + delta*|x|^2*x."""
 
     gamma: complex
     delta: complex
-    lut: Optional[np.ndarray] = None      # rows: (bin_lo, bin_hi, gain complex)
 
     def gain(self, magnitude) -> np.ndarray:
         return self.gamma + self.delta * np.asarray(magnitude) ** 2
@@ -105,20 +110,19 @@ def spd_apply(params: SpdParams, x: np.ndarray,
     """Polynomial predistortion, optionally clamped at an output magnitude."""
     x = np.asarray(x, complex)
     r = params.gamma * x + params.delta * np.abs(x) ** 2 * x
-    if clip_at is not None:
-        m = np.abs(r)
-        r = np.where(m > clip_at, r * (clip_at / np.maximum(m, 1e-300)), r)
-    return r
+    return r if clip_at is None else _clip(r, clip_at)
 
 
-def build_lut(params: SpdParams, dynamic_range: float, n_bins: int) -> SpdParams:
-    """Quantise the SPD gain over [0, dynamic_range] input magnitudes."""
+def build_lut(params: SpdParams, dynamic_range: float, n_bins: int):
+    """Quantise the SPD gain over [0, dynamic_range] input magnitudes.
+
+    Returns the n_bins + 1 bin edges and each bin's complex gain, the
+    gain at the bin's midpoint.
+    """
     if dynamic_range <= 0 or n_bins < 1:
         raise ConfigurationError("dynamic range and bin count must be positive")
     edges = np.linspace(0.0, dynamic_range, n_bins + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    lut = np.stack([edges[:-1], edges[1:], params.gain(mid)], axis=1)
-    return replace(params, lut=lut)
+    return edges, params.gain(0.5 * (edges[:-1] + edges[1:]))
 
 
 # Levenberg-Marquardt loop of fit_spd: the damping starts at LM_LAMBDA0
@@ -373,27 +377,20 @@ def _front_end(n_symbols: int, seed: int, imux: Optional[FilterSpec],
     return symbols, z, e, noise, nfft
 
 
-def _training_burst(imux: Optional[FilterSpec], sigma_j: float) -> np.ndarray:
-    """Read-only training burst at drive 1: the IMUX output and its jitter
-    term, the front end of ``N_TRAIN_SYMBOLS`` symbols from ``TRAIN_SEED``
-    on a grid with no OMUX. It serves every drive, scaled."""
-    ChainConfig(sigma_j=sigma_j)            # the chain's check of the level
-    return _front_end(N_TRAIN_SYMBOLS, TRAIN_SEED, imux, None, sigma_j, False)[1]
-
-
 def train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
     """Fit SPD coefficients on a training burst seen at the SPD's location.
 
-    Onboard, the burst passes the IMUX and, for a jitter-aware SPD, the
-    sampling jitter (jitter-cognizant training); on ground it is the
-    shaped waveform alone.
+    The burst is the drive-1 front end of ``N_TRAIN_SYMBOLS`` symbols from
+    ``TRAIN_SEED`` with no OMUX, scaled by the drive. Onboard, it passes
+    the IMUX and, for a jitter-aware SPD, the sampling jitter (jitter-
+    cognizant training); on ground it is the shaped waveform alone.
     """
     onboard = config.spd_location == "onboard"
-    burst = _training_burst(
-        config.imux if onboard else None,
-        config.sigma_j if onboard and config.jitter_aware else 0.0)
-    params, _ = fit_spd(hpa, burst * config.drive)
-    return params
+    burst = _front_end(N_TRAIN_SYMBOLS, TRAIN_SEED,
+                       config.imux if onboard else None, None,
+                       config.sigma_j if onboard and config.jitter_aware
+                       else 0.0, False)[1]
+    return fit_spd(hpa, burst * config.drive)[0]
 
 
 def _equalized_sinr(rx_symbols: np.ndarray, symbols: np.ndarray,
@@ -415,11 +412,10 @@ def _equalized_sinr(rx_symbols: np.ndarray, symbols: np.ndarray,
     return 10 * np.log10(sig / max(mse, 1e-300))
 
 
-def _amplify(config: ChainConfig, spd: Optional[SpdParams], hpa: HpaParams,
-             n_symbols: int, seed: int):
-    """The chain up to the amplifier (the SPD fitted if placed and not given):
+def _amplify(config: ChainConfig, hpa: HpaParams, n_symbols: int, seed: int):
+    """The chain up to the amplifier (a placed SPD trained at the drive):
     the front end, HPA output and OBO. The drive d makes z(d) = d*z(1) exactly."""
-    if config.spd_location != "none" and spd is None:
+    if config.spd_location != "none":
         spd = train_spd(config, hpa)
     front = _front_end(n_symbols, seed, config.imux, config.omux,
                        config.sigma_j, config.spd_location == "onground")
@@ -437,22 +433,21 @@ def _amplify(config: ChainConfig, spd: Optional[SpdParams], hpa: HpaParams,
     return front, y, float(obo)
 
 
-def evaluate_chain(config: ChainConfig, spd: Optional[SpdParams],
-                   hpa: HpaParams, n_symbols: int = 4000,
+def evaluate_chain(config: ChainConfig, hpa: HpaParams, n_symbols: int = 4000,
                    seed: int = 0) -> ChainResult:
     """Run the transmit chain once and measure OBO and data-aided SINR.
 
     Pipeline: pulse shaping, optional on-ground SPD, IMUX, sampling
     jitter, optional onboard SPD, cubic HPA (clipped at r_sat), OMUX,
     AWGN, receive matched filter, timing search and a data-aided
-    symbol-spaced equalizer. ``spd`` may be None when spd_location is
-    "none"; it is fitted internally when omitted otherwise. The symbols,
-    jitter and noise come from one ``seed`` stream.
+    symbol-spaced equalizer. A placed SPD is trained by ``train_spd`` at
+    the config's drive. The symbols, jitter and noise come from one
+    ``seed`` stream.
     """
     if n_symbols < EQ_TAPS:
         raise ConfigurationError(
             f"n_symbols must be >= {EQ_TAPS}, the equalizer's tap count")
-    (s, _, _, noise, nfft), y, obo = _amplify(config, spd, hpa, n_symbols, seed)
+    (s, _, _, noise, nfft), y, obo = _amplify(config, hpa, n_symbols, seed)
     if config.omux is not None:
         y = np.fft.ifft(np.fft.fft(y, nfft)
                        * _spectrum(nfft, config.omux))[:y.size]
@@ -477,7 +472,7 @@ def obo_vs_drive(config: ChainConfig, hpa: HpaParams,
     symbols with seed ``CURVE_SEED``.
     """
     return np.array([
-        _amplify(replace(config, drive=float(dr)), None, hpa, CURVE_SYMBOLS,
+        _amplify(replace(config, drive=float(dr)), hpa, CURVE_SYMBOLS,
                  CURVE_SEED)[2] for dr in drives])
 
 
@@ -516,8 +511,7 @@ def spd_benchmark(hpa: HpaParams, obo_grid_db: Sequence[float],
         drives = drive_for_obo(cfg0, hpa, obo_grid_db)
         for target, dr in zip(obo_grid_db, drives):
             cfg = replace(cfg0, drive=float(dr))
-            res = evaluate_chain(cfg, None, hpa, n_symbols=n_symbols,
-                                 seed=seed)
+            res = evaluate_chain(cfg, hpa, n_symbols=n_symbols, seed=seed)
             rows.append({"spd_location": mode,
                          "jitter_aware": cfg.jitter_aware and mode == "onboard",
                          "obo_db": res.obo_db, "obo_target_db": float(target),

@@ -37,24 +37,31 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """K beams, each served by the feed at its centre, and N_u users per frame.
+    """K beams on a hexagonal grid, neighbours two 3 dB radii apart, each
+    served by the feed at its centre, and N_u users per frame.
 
     Distances are in km; the link budget is the module constants.
     """
 
-    K: int
+    hex_coords: np.ndarray              # (K, 2) axial ints
     N_u: int
-    beam_centers: np.ndarray            # (K, 2) planar km
     rng_seed: int = 0
-    hex_coords: Optional[np.ndarray] = None       # (K, 2) axial ints, if on a grid
 
     def __post_init__(self):
         if self.K < 1 or self.N_u < 1:
             raise ConfigurationError("K and N_u must be positive")
-        bc = np.asarray(self.beam_centers, float)
-        if bc.shape != (self.K, 2):
-            raise ConfigurationError("beam_centers must have shape (K, 2)")
-        object.__setattr__(self, "beam_centers", bc)
+
+    @property
+    def K(self) -> int:
+        return len(self.hex_coords)
+
+    @property
+    def beam_centers(self) -> np.ndarray:
+        """(K, 2) planar km of the axial coordinates."""
+        spacing = 2.0 * BEAM_RADIUS_KM
+        q, r = self.hex_coords[:, 0], self.hex_coords[:, 1]
+        return np.stack([spacing * (q + 0.5 * r),
+                         spacing * (np.sqrt(3) / 2) * r], axis=1)
 
     @property
     def feed_centers(self) -> np.ndarray:
@@ -76,8 +83,8 @@ class ChannelSet:
     H: np.ndarray                        # (N_u, K, K) complex
 
 
-def hex_layout(n_beams: int, spacing_km: float):
-    """Axial coordinates and planar centers of a hexagonal beam spiral."""
+def hex_layout(n_beams: int) -> np.ndarray:
+    """(n_beams, 2) axial coordinates of a hexagonal beam spiral."""
     if n_beams < 1:
         raise ConfigurationError("need at least one beam")
     coords = [(0, 0)]
@@ -90,18 +97,13 @@ def hex_layout(n_beams: int, spacing_km: float):
                 coords.append((q, r))
                 q, r = q + dq, r + dr
         ring += 1
-    coords = np.array(coords[:n_beams], int)
-    x = spacing_km * (coords[:, 0] + 0.5 * coords[:, 1])
-    y = spacing_km * (np.sqrt(3) / 2) * coords[:, 1]
-    return coords, np.stack([x, y], axis=1)
+    return np.array(coords[:n_beams], int)
 
 
 def default_scenario(n_beams: int = 71, n_u: int = 2,
                      seed: int = 0) -> Scenario:
-    """Hexagonal multibeam scenario with beam spacing of two 3 dB radii."""
-    coords, centers = hex_layout(n_beams, 2.0 * BEAM_RADIUS_KM)
-    return Scenario(K=n_beams, N_u=n_u, beam_centers=centers, rng_seed=seed,
-                    hex_coords=coords)
+    """Hexagonal multibeam scenario of ``n_beams`` beams in a spiral."""
+    return Scenario(hex_layout(n_beams), N_u=n_u, rng_seed=seed)
 
 
 def reuse_colors(scenario: Scenario, reuse_factor: int) -> np.ndarray:
@@ -111,8 +113,6 @@ def reuse_colors(scenario: Scenario, reuse_factor: int) -> np.ndarray:
             f"reuse factor must be in {{1,2,3,4}}, not {reuse_factor!r}")
     if reuse_factor == 1:
         return np.zeros(scenario.K, int)
-    if scenario.hex_coords is None:
-        raise ConfigurationError("reuse colouring needs a hexagonal layout")
     q, r = scenario.hex_coords[:, 0], scenario.hex_coords[:, 1]
     if reuse_factor == 2:
         return (q % 2).astype(int)
@@ -250,25 +250,19 @@ def build_channel(scenario: Scenario, user_set: UserSet,
     return ChannelSet(H=h)
 
 
-def average_cir(scenario: Scenario, reuse_pattern, n_mc: int = 200,
+def average_cir(scenario: Scenario, reuse_factor: int, n_mc: int = 200,
                 rng: Optional[np.random.Generator] = None) -> float:
     """Average carrier-to-interference ratio in dB under nominal feeding.
 
-    ``reuse_pattern`` is either a reuse factor in {1..4} or an explicit
-    per-beam colour array. Each beam transmits on its own feed;
-    interference is summed over co-channel beams of the pattern. Returns
-    +inf when the pattern leaves no co-channel interferer.
+    Each beam transmits on its own feed; interference is summed over the
+    co-channel beams of the ``reuse_factor`` pattern (``reuse_colors``).
+    Returns +inf when the pattern leaves no co-channel interferer.
     """
     if n_mc < 1:
         raise ConfigurationError("n_mc must be >= 1")
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
-    if np.isscalar(reuse_pattern):
-        colors = reuse_colors(scenario, reuse_pattern)
-    else:
-        colors = np.asarray(reuse_pattern, int)
-        if colors.shape != (scenario.K,):
-            raise ConfigurationError("reuse pattern must have one colour per beam")
+    colors = reuse_colors(scenario, reuse_factor)
     if all((colors == colors[k]).sum() == 1 for k in range(scenario.K)):
         return np.inf
     # scalar draws, in this order per sample, fix the RNG stream

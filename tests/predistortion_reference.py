@@ -1,10 +1,10 @@
 """Reference models of ``predistortion`` that only the tests use: the
 least-squares amplifier fit that the chain's cubic model is checked
-against, and the LUT apply rule that gives ``build_lut``'s table its
-meaning (per-bin gain times input, the bin chosen by |x|)."""
+against, and the LUT apply rule that gives ``build_lut``'s bin edges and
+gains their meaning (per-bin gain times input, the bin chosen by |x|)."""
 import numpy as np
 
-from satkit.predistortion import HpaParams, SpdParams
+from satkit.predistortion import HpaParams
 from satkit.scenario import ConfigurationError
 
 
@@ -30,12 +30,11 @@ def fit_hpa(x_in: np.ndarray, y_out: np.ndarray) -> HpaParams:
     return HpaParams(alpha=complex(coef[0]), beta=complex(coef[1]))
 
 
-def spd_apply_lut(params: SpdParams, x: np.ndarray) -> np.ndarray:
-    """LUT predistortion path: per-magnitude-bin complex gain."""
-    if params.lut is None:
-        raise ConfigurationError("SpdParams carries no LUT")
+def spd_apply_lut(edges: np.ndarray, gains: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """LUT predistortion path: per-magnitude-bin complex gain; |x| beyond
+    the last edge takes the last bin's gain."""
     x = np.asarray(x, complex)
-    edges = params.lut[:, 0].real
     idx = np.clip(np.searchsorted(edges, np.abs(x), side="right") - 1,
-                  0, len(edges) - 1)
-    return params.lut[idx, 2] * x
+                  0, len(gains) - 1)
+    return gains[idx] * x

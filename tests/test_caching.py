@@ -9,30 +9,31 @@ from satkit.scenario import ConfigurationError
 
 class TestZipfPmf:
     def test_alpha_zero_is_uniform(self):
-        np.testing.assert_allclose(ca.zipf_pmf(10, 0.0), np.full(10, 0.1))
+        np.testing.assert_allclose(ca.PopularityModel(10, 0.0).pmf,
+                                   np.full(10, 0.1))
 
     def test_two_file_alpha_one(self):
-        np.testing.assert_allclose(ca.zipf_pmf(2, 1.0), [2 / 3, 1 / 3],
-                                   rtol=1e-15)
+        np.testing.assert_allclose(ca.PopularityModel(2, 1.0).pmf,
+                                   [2 / 3, 1 / 3], rtol=1e-15)
 
     def test_normalised_and_non_increasing(self):
         for alpha in (0.0, 0.8, 1.2, 2.5):
-            f = ca.zipf_pmf(500, alpha)
+            f = ca.PopularityModel(500, alpha).pmf
             assert f.sum() == pytest.approx(1.0, abs=1e-12)
             assert (np.diff(f) <= 1e-15).all()
             assert (f > 0).all()
 
     def test_larger_alpha_concentrates_head(self):
-        f1 = ca.zipf_pmf(100, 0.8)
-        f2 = ca.zipf_pmf(100, 1.6)
+        f1 = ca.PopularityModel(100, 0.8).pmf
+        f2 = ca.PopularityModel(100, 1.6).pmf
         assert f2[0] > f1[0]
         assert f2[:10].sum() > f1[:10].sum()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ca.zipf_pmf(0, 1.0)
+            ca.PopularityModel(0, 1.0)
         with pytest.raises(ConfigurationError):
-            ca.zipf_pmf(10, -0.5)
+            ca.PopularityModel(10, -0.5)
         with pytest.raises(ConfigurationError):
             ca.PopularityModel(library_size=10, alpha=-1.0)
 

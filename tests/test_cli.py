@@ -152,6 +152,15 @@ class TestConfigFaults:
         assert not out.exists()
         return err[0]
 
+    @pytest.mark.parametrize("body", [
+        "[{}]", "5", "null", '"x"',
+        '{"config": 5, "subcommand": "caching-threshold"}'])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, body):
+        # these used to end in a TypeError traceback, and "x" in the
+        # misleading "unknown config keys: ['x']"
+        err = self.fails_cleanly(tmp_path, capsys, "caching-threshold", body)
+        assert "JSON object" in err
+
     def test_unknown_rate_region_strategy(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "rate-region",
                            {**FAST_CONFIGS["rate-region"],

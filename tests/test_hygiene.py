@@ -1,9 +1,10 @@
 """Source-level guards.
 
 Every public name, optional parameter and dataclass field of ``satkit``
-has a user outside the tests, every private function a reference in
-``src/``, and every import a use. A user is code in ``src/``, ``demos/`` or
-a non-test file of ``benchmarks/``; names are matched as written.
+has a user outside the tests, no parameter is None at every such call,
+every private function has a reference in ``src/``, and every import a
+use. A user is code in ``src/``, ``demos/`` or a non-test file of
+``benchmarks/``; names are matched as written.
 """
 import ast
 from collections import Counter
@@ -201,3 +202,32 @@ def test_arguments_the_tracer_reads_are_parameters():
     # pd_curve's detector, n_mc and isnr_grid_db; calibrate_threshold's n_mc
     assert n_read >= 4
     assert not missing, sorted(missing)
+
+
+def test_no_parameter_is_none_at_every_call_outside_the_tests():
+    """A parameter that every caller sets to the literal None (or leaves at
+    a None default) holds one value: its other branch is test-only code."""
+    calls = [(key, c) for key, node in users() for c in ast.walk(node)
+             if isinstance(c, ast.Call)]
+    always_none = set()
+    for name, key, fn, is_method in public_functions():
+        if "._" in name:
+            continue
+        a = fn.args
+        positional = [x.arg for x in a.posonlyargs + a.args][int(is_method):]
+        defaults = dict(zip(positional[len(positional) - len(a.defaults):],
+                            a.defaults))
+        defaults.update((x.arg, d) for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                        if d is not None)
+        mine = [c for k, c in calls if k != key and fn.name == getattr(
+            c.func, "id", getattr(c.func, "attr", None))
+            and not any(isinstance(x, ast.Starred) for x in c.args)
+            and None not in {k.arg for k in c.keywords}]
+        for i, param in enumerate(positional + [x.arg for x in a.kwonlyargs]):
+            given = [next((k.value for k in c.keywords if k.arg == param),
+                          c.args[i] if i < len(c.args) and i < len(positional)
+                          else defaults.get(param)) for c in mine]
+            if given and all(isinstance(v, ast.Constant) and v.value is None
+                             for v in given):
+                always_none.add(f"{name}({param})")
+    assert not always_none, sorted(always_none)

@@ -167,10 +167,6 @@ class TestJitter:
         assert e is None
         assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_negative_levels_rejected(self):
-        with pytest.raises(ConfigurationError):
-            pd._training_burst(pd.FilterSpec(), -0.1)
-
     def test_tone_mse_matches_first_order_model(self):
         # E|e * x_dot|^2 = sigma_j^2 * omega^2 * |x|^2 for a tone
         f, sigma = 0.1, 0.02                # cycles per symbol, jitter
@@ -192,18 +188,19 @@ class TestFrontEnd:
                 part[0] = 0.0
 
     def test_none_and_onboard_rows_share_one_entry(self):
-        # the onboard SPD is given, so no training burst enters the cache
-        hpa, spd = pd.HpaParams(), pd.SpdParams(gamma=1.0, delta=0.05)
+        # the onboard rows' training burst is the one other entry
+        hpa = pd.HpaParams()
         pd._front_end.cache_clear()
         for location, drive in [("none", 1.3), ("onboard", 0.8),
                                 ("none", 0.5), ("onboard", 2.0)]:
             config = pd.ChainConfig(spd_location=location, drive=drive)
-            pd.evaluate_chain(config, spd, hpa, n_symbols=300, seed=9)
+            pd.evaluate_chain(config, hpa, n_symbols=300, seed=9)
         info = pd._front_end.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-        pd.evaluate_chain(pd.ChainConfig(spd_location="onground"), spd, hpa,
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+        # on ground: its own burst and front end
+        pd.evaluate_chain(pd.ChainConfig(spd_location="onground"), hpa,
                           n_symbols=300, seed=9)
-        assert pd._front_end.cache_info().currsize == 2
+        assert pd._front_end.cache_info().currsize == 4
 
     def test_seeds_draw_apart(self):
         config = pd.ChainConfig()
@@ -225,7 +222,7 @@ class TestFrontEnd:
         drives = (1.0, 0.37, 2.9)
         for drive in drives:
             config = pd.ChainConfig(sigma_j=0.0, imux=imux, drive=drive)
-            front, _, _ = pd._amplify(config, None, hpa, 4064, 5)
+            front, _, _ = pd._amplify(config, hpa, 4064, 5)
         want = imux_output(front[0], imux.order, imux.cutoff)
         for drive, z in zip(drives, seen):
             np.testing.assert_array_equal(z, drive * seen[0])
@@ -252,16 +249,11 @@ class TestSpdPolynomialAndLut:
         exact = pd.spd_apply(p, x)
         errs = []
         for n_bins in (32, 64, 128):
-            lut = pd.build_lut(p, 2.0, n_bins)
-            errs.append(np.max(np.abs(spd_apply_lut(lut, x) - exact)))
+            edges, gains = pd.build_lut(p, 2.0, n_bins)
+            errs.append(np.max(np.abs(spd_apply_lut(edges, gains, x) - exact)))
         # quantisation of a smooth gain: error ~ 1/n_bins
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
-
-    def test_lut_required(self):
-        with pytest.raises(ConfigurationError):
-            spd_apply_lut(pd.SpdParams(gamma=1.0, delta=0.0),
-                          np.ones(2, complex))
 
     def test_bad_lut_arguments(self):
         p = pd.SpdParams(gamma=1.0, delta=0.0)
@@ -275,6 +267,12 @@ def training_burst(seed=4, n=3000, scale=0.6):
     rng = np.random.default_rng(seed)
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
         / np.sqrt(2)
+
+
+def cached_burst(imux, sigma_j):
+    """The read-only drive-1 burst that train_spd scales and fits."""
+    return pd._front_end(pd.N_TRAIN_SYMBOLS, pd.TRAIN_SEED, imux, None,
+                         sigma_j, False)[1]
 
 
 class TestFitSpd:
@@ -367,7 +365,7 @@ class TestFitSpd:
         # the cost at a low drive is far below the burst's power; it keeps
         # its digits, so no accept or stop decision turns on round-off
         hpa = pd.HpaParams()
-        x = pd._training_burst(pd.ChainConfig().imux, 0.005) * drive
+        x = cached_burst(pd.ChainConfig().imux, 0.005) * drive
         want = pd.fit_spd(hpa, x)[0]
         rng = np.random.default_rng(0)
         for _ in range(12):
@@ -418,7 +416,7 @@ class TestSpdGram:
         start = [(1 / hpa.alpha).real, (1 / hpa.alpha).imag, 0.0, 0.0]
         clipped = []
         for drive in pd.DRIVE_GRID:
-            x = pd._training_burst(
+            x = cached_burst(
                 config.imux if location == "onboard" else None,
                 config.sigma_j if location == "onboard" else 0.0) * drive
             gram = pd._spd_gram(hpa, x.real ** 2 + x.imag ** 2)
@@ -435,7 +433,7 @@ class TestSpdGram:
         # the buffers belong to the fit: a later call, at a drive that
         # clips no sample, allocates little more than the clipping mask
         hpa = pd.HpaParams()
-        x = pd._training_burst(pd.ChainConfig().imux, 0.005) * 0.6
+        x = cached_burst(pd.ChainConfig().imux, 0.005) * 0.6
         fit, _ = pd.fit_spd(hpa, x)
         gram = pd._spd_gram(hpa, x.real ** 2 + x.imag ** 2)
         for p in ([1.0, 0.0, 0.0, 0.0], [fit.gamma.real, fit.gamma.imag,
@@ -519,15 +517,15 @@ class TestChain:
         cfg = pd.ChainConfig(spd_location="none", sigma_j=0.0, imux=None,
                              omux=None, snr_db=30.0, drive=0.5)
         hpa = pd.HpaParams(alpha=1.0, beta=0.0)
-        res = pd.evaluate_chain(cfg, None, hpa, n_symbols=4000, seed=0)
+        res = pd.evaluate_chain(cfg, hpa, n_symbols=4000, seed=0)
         assert res.sinr_db == pytest.approx(30.0 + 20 * np.log10(0.5), abs=0.2)
         assert res.obo_db == np.inf
 
     def test_determinism(self):
         cfg = pd.ChainConfig(spd_location="onboard", drive=1.2)
         hpa = pd.HpaParams()
-        a = pd.evaluate_chain(cfg, None, hpa, n_symbols=1000, seed=1)
-        b = pd.evaluate_chain(cfg, None, hpa, n_symbols=1000, seed=1)
+        a = pd.evaluate_chain(cfg, hpa, n_symbols=1000, seed=1)
+        b = pd.evaluate_chain(cfg, hpa, n_symbols=1000, seed=1)
         assert a == b
 
     def test_obo_decreases_with_drive(self):
@@ -542,7 +540,7 @@ class TestChain:
         hpa = pd.HpaParams()
         dr = pd.drive_for_obo(cfg, hpa, 4.0)
         res = pd.evaluate_chain(pd.ChainConfig(spd_location="none", drive=dr),
-                                None, hpa, n_symbols=pd.CURVE_SYMBOLS,
+                                hpa, n_symbols=pd.CURVE_SYMBOLS,
                                 seed=pd.CURVE_SEED)
         assert res.obo_db == pytest.approx(4.0, abs=0.3)
         # a sequence of targets gives the same drive per target
@@ -574,7 +572,7 @@ class TestChain:
     def test_fewer_symbols_than_equalizer_taps_rejected(self, n_symbols):
         # these used to give a NaN SINR and a RuntimeWarning
         with pytest.raises(ConfigurationError, match="n_symbols"):
-            pd.evaluate_chain(pd.ChainConfig(), None, pd.HpaParams(),
+            pd.evaluate_chain(pd.ChainConfig(), pd.HpaParams(),
                               n_symbols=n_symbols)
 
     def test_predistortion_improves_sinr_at_matched_obo(self):
@@ -611,12 +609,12 @@ class TestDriveForObo:
     def test_curve_point_is_the_chain_obo(self, location):
         config = pd.ChainConfig(spd_location=location, drive=1.3)
         hpa = pd.HpaParams()
-        chain = pd.evaluate_chain(config, None, hpa,
+        chain = pd.evaluate_chain(config, hpa,
                                   n_symbols=pd.CURVE_SYMBOLS,
                                   seed=pd.CURVE_SEED)
         assert pd.obo_vs_drive(config, hpa, [1.3])[0] == chain.obo_db
-        _, _, obo = pd._amplify(config, None, hpa, 600, 4)
-        assert obo == pd.evaluate_chain(config, None, hpa, n_symbols=600,
+        _, _, obo = pd._amplify(config, hpa, 600, 4)
+        assert obo == pd.evaluate_chain(config, hpa, n_symbols=600,
                                         seed=4).obo_db
 
 
@@ -791,7 +789,7 @@ class TestTrainSpd:
     def test_cached_burst_is_read_only(self):
         config = pd.ChainConfig(spd_location="onboard", drive=2.0)
         first = pd.train_spd(config, pd.HpaParams())
-        burst = pd._training_burst(config.imux, config.sigma_j)
+        burst = cached_burst(config.imux, config.sigma_j)
         assert not burst.flags.writeable
         with pytest.raises(ValueError):
             burst[0] = 0.0
@@ -805,6 +803,6 @@ class TestJitterAwareTraining:
         res = {}
         for aware in (True, False):
             cfg = pd.ChainConfig(jitter_aware=aware, **base)
-            res[aware] = pd.evaluate_chain(cfg, None, hpa, n_symbols=2000,
+            res[aware] = pd.evaluate_chain(cfg, hpa, n_symbols=2000,
                                            seed=5)
         assert res[True].sinr_db >= res[False].sinr_db - 0.1
