@@ -72,13 +72,6 @@ def _check_type(key: str, value, default):
             or not isinstance(value, want)):
         raise ConfigurationError(f"config key {key!r} must be {name}, "
                                  f"not {value!r}")
-    if isinstance(default, float) and isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            raise ConfigurationError(
-                f"config key {key!r} holds an integer too large for a float, "
-                f"not a finite number") from None
     if isinstance(value, list):
         if not value:
             raise ConfigurationError(f"config key {key!r} must not be empty")
@@ -108,19 +101,10 @@ def _json_int(token: str) -> int:
             f"config integer of {len(token)} digits is too long") from None
 
 
-def _db_to_linear(key: str, db: float) -> float:
-    """Linear value of the dB value of config key ``key``; it must not overflow."""
-    try:
-        return 10 ** (db / 10)
-    except OverflowError:
-        raise ConfigurationError(
-            f"config key {key!r} of {db!r} dB overflows a float") from None
-
-
 def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
     cfg = dict(defaults)
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh, parse_constant=_reject_constant,
                                parse_float=_finite_float, parse_int=_json_int)
         # accept a previous run's manifest directly
@@ -189,8 +173,8 @@ def cmd_precoding_bench(cfg: dict, out: Path):
 
 
 def cmd_rate_region(cfg: dict, out: Path):
-    direct = _db_to_linear("direct_db", cfg["direct_db"])
-    cross = _db_to_linear("cross_db", cfg["cross_db"])
+    direct = 10 ** (cfg["direct_db"] / 10)
+    cross = 10 ** (cfg["cross_db"] / 10)
     template = access.TwoUserChannel(g11=direct, g21=cross, g12=cross,
                                      g22=direct, p1=1.0, p2=1.0)
     if cfg["lam_points"] < 1:
@@ -267,7 +251,7 @@ def cmd_carrier_assign(cfg: dict, out: Path):
         stations = cognitive.synthetic_rem(cfg["n_stations"], m,
                                            cfg["area_km"], rng)
     interf = cognitive.interference_table(stations, terminals, m)
-    p = np.full(k, _db_to_linear("rx_power_dbw", cfg["rx_power_dbw"]))
+    p = np.full(k, 10 ** (cfg["rx_power_dbw"] / 10))
     sinr = cognitive.build_sinr_matrix(p, interf, i_co=cfg["i_co"],
                                        n0=cfg["n0"])
     rates = cognitive.rate_matrix(sinr, mapping=cfg["mapping"])
@@ -359,12 +343,18 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         # outputs appear only once the whole run has succeeded
         with tempfile.TemporaryDirectory(dir=out, prefix=".satkit-") as tmp:
-            func(cfg, Path(tmp))
+            # what numpy would warn of ends the run; underflow to 0 does not
+            with np.errstate(all="raise", under="ignore"):
+                func(cfg, Path(tmp))
             for path in Path(tmp).iterdir():
                 os.replace(path, out / path.name)
         _write_manifest(out, args.subcommand, cfg)
         done = True
-    except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError, FloatingPointError, OverflowError) as exc:
+        # numpy's and Python's float errors name only the operation
+        if isinstance(exc, ArithmeticError):
+            exc = f"{args.subcommand}: floating-point fault: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -219,7 +219,8 @@ def _quantile(x: np.ndarray, q: float) -> float:
 
 
 def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
-    """Wilson 95% score interval for a binomial proportion."""
+    """Wilson 95% score interval for a binomial proportion; its lower end
+    with no successes is exactly 0, its upper end with no failures 1."""
     if trials <= 0:
         raise ConfigurationError("trials must be positive")
     z = Z_95
@@ -227,7 +228,8 @@ def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials ** 2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if successes == 0 else max(0.0, center - half),
+            1.0 if successes == trials else min(1.0, center + half))
 
 
 def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],

@@ -1,6 +1,7 @@
 import csv
 import functools
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -143,7 +144,9 @@ class TestConfigFaults:
 
     def fails_cleanly(self, tmp_path, capsys, sub, cfg):
         cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        if isinstance(cfg, dict):
+            cfg = json.dumps(cfg)
+        cfg_path.write_bytes(cfg if isinstance(cfg, bytes) else cfg.encode())
         out = tmp_path / "o"
         rc = cli.main([sub, "--config", str(cfg_path), "--out", str(out)])
         err = capsys.readouterr().err.strip().splitlines()
@@ -160,6 +163,10 @@ class TestConfigFaults:
         # misleading "unknown config keys: ['x']"
         err = self.fails_cleanly(tmp_path, capsys, "caching-threshold", body)
         assert "JSON object" in err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark used to end in a UnicodeDecodeError traceback
+        self.fails_cleanly(tmp_path, capsys, "caching-threshold", b"\xff\xfe{}")
 
     def test_unknown_rate_region_strategy(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "rate-region",
@@ -236,6 +243,13 @@ class TestConfigFaults:
         # wrote R1 = inf
         self.fails_cleanly(tmp_path, capsys, "rate-region", cfg)
 
+    def test_float_fault_names_the_subcommand(self, tmp_path, capsys):
+        # this used to exit 0 with "overflow encountered in hypot" on stderr
+        err = self.fails_cleanly(tmp_path, capsys, "carrier-assign",
+                                 {**FAST_CONFIGS["carrier-assign"],
+                                  "area_km": sys.float_info.max})
+        assert err.startswith("error: carrier-assign: floating-point fault:")
+
     @pytest.mark.parametrize("cfg", [
         {"snr_db": -1e308}, {"alpha_re": 1e300}, {"beta_re": 1e200},
         {"sigma_j": 1e300, "modes": ["onboard"]},
@@ -293,36 +307,47 @@ class TestConfigFaults:
 
 
 SWEEP_VALUES = [0, -1, [], "x", None, True, 0.0, -1.0]
-# magnitudes near the float limit, for float keys and lists of floats only:
-# a huge integer count would ask for a huge allocation
-HUGE_FLOATS = [1e30, -1e30, 1e300, -1e300]
+# the ends of the float range, for float keys and lists of floats only: a
+# huge integer count would ask for a huge allocation. A float key takes a
+# JSON integer, and 10**400 is one beyond the float range.
+MAX_FLOAT = sys.float_info.max
+EXTREME_FLOATS = [5e-324, 1e30, -1e30, 1e300, -1e300, MAX_FLOAT, -MAX_FLOAT,
+                  10 ** 400, -10 ** 400]
+# the values of two float keys set together, at opposite ends of the range
+EXTREME_PAIRS = [(MAX_FLOAT, 5e-324), (5e-324, MAX_FLOAT),
+                 (MAX_FLOAT, -MAX_FLOAT), (-MAX_FLOAT, MAX_FLOAT)]
 # the two documented non-finite CSV values: the gain over an exclusive band
 # that carries no rate, and the C/I of a pattern with no co-channel beam
 INF_COLUMNS = {"gain_factor", "avg_cir_db"}
 
 
-def sweep_values(default):
-    if isinstance(default, float):
-        return SWEEP_VALUES + HUGE_FLOATS
-    if isinstance(default, list) and isinstance(default[0], float):
-        return SWEEP_VALUES + [[x] for x in HUGE_FLOATS]
-    return SWEEP_VALUES
+def sweep_cases(defaults):
+    """Config overrides: each key set to each sweep value, and each pair of
+    float keys set to each extreme pair."""
+    floats = {key: isinstance(default, list) for key, default in defaults.items()
+              if isinstance(default, float)
+              or isinstance(default, list) and isinstance(default[0], float)}
+    cases = [{key: value} for key in defaults for value in SWEEP_VALUES]
+    cases += [{key: [x] if is_list else x}
+              for key, is_list in floats.items() for x in EXTREME_FLOATS]
+    cases += [{a: [x] if floats[a] else x, b: [y] if floats[b] else y}
+              for a, b in itertools.combinations(floats, 2)
+              for x, y in EXTREME_PAIRS]
+    return cases
 
 
 @pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
 def test_config_fault_sweep(tmp_path, capsys, sub):
-    """Each key set to each sweep value either runs or fails cleanly.
+    """Each sweep case either runs or fails cleanly.
 
     A run exits 0 with a manifest, no header-only CSV and only finite
     numbers but the ``INF_COLUMNS``' inf, or exits 1 with one ``error:``
     line (a warning counts as a line) and no --out directory.
     """
-    cases = [(key, value) for key, default in cli.SUBCOMMANDS[sub][1].items()
-             for value in sweep_values(default)]
     broken = []
-    for i, (key, value) in enumerate(cases):
+    for i, case in enumerate(sweep_cases(cli.SUBCOMMANDS[sub][1])):
         cfg_path, out = tmp_path / f"{i}.json", tmp_path / f"o{i}"
-        cfg_path.write_text(json.dumps({**SMALL_CONFIGS[sub], key: value}))
+        cfg_path.write_text(json.dumps({**SMALL_CONFIGS[sub], **case}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -345,7 +370,7 @@ def test_config_fault_sweep(tmp_path, capsys, sub):
             ok = (rc == 1 and len(err) == 1 and err[0].startswith("error:")
                   and not out.exists())
         if not ok:
-            broken.append(f"{key}={value!r}: exit {rc}, stderr {err}")
+            broken.append(f"{case}: exit {rc}, stderr {err}")
     assert not broken, "\n".join(broken)
 
 

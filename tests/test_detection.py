@@ -557,6 +557,12 @@ class TestWilson:
         lo, hi = dt.wilson_interval(0, 50)
         assert lo <= 1e-12 and 0 < hi < 0.1
 
+    def test_exact_ends_with_no_failures_or_no_successes(self):
+        # rounding used to leave ends off by up to 2.2e-16 and 5.6e-17 here
+        for n in range(1, 2001):
+            assert dt.wilson_interval(n, n)[1] == 1.0, n
+            assert dt.wilson_interval(0, n)[0] == 0.0, n
+
 
 class TestWallCrossing:
     def test_interpolation(self):
