@@ -352,9 +352,12 @@ def main(argv=None) -> int:
         done = True
     except (ConfigurationError, OSError, json.JSONDecodeError,
             UnicodeDecodeError, FloatingPointError, OverflowError) as exc:
-        # numpy's and Python's float errors name only the operation
+        # numpy's and Python's float errors name only the operation; an
+        # overflow in Python's float arithmetic carries (errno, text)
         if isinstance(exc, ArithmeticError):
-            exc = f"{args.subcommand}: floating-point fault: {exc}"
+            what = (f"overflow: {exc.args[-1]}"
+                    if isinstance(exc, OverflowError) and exc.args else exc)
+            exc = f"{args.subcommand}: floating-point fault: {what}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

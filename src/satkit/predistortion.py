@@ -13,6 +13,14 @@ per seed and placement, and the drive scales their waveform. The
 drive-to-OBO curve stops at the lowest target, and its points end at the
 amplifier.
 
+The fit's Gram is a sum over the burst of s = |x|^2 times polynomials of
+degree at most 8 in s wherever the amplifier does not clip. So it runs on the
+5-node Gauss rule (exact to degree 9) of each block of ``_GAUSS_BLOCK`` = 512
+sorted s, built per fit by a Lanczos process and one batched eigh. A block
+that can clip at the current coefficients, a block with fewer than 5
+distinct points and the partial last block run on their samples, so the
+clip branch still sees every clipping sample.
+
 The fit's normal equations come from one dgemm on a float view and the
 equalizer's from one zgemm: a threaded level-1/2 BLAS call (zgemv, zgelsd,
 dot, norm) on a long vector leaves numpy's OpenBLAS worker thread
@@ -135,27 +143,76 @@ LM_MAX_ITER = 100
 LM_LAMBDA0 = 1e-3
 
 
-def _spd_gram(hpa: HpaParams, s: np.ndarray):
+# fit_spd's Gram runs on Gauss rules: one of _GAUSS_NODES nodes per block of
+# _GAUSS_BLOCK sorted s = |x|^2, kept when every Lanczos coefficient beta_k
+# (on s scaled to [-1, 1], weights normalised) exceeds _GAUSS_BREAKDOWN; the
+# blocks of the default bursts read beta_k >= 0.48
+_GAUSS_NODES = 5
+_GAUSS_BLOCK = 512
+_GAUSS_BREAKDOWN = 1e-6
+
+
+def _gauss_rules(s: np.ndarray):
+    """The Gauss rule of each full block of sorted ``s`` for its measure
+    sum_i s_i*delta(t - s_i): nodes, weights and whether the block has one.
+
+    The rule comes from the discretised Stieltjes (Lanczos) process and the
+    eigenvectors of its Jacobi matrix (Golub & Welsch 1969), every block at
+    once. A block whose recurrence breaks down, as one with fewer than
+    _GAUSS_NODES distinct points of positive weight does, has no rule.
+    """
+    nb, k = s.size // _GAUSS_BLOCK, _GAUSS_NODES
+    v = s[:nb * _GAUSS_BLOCK].reshape(nb, _GAUSS_BLOCK)
+    mid, half = 0.5 * (v[:, -1] + v[:, 0]), 0.5 * (v[:, -1] - v[:, 0])
+    total = v.sum(axis=1)
+    ok = half > 0                           # then total > 0 as well
+    x = (v - mid[:, None]) / np.where(ok, half, 1.0)[:, None]
+    q = np.sqrt(v / np.where(ok, total, 1.0)[:, None])
+    q_prev, r, beta = np.zeros_like(q), np.empty_like(q), np.zeros(nb)
+    jacobi = np.zeros((nb, k, k))           # eigh reads the lower triangle
+    for i in range(k):
+        np.multiply(x, q, out=r)
+        jacobi[:, i, i] = alpha = np.einsum("ij,ij->i", r, q)
+        if i == k - 1:
+            break
+        r -= alpha[:, None] * q
+        r -= beta[:, None] * q_prev
+        beta = np.sqrt(np.einsum("ij,ij->i", r, r))
+        ok &= beta > _GAUSS_BREAKDOWN
+        jacobi[:, i + 1, i] = beta
+        r /= np.where(ok, beta, 1.0)[:, None]
+        q_prev, q, r = q, r, q_prev
+    lam, vec = np.linalg.eigh(jacobi)
+    return mid[:, None] + half[:, None] * lam, total[:, None] * vec[:, 0] ** 2, ok
+
+
+def _spd_gram(hpa: HpaParams, values: np.ndarray, weights: np.ndarray):
     """The fit's Re Gram of [J | e] (J^T J, J^T r, cost) as a function of p.
 
     The fit sees x only through s = |x|^2. With u = x*g, g = gamma +
     delta*s and m^2 = s|g|^2, the Wirtinger derivatives put x*(A + B),
     x*j(A - B), x*s(A + B), x*j*s(A - B) in J and x*E in e, with A =
     a + 2b*m^2, B = b*s*g^2, E = a(g - 1) + b*m^2*g (c_sat forms above
-    r_sat). So Re(C^H C) = D^T D, D the float view of sqrt(s) times those.
-    Its buffers are allocated once per fit and filled in place.
+    r_sat). So Re(C^H C) = D^T D, D the float view of sqrt(s) times those:
+    a sum over samples of s times functions of s. ``gram(p, take)`` sums
+    over the entries ``take`` of ``values`` and ``weights``, which are
+    (s, s) for a sample and (node, weight) for a Gauss node. Its buffers
+    are allocated once per fit and filled in place.
     """
     a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
     c_sat = a * rs + b * rs ** 3 if np.isfinite(rs) else 0.0
-    rt = np.sqrt(s)
-    jrt = 1j * rt                           # the same for every p
-    cols = np.empty((7, s.size), complex)   # rows 2-6 are scratch at first
-    d = cols.view(float)                    # fresh ones per call cost more
-    reals = np.empty((2, s.size))           # in page faults
+    rt = np.sqrt(weights)
+    cols = np.empty((7, values.size), complex)  # rows 2-6 are scratch at first
+    d = cols.view(float)                        # fresh ones per call cost more
+    reals = np.empty((4, values.size))          # in page faults
 
-    def gram(p):
+    def gram(p, take):
+        n = take.size
         gamma, delta = complex(p[0], p[1]), complex(p[2], p[3])
-        (plus, minus, e, g, sg2), (m2, sq) = cols[2:], reals
+        (c0, c1, plus, minus, e, g, sg2), (s, r, m2, sq) = (cols[:, :n],
+                                                            reals[:, :n])
+        np.take(values, take, out=s)
+        np.take(rt, take, out=r)
         np.add(gamma, np.multiply(delta, s, out=e), out=g)
         np.add(np.square(g.real, out=m2), np.square(g.imag, out=sq), out=m2)
         m2 *= s
@@ -164,24 +221,55 @@ def _spd_gram(hpa: HpaParams, s: np.ndarray):
         np.multiply(b, sg2, out=minus)
         # g - 1 is formed first, so that a small residual keeps its digits
         np.multiply(a, np.add(gamma - 1, e, out=e), out=e)
-        e += np.multiply(np.multiply(b, m2, out=cols[0]), g, out=cols[0])
+        e += np.multiply(np.multiply(b, m2, out=c0), g, out=c0)
         over = m2 > rs ** 2                 # y = c_sat*u/m there
         if over.any():
             m = np.sqrt(m2[over])
             plus[over] = c_sat / (2 * m)
             minus[over] = -c_sat * sg2[over] / (2 * m ** 3)
             e[over] = c_sat * g[over] / m - a
-        np.multiply(rt, np.add(plus, minus, out=cols[0]), out=cols[0])
-        np.multiply(jrt, np.subtract(plus, minus, out=cols[1]), out=cols[1])
-        np.multiply(s, cols[0], out=cols[2])
-        np.multiply(s, cols[1], out=cols[3])
-        e *= rt
+        np.multiply(r, np.add(plus, minus, out=c0), out=c0)
+        np.multiply(r, np.subtract(plus, minus, out=c1), out=c1)
+        c1 *= 1j
+        np.multiply(s, c0, out=plus)        # rows 2 and 3 of D
+        np.multiply(s, c1, out=minus)
+        e *= r
         # a dgemm: numpy hands d @ d.T to dsyrk, which is ~8x slower here
-        top = d[:4] @ d[:5].T
-        cost = np.square(d[4], out=d[4]).sum()
+        top = d[:4, :2 * n] @ d[:5, :2 * n].T
+        cost = np.square(d[4, :2 * n], out=d[4, :2 * n]).sum()
         return np.vstack([top, np.append(top[:, 4], cost)])
 
     return gram
+
+
+def _burst_gram(hpa: HpaParams, s: np.ndarray):
+    """``_spd_gram`` of a burst's s = |x|^2 as a function of p alone.
+
+    Below r_sat every entry of the Gram is s times a polynomial of degree
+    at most 8 in s, which a block's Gauss rule (degree 2*5 - 1 = 9) sums
+    exactly. So a block runs on its nodes when none of its samples can clip
+    at p, and on its samples otherwise, as do a block without a rule and a
+    partial last block. On [lo, hi] no sample clips when hi*max(|g(lo)|^2,
+    |g(hi)|^2) <= r_sat^2, since |g|^2 is convex in s.
+    """
+    s = np.sort(s)
+    nodes, weights, ok = _gauss_rules(s)
+    nb, m = ok.size, nodes.size
+    ends = s[:nb * _GAUSS_BLOCK].reshape(nb, _GAUSS_BLOCK)[:, [0, -1]].T
+    gram = _spd_gram(hpa, np.concatenate([nodes.ravel(), s]),
+                     np.concatenate([weights.ravel(), s]))
+    node_at = np.arange(m).reshape(nb, _GAUSS_NODES)
+    sample_at = m + np.arange(nb * _GAUSS_BLOCK).reshape(nb, _GAUSS_BLOCK)
+    tail_at = np.arange(m + nb * _GAUSS_BLOCK, m + s.size)
+    rs2 = hpa.r_sat ** 2
+
+    def burst_gram(p):
+        g2 = np.abs(complex(p[0], p[1]) + complex(p[2], p[3]) * ends) ** 2
+        safe = ok & (ends[1] * g2.max(axis=0) <= rs2)
+        return gram(p, np.concatenate([node_at[safe].ravel(),
+                                       sample_at[~safe].ravel(), tail_at]))
+
+    return burst_gram
 
 
 def fit_spd(hpa: HpaParams, training_waveform: np.ndarray):
@@ -194,14 +282,16 @@ def fit_spd(hpa: HpaParams, training_waveform: np.ndarray):
     (Marquardt 1963) solves the damped 4x4 normal equations in
     p = (Re gamma, Im gamma, Re delta, Im delta). Returns the fitted
     parameters and the MSE trace: the starting value, then one entry per
-    accepted step.
+    accepted step. Each step's normal equations are summed on Gauss rules
+    of |x|^2 (``_burst_gram``), which below clipping give the per-sample
+    sums to round-off.
     """
     x = np.asarray(training_waveform, complex)
     if not np.isfinite(x).all():
         raise ConfigurationError("training waveform must be finite")
     if not np.any(x):
         raise ConfigurationError("training waveform is all zero")
-    gram = _spd_gram(hpa, x.real ** 2 + x.imag ** 2)
+    gram = _burst_gram(hpa, x.real ** 2 + x.imag ** 2)
     p = np.array([(1 / hpa.alpha).real, (1 / hpa.alpha).imag, 0.0, 0.0])
     g = gram(p)
     trace = [g[4, 4] / x.size]
@@ -336,6 +426,14 @@ def _spectrum(nfft: int, spec: Optional[FilterSpec] = None) -> np.ndarray:
     return spectrum
 
 
+@lru_cache(maxsize=8)
+def _derivative(nfft: int) -> np.ndarray:
+    """Read-only nfft-point spectrum of d/dt, 2j*pi*fftfreq(nfft)."""
+    spectrum = 2j * np.pi * np.fft.fftfreq(nfft)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _imux_and_jitter(x: np.ndarray, n: int, imux: Optional[FilterSpec],
                      e: Optional[np.ndarray]) -> np.ndarray:
     """IMUX output z of spectrum x (overwritten), first n samples, plus e*z'."""
@@ -343,7 +441,7 @@ def _imux_and_jitter(x: np.ndarray, n: int, imux: Optional[FilterSpec],
         x *= _spectrum(x.size, imux)
     z = np.fft.ifft(x)[:n]
     if e is not None:
-        x *= 2j * np.pi * np.fft.fftfreq(x.size)
+        x *= _derivative(x.size)
         z += e * np.fft.ifft(x)[:n]
     return z
 

@@ -1,9 +1,11 @@
 """Reference models of ``predistortion`` that only the tests use: the
 least-squares amplifier fit that the chain's cubic model is checked
-against, and the LUT apply rule that gives ``build_lut``'s bin edges and
-gains their meaning (per-bin gain times input, the bin chosen by |x|)."""
+against, the SPD fit with its Gram summed over every sample, and the LUT
+apply rule that gives ``build_lut``'s bin edges and gains their meaning
+(per-bin gain times input, the bin chosen by |x|)."""
 import numpy as np
 
+from satkit import predistortion as pd
 from satkit.predistortion import HpaParams
 from satkit.scenario import ConfigurationError
 
@@ -38,3 +40,31 @@ def spd_apply_lut(edges: np.ndarray, gains: np.ndarray,
     idx = np.clip(np.searchsorted(edges, np.abs(x), side="right") - 1,
                   0, len(gains) - 1)
     return gains[idx] * x
+
+
+def fit_spd_per_sample(hpa: HpaParams, x: np.ndarray):
+    """``fit_spd``'s Levenberg-Marquardt loop with the Gram summed over
+    every sample of x, in its order, as before the Gauss rules."""
+    s = x.real ** 2 + x.imag ** 2
+    every = np.arange(s.size)
+    gram = pd._spd_gram(hpa, s, s)
+    p = np.array([(1 / hpa.alpha).real, (1 / hpa.alpha).imag, 0.0, 0.0])
+    g = gram(p, every)
+    trace = [g[4, 4] / x.size]
+    lam = pd.LM_LAMBDA0
+    for _ in range(pd.LM_MAX_ITER):
+        jtj = g[:4, :4]
+        step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g[:4, 4])
+        if np.sqrt(step @ step) <= pd.LM_XTOL * (pd.LM_XTOL + np.sqrt(p @ p)):
+            break
+        g_new = gram(p + step, every)
+        if not g_new[4, 4] < g[4, 4]:
+            lam *= 10
+            continue
+        done = g[4, 4] - g_new[4, 4] <= pd.LM_FTOL * g_new[4, 4]
+        p, g, lam = p + step, g_new, lam / 10
+        trace.append(g[4, 4] / x.size)
+        if done:
+            break
+    return (pd.SpdParams(gamma=complex(p[0], p[1]), delta=complex(p[2], p[3])),
+            np.array(trace))

@@ -243,6 +243,15 @@ class TestConfigFaults:
         # wrote R1 = inf
         self.fails_cleanly(tmp_path, capsys, "rate-region", cfg)
 
+    def test_python_overflow_prints_its_text(self, tmp_path, capsys):
+        # 10 ** (1e300 / 10) used to print Python's errno tuple, "(34, ..."
+        err = self.fails_cleanly(tmp_path, capsys, "rate-region",
+                                 {"direct_db": 1e300})
+        # the text is the C library's for ERANGE, which differs by platform
+        assert err.startswith("error: rate-region: floating-point fault: "
+                              "overflow: ")
+        assert "(34," not in err
+
     def test_float_fault_names_the_subcommand(self, tmp_path, capsys):
         # this used to exit 0 with "overflow encountered in hypot" on stderr
         err = self.fails_cleanly(tmp_path, capsys, "carrier-assign",

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 from scipy import signal
 from scipy.optimize import least_squares, minimize
 
-from predistortion_reference import FitError, fit_hpa, spd_apply_lut
+from predistortion_reference import (FitError, fit_hpa, fit_spd_per_sample,
+                                     spd_apply_lut)
 from satkit import predistortion as pd
 from satkit.scenario import ConfigurationError
 
@@ -157,6 +159,29 @@ class TestJitter:
         dx = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n) * np.fft.fft(x))
         err = np.abs(jittered - z - e * dx)[256:-256]
         assert np.all(err <= 1e-5 * np.abs(e[256:-256]) + 1e-14)
+
+    def test_derivative_spectrum_is_one_read_only_array_per_length(self):
+        pd._derivative.cache_clear()
+        for nfft in (8192, 32768):
+            first = pd._derivative(nfft)
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[1] = 0.0
+            np.testing.assert_array_equal(
+                first, 2j * np.pi * np.fft.fftfreq(nfft))
+            assert pd._derivative(nfft) is first
+        assert pd._derivative.cache_info().currsize == 2
+
+    def test_cached_derivative_leaves_the_jitter_term_unchanged(self):
+        # the same bits as the factor formed afresh on each call
+        x = np.fft.fft(shaped(pd.QPSK[np.arange(500) % 4]), 8192)
+        e = np.random.default_rng(3).normal(0, 0.05, 4128)
+        imux = pd.ChainConfig().imux
+        z = np.fft.ifft(x * pd._spectrum(8192, imux))[:4128]
+        fresh = z + e * np.fft.ifft(x * pd._spectrum(8192, imux) * (
+            2j * np.pi * np.fft.fftfreq(8192)))[:4128]
+        np.testing.assert_array_equal(
+            pd._imux_and_jitter(x.copy(), 4128, imux, e), fresh)
 
     def test_zero_jitter_identity(self):
         # the IMUX output of the shaped train, with no jitter draw
@@ -419,7 +444,7 @@ class TestSpdGram:
             x = cached_burst(
                 config.imux if location == "onboard" else None,
                 config.sigma_j if location == "onboard" else 0.0) * drive
-            gram = pd._spd_gram(hpa, x.real ** 2 + x.imag ** 2)
+            gram = pd._burst_gram(hpa, x.real ** 2 + x.imag ** 2)
             fit, _ = pd.fit_spd(hpa, x)
             for p in (start, [fit.gamma.real, fit.gamma.imag,
                               fit.delta.real, fit.delta.imag]):
@@ -435,7 +460,7 @@ class TestSpdGram:
         hpa = pd.HpaParams()
         x = cached_burst(pd.ChainConfig().imux, 0.005) * 0.6
         fit, _ = pd.fit_spd(hpa, x)
-        gram = pd._spd_gram(hpa, x.real ** 2 + x.imag ** 2)
+        gram = pd._burst_gram(hpa, x.real ** 2 + x.imag ** 2)
         for p in ([1.0, 0.0, 0.0, 0.0], [fit.gamma.real, fit.gamma.imag,
                                          fit.delta.real, fit.delta.imag]):
             assert wirtinger_gram(hpa, x, p)[1] == 0
@@ -448,6 +473,80 @@ class TestSpdGram:
             finally:
                 tracemalloc.stop()
             assert peak - before <= 16 * x.size
+
+
+def default_bursts():
+    """Both default training bursts: onboard (IMUX and jitter) and on ground."""
+    config = pd.ChainConfig()
+    return {"onboard": cached_burst(config.imux, config.sigma_j),
+            "onground": cached_burst(None, 0.0)}
+
+
+def spd_vector(spd):
+    return np.array([spd.gamma, spd.delta])
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("location", ["onboard", "onground"])
+    def test_each_rule_sums_the_moments_of_its_block(self, location):
+        # sum_i s_i^(k+1) for k = 0..8, the degrees the Gram's entries reach
+        x = default_bursts()[location]
+        s = np.sort(x.real ** 2 + x.imag ** 2)
+        nodes, weights, ok = pd._gauss_rules(s)
+        assert ok.all() and nodes.shape == (s.size // pd._GAUSS_BLOCK,
+                                            pd._GAUSS_NODES)
+        blocks = s[:nodes.size // pd._GAUSS_NODES * pd._GAUSS_BLOCK].reshape(
+            -1, pd._GAUSS_BLOCK)
+        for k in range(9):
+            want = np.array([math.fsum(b ** (k + 1)) for b in blocks])
+            got = (weights * nodes ** k).sum(axis=1)
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("x", [
+        0.8 * pd.QPSK[np.random.default_rng(2).integers(4, size=3000)],
+        np.array([0.3, 0.3j]) @ np.random.default_rng(2).choice([-3, -1, 1, 3],
+                                                               (2, 3000)),
+        training_burst(n=pd._GAUSS_BLOCK - 1)],
+        ids=["constant_envelope", "16qam_three_levels", "shorter_than_a_block"])
+    def test_bursts_without_rules_fit_on_their_samples(self, x):
+        # a block of 16-QAM symbols holds at most 2 of the 3 levels of |x|^2
+        s = np.sort(x.real ** 2 + x.imag ** 2)
+        assert not pd._gauss_rules(s)[2].any()
+        hpa = pd.HpaParams()
+        want, want_trace = fit_spd_per_sample(hpa, x)
+        got, trace = pd.fit_spd(hpa, x)
+        assert len(trace) == len(want_trace)
+        np.testing.assert_allclose(spd_vector(got), spd_vector(want),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("location", ["onboard", "onground"])
+    def test_matches_the_per_sample_fit(self, location):
+        # at every drive of the curve, from no clipping to 91 % of samples
+        hpa = pd.HpaParams()
+        burst = default_bursts()[location]
+        for drive in pd.DRIVE_GRID:
+            want, want_trace = fit_spd_per_sample(hpa, burst * drive)
+            got, trace = pd.fit_spd(hpa, burst * drive)
+            assert len(trace) == len(want_trace)
+            np.testing.assert_allclose(spd_vector(got), spd_vector(want),
+                                       rtol=1e-12)
+
+    def test_unclipped_evaluations_run_on_the_nodes(self, monkeypatch):
+        # at drive 0.6 no sample clips, so every evaluation takes the 5
+        # nodes of each full block and the partial block's samples
+        sizes, spd_gram = [], pd._spd_gram
+
+        def counted(hpa, values, weights):
+            gram = spd_gram(hpa, values, weights)
+            return lambda p, take: sizes.append(take.size) or gram(p, take)
+
+        monkeypatch.setattr(pd, "_spd_gram", counted)
+        hpa = pd.HpaParams()
+        x = default_bursts()["onboard"] * 0.6
+        _, trace = pd.fit_spd(hpa, x)
+        full, tail = divmod(x.size, pd._GAUSS_BLOCK)
+        assert len(sizes) >= len(trace)
+        assert max(sizes) <= pd._GAUSS_NODES * full + tail
 
 
 def grid_filter(spec, x):
