@@ -4,8 +4,8 @@ Each subcommand resolves its configuration (defaults, then --config
 JSON, then flag/environment overrides), writes its result CSVs and a
 ``manifest.json`` capturing the fully resolved configuration. A run that
 fails leaves none of its files behind, nor an output directory it made.
-Re-running a subcommand with ``--config manifest.json`` reproduces the
-CSVs byte-for-byte, except for measured wall-clock columns.
+Re-running a subcommand with ``--config manifest.json`` reproduces every
+CSV and the manifest byte-for-byte.
 """
 from __future__ import annotations
 
@@ -146,8 +146,7 @@ def _write_manifest(out: Path, subcommand: str, cfg: dict):
 # ---------------------------------------------------------------- subcommands
 
 def cmd_channel_report(cfg: dict, out: Path):
-    scn = default_scenario(n_beams=cfg["n_beams"], n_u=cfg["n_u"],
-                           seed=cfg["seed"])
+    scn = default_scenario(n_beams=cfg["n_beams"], n_u=cfg["n_u"])
     rows = []
     for fr in (1, 2, 3, 4):
         rng = np.random.default_rng(cfg["seed"] + fr)
@@ -163,13 +162,14 @@ def cmd_precoding_bench(cfg: dict, out: Path):
         if len(case) != 2:
             raise ConfigurationError(f"a case is [K, Nu], not {case!r}")
         k, nu = case
-        scn = default_scenario(n_beams=k, n_u=nu, seed=cfg["seed"] + case_i)
+        scn = default_scenario(n_beams=k, n_u=nu)
         rng = np.random.default_rng(cfg["seed"] + case_i)
         ch = build_channel(scn, draw_users(scn, rng), rng=rng)
-        bench = precoding.benchmark_mmse(ch, cfg["power_w"], n_rep=cfg["n_rep"])
-        rows.append((k, nu, bench["sr_per_beam"], bench["cpu_ms"]))
-    write_csv(out / "precoding_bench.csv",
-              ["K", "Nu", "sr_per_beam", "cpu_ms"], rows)
+        pre = precoding.mmse_multicast(precoding.average_channel(ch),
+                                       cfg["power_w"])
+        sr, _ = precoding.sum_rate(precoding.sinr_all(ch, pre))
+        rows.append((k, nu, sr / k))
+    write_csv(out / "precoding_bench.csv", ["K", "Nu", "sr_per_beam"], rows)
 
 
 def cmd_rate_region(cfg: dict, out: Path):
@@ -294,7 +294,7 @@ SUBCOMMANDS = {
         "n_beams": 71, "n_u": 2, "n_mc": 2000, "seed": 0}),
     "precoding-bench": (cmd_precoding_bench, {
         "cases": [[16, 2], [32, 2], [32, 4]],
-        "power_w": 55.0, "n_rep": 3, "seed": 0}),
+        "power_w": 55.0, "seed": 0}),
     "rate-region": (cmd_rate_region, {
         "direct_db": 0.0, "cross_db": -2.0,
         "p_values": [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0],
@@ -341,14 +341,21 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(defaults, args, args.subcommand)
         out.mkdir(parents=True, exist_ok=True)
-        # outputs appear only once the whole run has succeeded
+        # outputs appear only once the whole run, manifest included, has
+        # succeeded, and only if none of them lands on a directory
         with tempfile.TemporaryDirectory(dir=out, prefix=".satkit-") as tmp:
+            tmp = Path(tmp)
             # what numpy would warn of ends the run; underflow to 0 does not
             with np.errstate(all="raise", under="ignore"):
-                func(cfg, Path(tmp))
-            for path in Path(tmp).iterdir():
+                func(cfg, tmp)
+            _write_manifest(tmp, args.subcommand, cfg)
+            outputs = list(tmp.iterdir())
+            for path in outputs:
+                if (out / path.name).is_dir():
+                    raise IsADirectoryError(
+                        f"output {out / path.name} is a directory")
+            for path in outputs:
                 os.replace(path, out / path.name)
-        _write_manifest(out, args.subcommand, cfg)
         done = True
     except (ConfigurationError, OSError, json.JSONDecodeError,
             UnicodeDecodeError, FloatingPointError, OverflowError) as exc:

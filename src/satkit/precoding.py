@@ -6,7 +6,6 @@ Noise is unit variance (folded into the channel by the scenario module).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -107,17 +106,3 @@ def sum_rate(sinr_table: np.ndarray) -> Tuple[float, np.ndarray]:
     per_beam = np.log2(1.0 + sinr_table.min(axis=0))
     return float(per_beam.sum()), per_beam
 
-
-def benchmark_mmse(channel_set: ChannelSet, power_cap: float,
-                   n_rep: int = 3) -> dict:
-    """Sum rate plus wall-clock cost of the precoder computation."""
-    if n_rep < 1:
-        raise ConfigurationError("n_rep must be >= 1")
-    h_avg = average_channel(channel_set)
-    t0 = time.perf_counter()
-    for _ in range(n_rep):
-        pre = mmse_multicast(h_avg, power_cap)
-    dt = (time.perf_counter() - t0) / n_rep
-    sr, _ = sum_rate(sinr_all(channel_set, pre))
-    return {"sum_rate": sr, "cpu_ms": dt * 1e3,
-            "sr_per_beam": sr / h_avg.shape[0]}

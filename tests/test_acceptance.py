@@ -211,7 +211,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         configs = {
             "channel-report": {"n_beams": 7, "n_u": 1, "n_mc": 5},
-            "precoding-bench": {"cases": [[4, 1]], "n_rep": 1},
+            "precoding-bench": {"cases": [[4, 1]]},
             "rate-region": {"p_values": [1.0, 10.0], "lam_points": 5,
                             "strategies": ["ian", "scd", "snd", "fdm", "hk"]},
             "detection-pd": {"detectors": ["ced"], "n_mc": 100,
@@ -225,17 +225,8 @@ class TestAcceptance:
         }
         assert set(configs) == set(cli.SUBCOMMANDS)
 
-        def csvs(out_dir):
-            files = {}
-            for p in sorted(out_dir.glob("*.csv")):
-                lines = p.read_bytes().decode().strip().split("\r\n")
-                header = lines[0].split(",")
-                if "cpu_ms" in header:   # measured wall clock is volatile
-                    drop = header.index("cpu_ms")
-                    lines = [",".join(v for j, v in enumerate(ln.split(","))
-                                      if j != drop) for ln in lines]
-                files[p.name] = "\n".join(lines)
-            return files
+        def outputs(out_dir):
+            return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
         for sub, cfg in configs.items():
             first = tmp_path / sub / "a"
@@ -246,6 +237,9 @@ class TestAcceptance:
                              "--out", str(first)]) == 0
             assert cli.main([sub, "--config", str(first / "manifest.json"),
                              "--out", str(second)]) == 0
-            assert csvs(first) == csvs(second), f"{sub} not reproducible"
+            files = outputs(first)
+            assert "manifest.json" in files
+            assert any(name.endswith(".csv") for name in files)
+            assert files == outputs(second), f"{sub} not reproducible"
         report(9, "every subcommand re-runs byte-identically",
                time.perf_counter() - t0, 300)
