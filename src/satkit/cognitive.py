@@ -1,15 +1,19 @@
 """Cognitive-spectrum SINR matrices and optimal carrier assignment.
 
 Terminals share carriers with incumbent fixed-service (FS) stations; a
-radio environment map supplies the per-(carrier, terminal) incumbent
-interference. Carriers are allocated one-to-one to terminals by solving
-a linear assignment problem, with a numpy shortest-augmenting-path solver.
+radio environment map (REM) supplies the per-(carrier, terminal)
+incumbent interference. The REM is one ``FsStations`` of equal-length
+columns, loaded from CSV or drawn at random; every number in it is
+finite, every beamwidth lies in (0, 360] degrees and every azimuth is
+stored reduced to [0, 360). Carriers are allocated one-to-one to
+terminals by solving a linear assignment problem, with a numpy
+shortest-augmenting-path solver.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -199,10 +203,13 @@ def assign_hungarian(rates: np.ndarray) -> Assignment:
     best = float(w[np.arange(n), col_of].sum())
     tight = -w - u[:, None] - v <= 1e-12 * max(1.0, abs(best)) / max(n, 1)
     row_of = np.argsort(col_of)
+    first_tight = tight.argmax(axis=1).tolist()
     free = np.ones(n, bool)              # carriers whose column may still move
     for carrier in range(m):
         free[carrier] = False
         target = col_of[carrier]
+        if first_tight[carrier] >= target:
+            continue                     # no tight terminal below its own
         movable = free[row_of]
         if not (tight[carrier, :target] & movable[:target]).any():
             continue                     # no lower terminal to try
@@ -226,8 +233,12 @@ def assign_hungarian(rates: np.ndarray) -> Assignment:
             owner, col = mover, step[col]
         row_of[target], col_of[owner] = owner, target
     terminal_of = tuple(int(c) if c < k else -1 for c in col_of[:m])
-    objective = float(sum(r[mm, kk] for mm, kk in enumerate(terminal_of)
-                          if kk >= 0))
+    assigned = np.nonzero(col_of[:m] < k)[0]
+    objective = 0.0
+    # left to right in carrier order, one rounding per addition (sum()
+    # compensates its rounding from Python 3.12 on)
+    for rate in r[assigned, col_of[assigned]].tolist():
+        objective += rate
     return Assignment(terminal_of=terminal_of, objective=objective)
 
 
@@ -245,62 +256,106 @@ def throughput_report(rates: np.ndarray, interference: np.ndarray,
     return base, assignment.objective / base if base > 0 else np.inf
 
 
+# the five numbers of an FS station, in the REM file's column order
+_STATION_COLUMNS = ("x_km", "y_km", "tx_dbw", "azimuth_deg", "beamwidth_deg")
+_STATION_RULE = "FS station needs finite numbers and 0 < beamwidth_deg <= 360"
+
+
+def _invalid_stations(columns) -> np.ndarray:
+    """Mask of the stations whose five ``_STATION_COLUMNS`` break ``_STATION_RULE``."""
+    beamwidth = columns[4]
+    return ~(np.isfinite(columns).all(axis=0) & (beamwidth > 0)
+             & (beamwidth <= 360))
+
+
 @dataclass(frozen=True)
-class FsStation:
-    """Incumbent fixed-service transmitter of the radio environment map."""
+class FsStations:
+    """Incumbent fixed-service transmitters of the radio environment map.
 
-    x_km: float
-    y_km: float
-    tx_dbw: float
-    azimuth_deg: float
-    beamwidth_deg: float
-    carrier: int = 0
+    One equal-length column per field, one entry per station: position
+    (km), EIRP (dBW), sector boresight azimuth and beamwidth (degrees) and
+    the carrier the station occupies. Every number must be finite and
+    every beamwidth in (0, 360]. Azimuths are stored reduced to [0, 360),
+    with 360 itself stored as 0. The columns are read-only copies.
+    """
+
+    x_km: np.ndarray
+    y_km: np.ndarray
+    tx_dbw: np.ndarray
+    azimuth_deg: np.ndarray
+    beamwidth_deg: np.ndarray
+    carrier: np.ndarray
+
+    def __post_init__(self):
+        columns = [np.array(getattr(self, f), float) for f in _STATION_COLUMNS]
+        carrier = np.array(self.carrier, int)
+        if carrier.ndim != 1 or any(c.shape != carrier.shape for c in columns):
+            raise ConfigurationError("FS station columns must be 1-D and of "
+                                     "equal length")
+        bad = _invalid_stations(columns)
+        if bad.any():
+            raise ConfigurationError(f"{_STATION_RULE} (station {int(bad.argmax())})")
+        azimuth = np.remainder(columns[3], 360, out=columns[3])
+        azimuth[azimuth == 360] = 0.0    # a tiny negative azimuth rounds to 360
+        for name, column in zip(_STATION_COLUMNS + ("carrier",), columns + [carrier]):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
 
-def load_rem(path, n_carriers: int) -> list:
+def load_rem(path, n_carriers: int) -> FsStations:
     """Load FS stations from CSV `station_id,x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg`.
 
-    Each station occupies carrier ``station_id mod n_carriers``.
+    Each station occupies carrier ``station_id mod n_carriers``. A row
+    that is malformed or breaks ``FsStations``' rules is reported with
+    its line number.
     """
     if n_carriers < 1:
         raise ConfigurationError("need n_carriers >= 1")
-    out = []
+    carriers, numbers, lines = [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
-                sid = int(row["station_id"])
-                fields = {f: float(row[f]) for f in ("x_km", "y_km", "tx_dbw",
-                                                     "azimuth_deg", "beamwidth_deg")}
+                carriers.append(int(row["station_id"]) % n_carriers)
+                numbers.append([float(row[f]) for f in _STATION_COLUMNS])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     f"{path} line {reader.line_num}: missing or non-numeric "
                     f"field ({exc!r})") from None
-            out.append(FsStation(carrier=sid % n_carriers, **fields))
-    return out
+            lines.append(reader.line_num)
+    columns = np.array(numbers, float).reshape(-1, 5).T
+    bad = _invalid_stations(columns)
+    if bad.any():
+        raise ConfigurationError(f"{path} line {lines[bad.argmax()]}: "
+                                 f"{_STATION_RULE}")
+    return FsStations(*columns, carrier=carriers)
 
 
 def synthetic_rem(n_stations: int, n_carriers: int, area_km: float,
-                  rng: np.random.Generator) -> list:
+                  rng: np.random.Generator) -> FsStations:
     """Random FS deployment over a square area."""
     if n_stations < 0 or n_carriers < 1 or area_km < 0:
         raise ConfigurationError("need n_stations >= 0, n_carriers >= 1 "
                                  "and area_km >= 0")
-    # x, y, EIRP offset, azimuth, beamwidth: rng.uniform's arithmetic on
-    # the same stream of doubles, five per station
+    # per station, five doubles (x, y, EIRP offset, azimuth, beamwidth) and
+    # then its carrier, from one stream; rng.uniform's arithmetic maps the
+    # doubles afterwards
+    draws = np.empty((n_stations, 5))
+    carrier = []
+    random, integers = rng.random, rng.integers
+    for row in draws:
+        random(out=row)
+        carrier.append(integers(n_carriers))
     lo = np.array([-area_km / 2, -area_km / 2, -3.0, 0.0, 10.0])
     hi = np.array([area_km / 2, area_km / 2, 3.0, 360.0, 40.0])
-    out = []
-    for _ in range(n_stations):
-        x, y, dtx, azimuth, beamwidth = (lo + (hi - lo) * rng.random(5)).tolist()
-        out.append(FsStation(x_km=x, y_km=y, tx_dbw=FS_TX_DBW + dtx,
-                             azimuth_deg=azimuth, beamwidth_deg=beamwidth,
-                             carrier=int(rng.integers(n_carriers))))
-    return out
+    x, y, dtx, azimuth, beamwidth = (lo + (hi - lo) * draws).T
+    return FsStations(x_km=x, y_km=y, tx_dbw=FS_TX_DBW + dtx,
+                      azimuth_deg=azimuth, beamwidth_deg=beamwidth,
+                      carrier=carrier)
 
 
-def interference_table(stations: Sequence[FsStation],
-                       terminal_xy_km: np.ndarray, n_carriers: int) -> np.ndarray:
+def interference_table(stations: FsStations, terminal_xy_km: np.ndarray,
+                       n_carriers: int) -> np.ndarray:
     """Incumbent interference I_k(m), shape (M, K), linear power.
 
     Each station radiates its EIRP inside its sector and ``FS_MASK_DB``
@@ -309,22 +364,24 @@ def interference_table(stations: Sequence[FsStation],
     """
     xy = np.asarray(terminal_xy_km, float)
     out = np.zeros((n_carriers, xy.shape[0]))
-    st = np.array([(s.x_km, s.y_km, s.tx_dbw, s.azimuth_deg, s.beamwidth_deg)
-                   for s in stations], float).reshape(-1, 5, 1)
-    x, y, tx_dbw, azimuth, beamwidth = st.transpose(1, 0, 2)     # each (S, 1)
     # (S, K) steps run in place: a fresh array of that size costs page faults
-    dx, dy = xy[:, 0] - x, xy[:, 1] - y
+    dx = xy[:, 0] - stations.x_km[:, None]
+    dy = xy[:, 1] - stations.y_km[:, None]
     d = np.hypot(dx, dy)
     off = np.degrees(np.arctan2(dy, dx, out=dx), out=dx)
-    off -= azimuth
+    off -= stations.azimuth_deg[:, None]
     off += 180
-    np.remainder(off, 360, out=off)
+    # With azimuths in [0, 360), off lies in [-360, 360]. Below 0, its
+    # remainder modulo 360 is off + 360, rounded as np.remainder rounds it.
+    # At 360 the remainder is 0, and both give 180 after the next two steps.
+    np.add(off, 360, out=off, where=off < 0)
     off -= 180
     np.abs(off, out=off)                 # angle off the sector's boresight
-    eirp = 10 ** ((tx_dbw + np.array([0.0, -FS_MASK_DB])) / 10)  # (S, 2)
-    p = np.where(off <= beamwidth / 2, eirp[:, :1], eirp[:, 1:])
+    eirp = 10 ** ((stations.tx_dbw[:, None] + np.array([0.0, -FS_MASK_DB])) / 10)
+    p = np.where(off <= stations.beamwidth_deg[:, None] / 2,
+                 eirp[:, :1], eirp[:, 1:])
     np.maximum(d, FS_REF_KM, out=d)
     p *= np.square(np.divide(FS_REF_KM, d, out=d), out=d)
-    for s, row in zip(stations, p):      # station by station, in order
-        out[s.carrier] += row
+    for carrier, row in zip(stations.carrier.tolist(), p):   # in station order
+        out[carrier] += row
     return out

@@ -209,29 +209,35 @@ class TestAcceptance:
 
     def test_9_manifest_reproducibility(self, tmp_path):
         t0 = time.perf_counter()
-        configs = {
-            "channel-report": {"n_beams": 7, "n_u": 1, "n_mc": 5},
-            "precoding-bench": {"cases": [[4, 1]]},
-            "rate-region": {"p_values": [1.0, 10.0], "lam_points": 5,
-                            "strategies": ["ian", "scd", "snd", "fdm", "hk"]},
-            "detection-pd": {"detectors": ["ced"], "n_mc": 100,
-                             "n_mc_calib": 500, "isnr_grid_db": [0.0, 4.0]},
-            "spd-bench": {"obo_grid_db": [4.0], "modes": ["none", "onboard"],
-                          "n_symbols": 400, "lut_bins": 8},
-            "carrier-assign": {"n_carriers": 3, "n_terminals": 4,
-                               "n_stations": 5, "area_km": 50.0},
-            "caching-threshold": {"alphas": [0.8, 1.2], "n_stations": 50,
-                                  "library_size": 20},
-        }
-        assert set(configs) == set(cli.SUBCOMMANDS)
+        rem = tmp_path / "rem.csv"
+        rem.write_text("station_id,x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n"
+                       "0,1.5,-2.0,10.0,0.0,30.0\n4,-8.0,3.5,12.0,270.5,90.0\n"
+                       "7,20.0,20.0,8.0,359.9,360.0\n")
+        runs = [
+            ("channel-report", {"n_beams": 7, "n_u": 1, "n_mc": 5}),
+            ("precoding-bench", {"cases": [[4, 1]]}),
+            ("rate-region", {"p_values": [1.0, 10.0], "lam_points": 5,
+                             "strategies": ["ian", "scd", "snd", "fdm", "hk"]}),
+            ("detection-pd", {"detectors": ["ced"], "n_mc": 100,
+                              "n_mc_calib": 500, "isnr_grid_db": [0.0, 4.0]}),
+            ("spd-bench", {"obo_grid_db": [4.0], "modes": ["none", "onboard"],
+                           "n_symbols": 400, "lut_bins": 8}),
+            ("carrier-assign", {"n_carriers": 3, "n_terminals": 4,
+                                "n_stations": 5, "area_km": 50.0}),
+            ("carrier-assign", {"n_carriers": 3, "n_terminals": 4,
+                                "area_km": 50.0, "rem_csv": str(rem)}),
+            ("caching-threshold", {"alphas": [0.8, 1.2], "n_stations": 50,
+                                   "library_size": 20}),
+        ]
+        assert {sub for sub, _ in runs} == set(cli.SUBCOMMANDS)
 
         def outputs(out_dir):
             return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
-        for sub, cfg in configs.items():
-            first = tmp_path / sub / "a"
-            second = tmp_path / sub / "b"
-            cfg_path = tmp_path / f"{sub}.json"
+        for i, (sub, cfg) in enumerate(runs):
+            first = tmp_path / f"{i}" / "a"
+            second = tmp_path / f"{i}" / "b"
+            cfg_path = tmp_path / f"{i}.json"
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main([sub, "--config", str(cfg_path),
                              "--out", str(first)]) == 0
@@ -240,6 +246,6 @@ class TestAcceptance:
             files = outputs(first)
             assert "manifest.json" in files
             assert any(name.endswith(".csv") for name in files)
-            assert files == outputs(second), f"{sub} not reproducible"
+            assert files == outputs(second), f"{sub} {cfg} not reproducible"
         report(9, "every subcommand re-runs byte-identically",
                time.perf_counter() - t0, 300)

@@ -288,19 +288,30 @@ class TestConfigFaults:
             cli.main([sub, "--out", str(out)])
         assert not (tmp_path / "made").exists()
 
-    @pytest.mark.parametrize("body", [
-        "x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n1,2,10,45,20\n",
-        "station_id,x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n"
-        "0,1,2,10,45,20\n1,1,2,loud,45,20\n"],
-        ids=["no_station_id", "non_numeric_tx_dbw"])
-    def test_malformed_rem_csv(self, tmp_path, capsys, body):
-        # the CSV reader's KeyError and ValueError must not become a traceback
+    REM_HEADER = "station_id,x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n"
+
+    @pytest.mark.parametrize("body, line", [
+        ("x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n1,2,10,45,20\n", 2),
+        (REM_HEADER + "0,1,2,10,45,20\n1,1,2,loud,45,20\n", 3),
+        (REM_HEADER + "0,1,2,10,45,20\n1,1,2,10,45,-20\n", 3),
+        (REM_HEADER + "0,1,2,10,45,0\n", 2),
+        (REM_HEADER + "0,1,2,10,45,720\n", 2),
+        (REM_HEADER + "0,inf,2,10,45,20\n", 2),
+        (REM_HEADER + "0,1,2,10,45,20\n1,nan,2,10,45,20\n", 3)],
+        ids=["no_station_id", "non_numeric_tx_dbw", "negative_beamwidth",
+             "zero_beamwidth", "beamwidth_720", "infinite_x_km", "nan_x_km"])
+    def test_malformed_rem_csv(self, tmp_path, capsys, body, line):
+        # the CSV reader's KeyError and ValueError must not become a
+        # traceback, and a station no model allows must not run: otherwise
+        # a beamwidth of 0 or below masks it everywhere, 720 acts as 360,
+        # an infinite position adds no interference and NaN fails in the
+        # SINR check with a message that names no REM line
         rem = tmp_path / "rem.csv"
         rem.write_text(body)
         err = self.fails_cleanly(tmp_path, capsys, "carrier-assign",
                                  {**FAST_CONFIGS["carrier-assign"],
                                   "rem_csv": str(rem)})
-        assert "rem.csv line" in err
+        assert f"rem.csv line {line}:" in err
 
     @pytest.mark.parametrize("var", ["SATKIT_SEED"])
     def test_non_integer_env(self, tmp_path, capsys, monkeypatch, var):

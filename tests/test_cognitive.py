@@ -352,89 +352,150 @@ class TestThroughputReport:
                                     shared) == (0.0, np.inf)
 
 
+def one_station(**fields):
+    """An FsStations of one station at the origin, 10 dBW, boresight 0 deg."""
+    return cg.FsStations(**{"x_km": [0.0], "y_km": [0.0], "tx_dbw": [10.0],
+                            "azimuth_deg": [0.0], "beamwidth_deg": [30.0],
+                            "carrier": [0],
+                            **{k: [v] for k, v in fields.items()}})
+
+
 class TestRem:
     def test_loader_roundtrip(self, tmp_path):
         path = tmp_path / "rem.csv"
         path.write_text(
             "station_id,x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n"
             "0,1.0,2.0,10.0,45.0,20.0\n"
-            "5,-3.0,0.5,12.5,180.0,30.0\n")
+            "5,-3.0,0.5,12.5,180.0,30.0\n"
+            "2,0.0,0.0,10.0,-90.0,360.0\n"
+            "3,0.0,0.0,10.0,450.0,0.5\n")
         stations = cg.load_rem(path, n_carriers=4)
-        assert len(stations) == 2
-        assert stations[0].x_km == 1.0 and stations[0].carrier == 0
-        assert stations[1].carrier == 1          # 5 mod 4
-        assert stations[1].tx_dbw == 12.5
+        assert stations.x_km.tolist() == [1.0, -3.0, 0.0, 0.0]
+        assert stations.carrier.tolist() == [0, 1, 2, 3]     # station_id mod 4
+        assert stations.tx_dbw[1] == 12.5
+        # azimuths are stored in [0, 360)
+        assert stations.azimuth_deg.tolist() == [45.0, 180.0, 270.0, 90.0]
         with pytest.raises(ConfigurationError):       # no carrier to occupy
             cg.load_rem(path, n_carriers=0)
 
+    def test_columns_are_read_only_copies(self):
+        x = np.array([1.0, 2.0])
+        stations = cg.FsStations(x_km=x, y_km=[0.0, 0.0], tx_dbw=[0.0, 0.0],
+                                 azimuth_deg=[0.0, 0.0], beamwidth_deg=[9.0, 9.0],
+                                 carrier=[0, 1])
+        x[0] = 5.0
+        assert stations.x_km[0] == 1.0
+        with pytest.raises(ValueError):
+            stations.x_km[0] = 5.0
+
+    @pytest.mark.parametrize("azimuth, stored", [
+        (360.0, 0.0), (-90.0, 270.0), (720.0, 0.0), (-1e-20, 0.0),
+        (np.nextafter(360.0, 0.0), np.nextafter(360.0, 0.0)), (0.0, 0.0)])
+    def test_azimuth_stored_in_0_360(self, azimuth, stored):
+        assert one_station(azimuth_deg=azimuth).azimuth_deg[0] == stored
+
+    @pytest.mark.parametrize("fields", [
+        {"beamwidth_deg": 0.0}, {"beamwidth_deg": -20.0},
+        {"beamwidth_deg": 720.0}, {"beamwidth_deg": np.nan},
+        {"x_km": np.inf}, {"y_km": np.nan}, {"tx_dbw": -np.inf},
+        {"azimuth_deg": np.inf}])
+    def test_station_no_model_allows(self, fields):
+        with pytest.raises(ConfigurationError, match="beamwidth_deg <= 360"):
+            one_station(**fields)
+
+    def test_unequal_columns(self):
+        with pytest.raises(ConfigurationError, match="equal length"):
+            cg.FsStations(x_km=[0.0, 1.0], y_km=[0.0], tx_dbw=[0.0],
+                          azimuth_deg=[0.0], beamwidth_deg=[9.0], carrier=[0])
+
     def test_synthetic_rem_fields(self):
         stations = cg.synthetic_rem(20, 4, 100.0, np.random.default_rng(0))
-        assert len(stations) == 20
-        for s in stations:
-            assert abs(s.x_km) <= 50 and abs(s.y_km) <= 50
-            assert 0 <= s.carrier < 4
+        assert stations.carrier.shape == (20,)
+        assert (np.abs(stations.x_km) <= 50).all()
+        assert (np.abs(stations.y_km) <= 50).all()
+        assert ((0 <= stations.carrier) & (stations.carrier < 4)).all()
 
     def test_synthetic_rem_matches_scalar_draws(self):
         # five scalar uniform draws and one integer draw per station, in
         # that order: the same stations and the same generator state after
         def scalar_rem(n_stations, n_carriers, area_km, rng):
-            return [cg.FsStation(
-                x_km=float(rng.uniform(-area_km / 2, area_km / 2)),
-                y_km=float(rng.uniform(-area_km / 2, area_km / 2)),
-                tx_dbw=float(cg.FS_TX_DBW + rng.uniform(-3, 3)),
-                azimuth_deg=float(rng.uniform(0, 360)),
-                beamwidth_deg=float(rng.uniform(10, 40)),
-                carrier=int(rng.integers(n_carriers)))
-                for _ in range(n_stations)]
+            rows = [(float(rng.uniform(-area_km / 2, area_km / 2)),
+                     float(rng.uniform(-area_km / 2, area_km / 2)),
+                     float(cg.FS_TX_DBW + rng.uniform(-3, 3)),
+                     float(rng.uniform(0, 360)),
+                     float(rng.uniform(10, 40)),
+                     int(rng.integers(n_carriers)))
+                    for _ in range(n_stations)]
+            return [list(column) for column in zip(*rows)] or [[]] * 6
 
+        fields = ("x_km", "y_km", "tx_dbw", "azimuth_deg", "beamwidth_deg",
+                  "carrier")
         for seed, (n, m, area) in enumerate([(400, 200, 50.0), (200, 100, 200.0),
                                              (0, 3, 10.0), (17, 5, 0.0)]):
             got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
-            assert (cg.synthetic_rem(n, m, area, got_rng)
-                    == scalar_rem(n, m, area, want_rng))
+            got = cg.synthetic_rem(n, m, area, got_rng)
+            want = scalar_rem(n, m, area, want_rng)
+            assert [getattr(got, f).tolist() for f in fields] == want
             assert got_rng.random() == want_rng.random()
 
     def test_interference_in_sector_closed_form(self):
         # terminal on boresight at 2 km: EIRP * (1 km / 2 km)^2
-        st_ = cg.FsStation(x_km=0, y_km=0, tx_dbw=10.0,
-                           azimuth_deg=0.0, beamwidth_deg=30.0, carrier=1)
-        i_t = cg.interference_table([st_], np.array([[2.0, 0.0]]), 3)
+        i_t = cg.interference_table(one_station(carrier=1),
+                                    np.array([[2.0, 0.0]]), 3)
         assert i_t[1, 0] == pytest.approx(10.0 * 0.25, rel=1e-12)
         assert i_t[0, 0] == 0.0 and i_t[2, 0] == 0.0
 
     def test_sector_mask_attenuation(self):
-        st_ = cg.FsStation(x_km=0, y_km=0, tx_dbw=10.0,
-                           azimuth_deg=0.0, beamwidth_deg=30.0)
-        on = cg.interference_table([st_], np.array([[2.0, 0.0]]), 1)
-        off = cg.interference_table([st_], np.array([[-2.0, 0.0]]), 1)
+        on = cg.interference_table(one_station(), np.array([[2.0, 0.0]]), 1)
+        off = cg.interference_table(one_station(), np.array([[-2.0, 0.0]]), 1)
         assert off[0, 0] == pytest.approx(on[0, 0] * 10 ** (-2.5), rel=1e-12)
 
+    def test_sector_edges_are_inside(self):
+        # a 180-degree sector facing +y covers the x axis on both sides
+        st_ = one_station(azimuth_deg=90.0, beamwidth_deg=180.0)
+        i_t = cg.interference_table(st_, np.array([[2.0, 0.0], [-2.0, 0.0]]), 1)
+        assert i_t[0].tolist() == [2.5, 2.5]
+
     def test_path_loss_clamped_at_reference(self):
-        st_ = cg.FsStation(x_km=0, y_km=0, tx_dbw=0.0,
-                           azimuth_deg=0.0, beamwidth_deg=360.0)
-        near = cg.interference_table([st_], np.array([[0.1, 0.0]]), 1)
-        at_ref = cg.interference_table([st_], np.array([[1.0, 0.0]]), 1)
+        st_ = one_station(tx_dbw=0.0, beamwidth_deg=360.0)
+        near = cg.interference_table(st_, np.array([[0.1, 0.0]]), 1)
+        at_ref = cg.interference_table(st_, np.array([[1.0, 0.0]]), 1)
         assert near[0, 0] == pytest.approx(at_ref[0, 0], rel=1e-12)
 
     def test_interference_matches_station_loop(self):
         def station_loop(stations, xy, n_carriers):
             mask_db, ref_km = 25.0, 1.0
             out = np.zeros((n_carriers, xy.shape[0]))
-            for s in stations:
-                d = np.hypot(xy[:, 0] - s.x_km, xy[:, 1] - s.y_km)
-                az = np.degrees(np.arctan2(xy[:, 1] - s.y_km, xy[:, 0] - s.x_km))
-                off = np.abs((az - s.azimuth_deg + 180) % 360 - 180)
-                gain_db = np.where(off <= s.beamwidth_deg / 2, 0.0, -mask_db)
-                p = (10 ** ((s.tx_dbw + gain_db) / 10)
+            for x, y, tx_dbw, azimuth, beamwidth, carrier in zip(
+                    stations.x_km, stations.y_km, stations.tx_dbw,
+                    stations.azimuth_deg, stations.beamwidth_deg,
+                    stations.carrier):
+                d = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
+                az = np.degrees(np.arctan2(xy[:, 1] - y, xy[:, 0] - x))
+                off = np.abs((az - azimuth + 180) % 360 - 180)
+                gain_db = np.where(off <= beamwidth / 2, 0.0, -mask_db)
+                p = (10 ** ((tx_dbw + gain_db) / 10)
                      * (ref_km / np.maximum(d, ref_km)) ** 2)
-                out[s.carrier] += p
+                out[carrier] += p
             return out
 
         rng = np.random.default_rng(8)
-        for n_st, m, k, area in [(120, 30, 40, 50.0), (60, 3, 25, 200.0),
-                                 (0, 4, 5, 10.0), (7, 5, 0, 10.0)]:
-            stations = cg.synthetic_rem(n_st, m, area, rng)
-            xy = rng.uniform(-area / 2, area / 2, (k, 2))
+        instances = [(cg.synthetic_rem(n_st, m, area, rng),
+                      rng.uniform(-area / 2, area / 2, (k, 2)), m)
+                     for n_st, m, k, area in [(120, 30, 40, 50.0),
+                                              (60, 3, 25, 200.0),
+                                              (0, 4, 5, 10.0), (7, 5, 0, 10.0)]]
+        # the wrap's edges: terminals on the axes (angles 0, +-90 and 180
+        # degrees), boresights 0, 90 and the largest float below 360
+        edge = [0.0, 90.0, 180.0, np.nextafter(360.0, 0.0)]
+        azimuth = np.repeat(edge, 4)
+        instances.append((cg.FsStations(
+            x_km=np.zeros(16), y_km=np.zeros(16), tx_dbw=np.full(16, 10.0),
+            azimuth_deg=azimuth, beamwidth_deg=np.tile([1.0, 90.0, 180.0, 360.0], 4),
+            carrier=np.arange(16) % 2),
+            np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0],
+                      [-2.0, -1e-300], [-2.0, 1e-300], [3.0, 3.0]]), 2))
+        for stations, xy, m in instances:
             got = cg.interference_table(stations, xy, m)
             want = station_loop(stations, xy, m)
             assert got.shape == want.shape
