@@ -1,7 +1,7 @@
 """Batch experiment runner with deterministic CSV outputs.
 
 Each subcommand resolves its configuration (defaults, then --config
-JSON, then flag/environment overrides), writes its result CSVs and a
+JSON, then --seed), writes its result CSVs and a
 ``manifest.json`` capturing the fully resolved configuration. A run that
 fails leaves none of its files behind, nor an output directory it made.
 Re-running a subcommand with ``--config manifest.json`` reproduces every
@@ -25,8 +25,6 @@ from . import access, caching, cognitive, detection, precoding, predistortion
 from .scenario import (ConfigurationError, average_cir, build_channel,
                        default_scenario, draw_users)
 
-ENV_PREFIX = "SATKIT_"
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -45,16 +43,6 @@ def write_csv(path: Path, header, rows):
         fh.write(",".join(header) + "\r\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\r\n")
-
-
-def _env_int(name: str):
-    """Integer value of ``$SATKIT_<name>``, or None when it is unset."""
-    raw = os.environ.get(ENV_PREFIX + name)
-    try:
-        return None if raw is None else int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{ENV_PREFIX}{name} must be an integer, not {raw!r}") from None
 
 
 def _check_type(key: str, value, default):
@@ -126,9 +114,6 @@ def _resolve_config(defaults: dict, args, subcommand: str) -> dict:
         if args.seed is not None:
             raise ConfigurationError(f"{subcommand} takes no seed")
         return cfg
-    env_seed = _env_int("SEED")
-    if env_seed is not None:
-        cfg["seed"] = env_seed
     if args.seed is not None:
         cfg["seed"] = args.seed
     if cfg["seed"] < 0:
@@ -146,7 +131,7 @@ def _write_manifest(out: Path, subcommand: str, cfg: dict):
 # ---------------------------------------------------------------- subcommands
 
 def cmd_channel_report(cfg: dict, out: Path):
-    scn = default_scenario(n_beams=cfg["n_beams"], n_u=cfg["n_u"])
+    scn = default_scenario(n_beams=cfg["n_beams"])
     rows = []
     for fr in (1, 2, 3, 4):
         rng = np.random.default_rng(cfg["seed"] + fr)
@@ -291,7 +276,7 @@ def cmd_caching_threshold(cfg: dict, out: Path):
 
 SUBCOMMANDS = {
     "channel-report": (cmd_channel_report, {
-        "n_beams": 71, "n_u": 2, "n_mc": 2000, "seed": 0}),
+        "n_beams": 71, "n_mc": 2000, "seed": 0}),
     "precoding-bench": (cmd_precoding_bench, {
         "cases": [[16, 2], [32, 2], [32, 4]],
         "power_w": 55.0, "seed": 0}),
@@ -328,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="JSON config or a previous run's manifest.json")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--out", type=str, default=".")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func, defaults = SUBCOMMANDS[args.subcommand]
-    out = Path(args.out or os.environ.get(ENV_PREFIX + "OUT", "."))
+    out = Path(args.out)
     made = [p for p in (out, *out.parents) if not p.exists()]
     done = False
     try:

@@ -55,7 +55,8 @@ def mmse_multicast(h_avg: np.ndarray, power_cap: float) -> PrecodeMatrix:
     result when the regularised Gram matrix is numerically singular: its
     Cholesky factorisation fails, or the squared ratio of the factor's
     largest to smallest pivot, a lower bound on the condition number,
-    exceeds ``COND_LIMIT``.
+    exceeds ``COND_LIMIT``. The factorisation runs only where the bound
+    1 + P ||H||_F^2 on the condition number lets the guard fire.
     """
     h_avg = np.asarray(h_avg, complex)
     if not np.isfinite(h_avg).all():
@@ -63,17 +64,32 @@ def mmse_multicast(h_avg: np.ndarray, power_cap: float) -> PrecodeMatrix:
     if power_cap <= 0:
         raise ConfigurationError("power cap must be positive")
     n = h_avg.shape[1]
-    gram = h_avg.conj().T @ h_avg + np.eye(n) / power_cap
-    # cond(gram) = cond(L)^2 >= (max|L_ii| / min|L_ii|)^2 for gram = L L^H,
-    # so the pivot ratio never flags a well-conditioned matrix
-    try:
-        d = np.abs(np.linalg.cholesky(gram).diagonal())  # a copy: frees L
-        ill = bool((d.max() / d.min()) ** 2 > COND_LIMIT)
-    except np.linalg.LinAlgError:
-        ill = True
+    h_hermitian = h_avg.conj().T
+    gram = h_hermitian @ h_avg
+    # numpy's divide: a 1/P beyond the float range is a float fault
+    gram.flat[::n + 1] += np.divide(1.0, power_cap, dtype=float)
+    # gram's eigenvalues lie in [1/P, 1/P + ||H||_2^2], so cond2(gram) <=
+    # b = 1 + P ||H||_F^2. For b < 1/(16 n (n+1) u) Cholesky succeeds (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.7:
+    # lambda_min(D^-1 gram D^-1) >= 1/b for D^2 = diag(gram); 16 covers
+    # complex rounding) with pivots exact for a gram of cond2 < 1.1 b (Thm
+    # 10.3), so for b < COND_LIMIT / 2 too the guard cannot fire and is skipped.
+    limit = min(COND_LIMIT / 2, 1 / (8 * n * (n + 1) * np.finfo(float).eps))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: factorise
+        fro2 = np.square(h_avg.real).sum() + np.square(h_avg.imag).sum()
+        sure = fro2 * power_cap <= limit - 1
+    ill = False
+    if not sure:
+        # cond(gram) = cond(L)^2 >= (max|L_ii| / min|L_ii|)^2 for gram =
+        # L L^H, so the pivot ratio never flags a well-conditioned matrix
+        try:
+            d = np.abs(np.linalg.cholesky(gram).diagonal())  # a copy: frees L
+            ill = bool((d.max() / d.min()) ** 2 > COND_LIMIT)
+        except np.linalg.LinAlgError:
+            ill = True
     if ill:
-        gram = gram + 1e-12 * np.eye(n)
-    w_raw = np.linalg.solve(gram, h_avg.conj().T)
+        gram.flat[::n + 1] += 1e-12
+    w_raw = np.linalg.solve(gram, h_hermitian)
     return enforce_per_feed(w_raw, power_cap, ill_conditioned=ill)
 
 

@@ -263,8 +263,6 @@ def average_cir(scenario: Scenario, reuse_factor: int, n_mc: int = 200,
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
     colors = reuse_colors(scenario, reuse_factor)
-    if all((colors == colors[k]).sum() == 1 for k in range(scenario.K)):
-        return np.inf
     # scalar draws, in this order per sample, fix the RNG stream
     draws = [(rng.integers(scenario.K), rng.uniform(), rng.uniform(0, 2 * np.pi))
              for _ in range(n_mc)]

@@ -207,14 +207,14 @@ class TestAcceptance:
         report(8, f"CIR gain fr4-fr1 = {cir[3] - cir[0]:.1f} dB",
                time.perf_counter() - t0, 30)
 
-    def test_9_manifest_reproducibility(self, tmp_path):
+    def test_9_manifest_reproducibility(self, tmp_path, monkeypatch):
         t0 = time.perf_counter()
         rem = tmp_path / "rem.csv"
         rem.write_text("station_id,x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n"
                        "0,1.5,-2.0,10.0,0.0,30.0\n4,-8.0,3.5,12.0,270.5,90.0\n"
                        "7,20.0,20.0,8.0,359.9,360.0\n")
         runs = [
-            ("channel-report", {"n_beams": 7, "n_u": 1, "n_mc": 5}),
+            ("channel-report", {"n_beams": 7, "n_mc": 5}),
             ("precoding-bench", {"cases": [[4, 1]]}),
             ("rate-region", {"p_values": [1.0, 10.0], "lam_points": 5,
                              "strategies": ["ian", "scd", "snd", "fdm", "hk"]}),
@@ -241,8 +241,11 @@ class TestAcceptance:
             cfg_path.write_text(json.dumps(cfg))
             assert cli.main([sub, "--config", str(cfg_path),
                              "--out", str(first)]) == 0
-            assert cli.main([sub, "--config", str(first / "manifest.json"),
-                             "--out", str(second)]) == 0
+            with monkeypatch.context() as env:
+                # a replay reads only its manifest, not the environment
+                env.setenv("SATKIT_SEED", "5")
+                assert cli.main([sub, "--config", str(first / "manifest.json"),
+                                 "--out", str(second)]) == 0
             files = outputs(first)
             assert "manifest.json" in files
             assert any(name.endswith(".csv") for name in files)

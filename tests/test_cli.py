@@ -15,7 +15,7 @@ import pytest
 from satkit import cli, detection
 
 FAST_CONFIGS = {
-    "channel-report": {"n_beams": 7, "n_u": 1, "n_mc": 5},
+    "channel-report": {"n_beams": 7, "n_mc": 5},
     "caching-threshold": {"alphas": [1.2], "n_stations": 20,
                           "library_size": 10},
     "carrier-assign": {"n_carriers": 3, "n_terminals": 4, "n_stations": 5,
@@ -94,27 +94,11 @@ class TestConfigResolution:
                        "--out", str(tmp_path / "o")])
         assert rc == 1
 
-    def test_env_seed_applies(self, tmp_path, monkeypatch):
-        a = run(tmp_path, "carrier-assign", FAST_CONFIGS["carrier-assign"], "a")
-        monkeypatch.setenv("SATKIT_SEED", "99")
-        b = run(tmp_path, "carrier-assign", FAST_CONFIGS["carrier-assign"], "b")
-        assert json.loads((b / "manifest.json").read_text())["config"]["seed"] == 99
-        assert csv_bytes(a) != csv_bytes(b)
-
-    def test_flag_seed_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SATKIT_SEED", "99")
-        out = run(tmp_path, "carrier-assign", FAST_CONFIGS["carrier-assign"],
-                  "c", extra=("--seed", "7"))
+    def test_flag_seed_beats_config(self, tmp_path):
+        out = run(tmp_path, "carrier-assign",
+                  {**FAST_CONFIGS["carrier-assign"], "seed": 3}, "c",
+                  extra=("--seed", "7"))
         assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 7
-
-    @pytest.mark.parametrize("sub", ["caching-threshold", "rate-region"])
-    def test_seedless_subcommand_ignores_env_seed(self, tmp_path, monkeypatch,
-                                                  sub):
-        a = run(tmp_path, sub, FAST_CONFIGS[sub], "a")
-        monkeypatch.setenv("SATKIT_SEED", "abc")
-        b = run(tmp_path, sub, FAST_CONFIGS[sub], "b")
-        assert "seed" not in json.loads((b / "manifest.json").read_text())["config"]
-        assert csv_bytes(a) == csv_bytes(b)
 
     @pytest.mark.parametrize("sub", ["caching-threshold", "rate-region"])
     def test_seed_flag_rejected_without_seed_key(self, tmp_path, capsys, sub):
@@ -122,15 +106,6 @@ class TestConfigResolution:
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1 and len(err) == 1 and "takes no seed" in err[0]
         assert not (tmp_path / "o").exists()
-
-    def test_env_out_dir(self, tmp_path, monkeypatch):
-        target = tmp_path / "envout"
-        monkeypatch.setenv("SATKIT_OUT", str(target))
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(FAST_CONFIGS["caching-threshold"]))
-        rc = cli.main(["caching-threshold", "--config", str(cfg)])
-        assert rc == 0
-        assert (target / "caching_threshold.csv").exists()
 
 
 class TestConfigFaults:
@@ -313,12 +288,6 @@ class TestConfigFaults:
                                   "rem_csv": str(rem)})
         assert f"rem.csv line {line}:" in err
 
-    @pytest.mark.parametrize("var", ["SATKIT_SEED"])
-    def test_non_integer_env(self, tmp_path, capsys, monkeypatch, var):
-        monkeypatch.setenv(var, "abc")
-        self.fails_cleanly(tmp_path, capsys, "carrier-assign",
-                           FAST_CONFIGS["carrier-assign"])
-
 
 SWEEP_VALUES = [0, -1, [], "x", None, True, 0.0, -1.0]
 # the ends of the float range, for float keys and lists of floats only: a
@@ -386,6 +355,46 @@ def test_config_fault_sweep(tmp_path, capsys, sub):
         if not ok:
             broken.append(f"{case}: exit {rc}, stderr {err}")
     assert not broken, "\n".join(broken)
+
+
+# one other valid value for every config key of every subcommand
+ALTERNATIVES = {
+    "channel-report": {"n_beams": 19, "n_mc": 6, "seed": 1},
+    "precoding-bench": {"cases": [[4, 2]], "power_w": 10.0, "seed": 1},
+    "rate-region": {"direct_db": 1.0, "cross_db": -3.0,
+                    "p_values": [2.0, 10.0], "lam_points": 4,
+                    "strategies": ["ian", "scd"]},
+    "detection-pd": {"detectors": ["edscp"], "eps_db": 1.0, "snr_db": 3.0,
+                     "pfa": 0.05, "n_mc": 120, "n_mc_calib": 600,
+                     "fade_db": 2.0, "isnr_grid_db": [0.0, 2.0], "seed": 1},
+    "spd-bench": {"obo_grid_db": [5.0], "modes": ["onboard"],
+                  "alpha_re": 1.1, "alpha_im": 0.1, "beta_re": -0.2,
+                  "beta_im": 0.02, "sigma_j": 0.01, "snr_db": 30.0,
+                  "n_symbols": 400, "lut_bins": 4, "seed": 1},
+    "carrier-assign": {"n_carriers": 4, "n_terminals": 5, "n_stations": 6,
+                       "area_km": 80.0, "rx_power_dbw": 10.0, "i_co": 0.3,
+                       "n0": 2.0, "mapping": "staircase",
+                       "rem_csv": "rem.csv", "seed": 1},
+    "caching-threshold": {"alphas": [0.9], "n_stations": 30,
+                          "library_size": 12, "rate_ratio": 2.0,
+                          "rate_bc": 2.0, "file_size_bits": 2.0},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
+def test_every_config_key_changes_an_output(tmp_path, monkeypatch, sub):
+    """Each key set alone to its alternative, at the small size, changes
+    some CSV byte: a key that no output reads fails here."""
+    assert sorted(ALTERNATIVES[sub]) == sorted(cli.SUBCOMMANDS[sub][1])
+    monkeypatch.chdir(tmp_path)                     # for the relative rem_csv
+    Path("rem.csv").write_text(
+        "station_id,x_km,y_km,tx_dbw,azimuth_deg,beamwidth_deg\n"
+        "0,1.5,-2.0,10.0,0.0,30.0\n4,-8.0,3.5,12.0,270.5,90.0\n")
+    base = csv_bytes(run(tmp_path, sub, SMALL_CONFIGS[sub], "base"))
+    dead = [key for key, value in ALTERNATIVES[sub].items()
+            if csv_bytes(run(tmp_path, sub, {**SMALL_CONFIGS[sub], key: value},
+                             key)) == base]
+    assert not dead, f"{sub}: no CSV byte depends on {dead}"
 
 
 def test_detection_public_functions_stay_on_the_calling_thread(tmp_path,

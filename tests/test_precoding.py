@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satkit import cli
 from satkit import precoding as pc
 from satkit.scenario import (ChannelSet, ConfigurationError, build_channel,
                              default_scenario, draw_users)
@@ -20,6 +21,21 @@ def mmse_oracle(h_avg, p):
     w_raw = np.linalg.inv(gram) @ h_avg.conj().T
     beta = np.sqrt(p / max((w_raw @ w_raw.conj().T).diagonal().real))
     return beta * w_raw
+
+
+def mmse_always_factorised(h_avg, p):
+    """The precoder with its conditioning guard's Cholesky run every time."""
+    n = h_avg.shape[1]
+    gram = h_avg.conj().T @ h_avg + np.eye(n) / p
+    try:
+        d = np.abs(np.linalg.cholesky(gram).diagonal())
+        ill = bool((d.max() / d.min()) ** 2 > pc.COND_LIMIT)
+    except np.linalg.LinAlgError:
+        ill = True
+    if ill:
+        gram = gram + 1e-12 * np.eye(n)
+    w_raw = np.linalg.solve(gram, h_avg.conj().T)
+    return pc.enforce_per_feed(w_raw, p, ill_conditioned=ill)
 
 
 def check_p2_feasibility(channel_set, precoder, gamma_targets, power_cap):
@@ -124,6 +140,58 @@ class TestMmse:
             scale = np.linalg.norm(gram) * np.linalg.norm(x)
             assert resid <= 1e-10 * scale
         assert any(flags) and not all(flags)
+
+    @pytest.mark.parametrize("k, n_u", [(7, 1), (19, 2), (71, 2), (71, 4),
+                                        (256, 1), (512, 2)])
+    def test_skipped_factorisation_changes_no_bit(self, monkeypatch, k, n_u):
+        # the Cholesky runs only where 1 + P ||H||_F^2 reaches the limit
+        # below which it surely succeeds and the guard cannot fire
+        factorised = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factorised.append(1) or cholesky(a))
+        limit = min(pc.COND_LIMIT / 2, 1 / (8 * k * (k + 1) * np.finfo(float).eps))
+        scn = default_scenario(n_beams=k, n_u=n_u)
+        for seed in range(3 if k < 256 else 1):
+            rng = np.random.default_rng(seed)
+            ch = build_channel(scn, draw_users(scn, rng), rng=rng)
+            h = pc.average_channel(ch)
+            p_edge = (limit - 1) / np.linalg.norm(h) ** 2
+            for p in (1e-3, 55.0, p_edge / 2, p_edge * 2, 1e18, 1e30):
+                factorised.clear()
+                got = pc.mmse_multicast(h, p)
+                assert bool(factorised) == (p > p_edge), p
+                want = mmse_always_factorised(h, p)
+                assert got.W.tobytes() == want.W.tobytes()
+                assert (got.beta, got.ill_conditioned) == (want.beta,
+                                                           want.ill_conditioned)
+                assert (pc.sinr_all(ch, got).tobytes()
+                        == pc.sinr_all(ch, want).tobytes())
+
+    def test_guard_flags_match_always_factorised(self):
+        rng = np.random.default_rng(14)
+        flags = set()
+        for cond in np.logspace(2, 16, 30):
+            h = gram_with_condition(rng, int(rng.integers(2, 13)), cond)
+            for p in (1.0, 1e6, 1e30):
+                got, want = pc.mmse_multicast(h, p), mmse_always_factorised(h, p)
+                assert got.W.tobytes() == want.W.tobytes()
+                assert (got.beta, got.ill_conditioned) == (want.beta,
+                                                           want.ill_conditioned)
+                flags.add(got.ill_conditioned)
+        assert flags == {False, True}
+
+    def test_default_powers_never_factorise(self, monkeypatch, tmp_path):
+        def refuse(a):
+            raise AssertionError("Cholesky at a default power")
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert cli.main(["precoding-bench", "--out", str(tmp_path)]) == 0
+        for k in (71, 256, 512):        # the benchmark's forward-link sizes
+            scn = default_scenario(n_beams=k)
+            rng = np.random.default_rng(k)
+            ch = build_channel(scn, draw_users(scn, rng), rng=rng)
+            assert not pc.mmse_multicast(pc.average_channel(ch),
+                                         55.0).ill_conditioned
 
 
 class TestEnforcePerFeed:

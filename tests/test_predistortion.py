@@ -824,6 +824,7 @@ def test_spd_chain_leaves_blas_worker_threads_idle(tmp_path):
         pytest.skip("needs /proc/self/task and at least two CPUs")
     code = """
 import os
+import time
 from satkit import predistortion as pd
 
 def cpu_ticks():
@@ -834,10 +835,25 @@ def cpu_ticks():
         ticks[tid] = int(fields[11]) + int(fields[12])    # utime + stime
     return ticks
 
+def workers_settle(timeout=30.0):
+    # a worker spins for a while after it starts, as after a threaded call;
+    # wait until no thread but the main one has run for a few tick periods
+    main = str(os.getpid())
+    deadline = time.monotonic() + timeout
+    last = cpu_ticks()
+    while time.monotonic() < deadline:
+        time.sleep(0.2)
+        now = cpu_ticks()
+        if all(now[t] == last.get(t) for t in now if t != main):
+            return
+        last = now
+    raise SystemExit("BLAS worker threads never went idle")
+
 def run():
     pd.spd_benchmark(pd.HpaParams(), [4.0], modes=("onboard",), n_symbols=2000)
 
 run()       # one-off start-up work, on any thread, is not the chain's
+workers_settle()
 before = cpu_ticks()
 run()
 after = cpu_ticks()

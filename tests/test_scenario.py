@@ -250,6 +250,13 @@ class TestReuseAndCir:
         scn = sc.default_scenario(n_beams=1, n_u=1)
         assert sc.average_cir(scn, 1) == np.inf
 
+    @pytest.mark.parametrize("k, reuse", [(1, 4), (3, 3), (3, 4), (4, 4)])
+    def test_every_beam_alone_in_its_colour(self, k, reuse):
+        scn = sc.default_scenario(n_beams=k, n_u=1)
+        colors = sc.reuse_colors(scn, reuse)
+        assert len(np.unique(colors)) == k
+        assert sc.average_cir(scn, reuse) == np.inf
+
     def test_cir_increases_with_reuse(self):
         scn = make_scenario(n_beams=37)
         vals = [sc.average_cir(scn, fr, n_mc=150,
