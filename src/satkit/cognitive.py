@@ -203,35 +203,41 @@ def assign_hungarian(rates: np.ndarray) -> Assignment:
     best = float(w[np.arange(n), col_of].sum())
     tight = -w - u[:, None] - v <= 1e-12 * max(1.0, abs(best)) / max(n, 1)
     row_of = np.argsort(col_of)
-    first_tight = tight.argmax(axis=1).tolist()
-    free = np.ones(n, bool)              # carriers whose column may still move
-    for carrier in range(m):
-        free[carrier] = False
-        target = col_of[carrier]
-        if first_tight[carrier] >= target:
-            continue                     # no tight terminal below its own
-        movable = free[row_of]
-        if not (tight[carrier, :target] & movable[:target]).any():
-            continue                     # no lower terminal to try
-        # reverse BFS: columns that reach ``target`` by an alternating path
-        # of tight edges through free carriers; step[j] is the next column
+    cols, carrier = np.arange(n), 0
+    while carrier < m:
+        # Carriers below ``carrier`` are fixed, so carrier c can move only
+        # to a lower tight column whose owner comes after it (a later
+        # carrier or a dummy). Owners change only in a rotation, so one
+        # screen of the rest serves every carrier up to the next rotation.
+        rest = np.arange(carrier, m)[:, None]
+        lower = (tight[carrier:m] & (cols < col_of[carrier:m, None])
+                 & (row_of > rest)).any(axis=1)
         into_col = tight[row_of]         # [j, j']: j's carrier may take j'
-        reached = np.zeros(n, bool)
-        reached[target] = True
-        step = np.full(n, -1)
-        frontier = np.array([target])
-        while frontier.size:
-            into = into_col[:, frontier]
-            new = movable & ~reached & into.any(axis=1)
-            step[new] = frontier[into[new].argmax(axis=1)]
-            reached |= new
-            frontier = np.nonzero(new)[0]
-        col, owner = int(np.argmax(tight[carrier] & reached)), carrier
+        for carrier in (np.flatnonzero(lower) + carrier).tolist():
+            # reverse BFS: columns that reach ``target`` by an alternating path
+            # of tight edges through later carriers; step[j] is the next column
+            target, movable = col_of[carrier], row_of > carrier
+            reached = np.zeros(n, bool)
+            reached[target] = True
+            step = np.full(n, -1)
+            frontier = np.array([target])
+            while frontier.size:
+                into = into_col[:, frontier]
+                new = movable & ~reached & into.any(axis=1)
+                step[new] = frontier[into[new].argmax(axis=1)]
+                reached |= new
+                frontier = np.nonzero(new)[0]
+            col, owner = int(np.argmax(tight[carrier] & reached)), carrier
+            if col != target:
+                break                    # a lower column to rotate to
+        else:
+            break                        # no carrier left that can move
         while col != target:             # rotate the matching along the cycle
             mover = row_of[col]
             row_of[col], col_of[owner] = owner, col
             owner, col = mover, step[col]
         row_of[target], col_of[owner] = owner, target
+        carrier += 1
     terminal_of = tuple(int(c) if c < k else -1 for c in col_of[:m])
     assigned = np.nonzero(col_of[:m] < k)[0]
     objective = 0.0
@@ -367,8 +373,11 @@ def interference_table(stations: FsStations, terminal_xy_km: np.ndarray,
     # (S, K) steps run in place: a fresh array of that size costs page faults
     dx = xy[:, 0] - stations.x_km[:, None]
     dy = xy[:, 1] - stations.y_km[:, None]
-    d = np.hypot(dx, dy)
-    off = np.degrees(np.arctan2(dy, dx, out=dx), out=dx)
+    off = np.arctan2(dy, dx)
+    np.degrees(off, out=off)
+    # squared distances, no root taken; a square past the float range is inf
+    with np.errstate(over="ignore"):
+        d2 = np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
     off -= stations.azimuth_deg[:, None]
     off += 180
     # With azimuths in [0, 360), off lies in [-360, 360]. Below 0, its
@@ -380,8 +389,8 @@ def interference_table(stations: FsStations, terminal_xy_km: np.ndarray,
     eirp = 10 ** ((stations.tx_dbw[:, None] + np.array([0.0, -FS_MASK_DB])) / 10)
     p = np.where(off <= stations.beamwidth_deg[:, None] / 2,
                  eirp[:, :1], eirp[:, 1:])
-    np.maximum(d, FS_REF_KM, out=d)
-    p *= np.square(np.divide(FS_REF_KM, d, out=d), out=d)
+    np.maximum(d2, FS_REF_KM ** 2, out=d2)
+    p *= np.divide(FS_REF_KM ** 2, d2, out=d2)   # 0 where d2 is inf
     for carrier, row in zip(stations.carrier.tolist(), p):   # in station order
         out[carrier] += row
     return out

@@ -96,10 +96,11 @@ def _sums_sorted(w: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     n = w.shape[2]
     tot, sq = w.sum(axis=2), np.einsum("ijk,ijk->ij", w, w)
     w.sort(axis=2)
-    cs = np.zeros(w.shape[:2] + (n + 1,))
-    np.cumsum(w, axis=2, out=cs[:, :, 1:])
     k = _count_below(w, -mu)
-    cs_k = cs.take(k + np.arange(0, cs.size, n + 1).reshape(w.shape[:2]))
+    top = int(k.max(initial=0))          # no prefix past it is read
+    cs = np.zeros(w.shape[:2] + (top + 1,))
+    np.cumsum(w[:, :, :top], axis=2, out=cs[:, :, 1:])
+    cs_k = cs.take(k + np.arange(0, cs.size, top + 1).reshape(w.shape[:2]))
     return ((sq + 2 * mu * tot + n * mu ** 2).sum(axis=2),
             (tot + n * mu - 2 * (cs_k + k * mu)).sum(axis=2))
 

@@ -222,10 +222,11 @@ class TestConfigFaults:
         assert "(34," not in err
 
     def test_float_fault_names_the_subcommand(self, tmp_path, capsys):
-        # this used to exit 0 with "overflow encountered in hypot" on stderr
+        # a numpy overflow used to exit 0 with a warning on stderr; here the
+        # SINR's denominator i_co + n0 passes the float range
         err = self.fails_cleanly(tmp_path, capsys, "carrier-assign",
                                  {**FAST_CONFIGS["carrier-assign"],
-                                  "area_km": sys.float_info.max})
+                                  "i_co": 1e308, "n0": 1e308})
         assert err.startswith("error: carrier-assign: floating-point fault:")
 
     @pytest.mark.parametrize("cfg", [
@@ -535,6 +536,17 @@ class TestCsvContracts:
         assert len(lines) - 1 == 3                        # one row per carrier
         summary = (out / "carrier_assign_summary.csv").read_bytes().decode()
         assert summary.startswith("sum_rate,exclusive_sum_rate,gain_factor")
+
+    def test_carrier_assign_over_huge_areas(self, tmp_path):
+        # squared distances past the float range give a path-loss factor
+        # of 0, as the interference they stand for is below any float
+        outs = [csv_bytes(run(tmp_path, "carrier-assign",
+                              {**FAST_CONFIGS["carrier-assign"], "area_km": a},
+                              str(i)))
+                for i, a in enumerate([1e160, 1e200, sys.float_info.max])]
+        assert outs[0] == outs[1] == outs[2]
+        summary = outs[0]["carrier_assign_summary.csv"].decode().split("\r\n")
+        assert summary[1].split(",")[2] == "1"          # gain_factor
 
     def test_float_formatting(self):
         assert cli._fmt(0.1) == "0.1"

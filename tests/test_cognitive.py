@@ -53,6 +53,56 @@ def greedy_lex_oracle(rates):
     return tuple(c if c < k else -1 for c in fixed)
 
 
+def per_carrier_tie_break(rates):
+    """``assign_hungarian`` with its tie-break run one carrier at a time.
+
+    The same solve and tight edges; each carrier in turn is tested for a
+    tight column below its own whose owner is not yet fixed, and, if it
+    has one, runs the reverse BFS and rotation. Returns the terminal map,
+    the number of rotations and the objective.
+    """
+    r = np.asarray(rates, float)
+    m, k = r.shape
+    n = max(m, k)
+    w = np.zeros((n, n))
+    w[:m, :k] = r
+    col_of, u, v = cg.linear_sum_assignment(-w)
+    best = float(w[np.arange(n), col_of].sum())
+    tight = -w - u[:, None] - v <= 1e-12 * max(1.0, abs(best)) / max(n, 1)
+    row_of = np.argsort(col_of)
+    free = np.ones(n, bool)
+    rotations = 0
+    for carrier in range(m):
+        free[carrier] = False
+        target = col_of[carrier]
+        movable = free[row_of]
+        if not (tight[carrier, :target] & movable[:target]).any():
+            continue
+        into_col = tight[row_of]
+        reached = np.zeros(n, bool)
+        reached[target] = True
+        step = np.full(n, -1)
+        frontier = np.array([target])
+        while frontier.size:
+            into = into_col[:, frontier]
+            new = movable & ~reached & into.any(axis=1)
+            step[new] = frontier[into[new].argmax(axis=1)]
+            reached |= new
+            frontier = np.nonzero(new)[0]
+        col, owner = int(np.argmax(tight[carrier] & reached)), carrier
+        rotations += col != target
+        while col != target:
+            mover = row_of[col]
+            row_of[col], col_of[owner] = owner, col
+            owner, col = mover, step[col]
+        row_of[target], col_of[owner] = owner, target
+    objective = 0.0
+    for c in range(m):
+        if col_of[c] < k:
+            objective += r[c, col_of[c]]
+    return tuple(int(c) if c < k else -1 for c in col_of[:m]), rotations, objective
+
+
 STAIRCASE_RATES = np.array([0.0] + [r for _, r in cg.MODCOD_TABLE])
 
 
@@ -207,6 +257,34 @@ class TestAssignment:
             a = cg.assign_hungarian(rates)
             assert a.terminal_of == greedy_lex_oracle(rates), rates.shape
             assert a.objective == pytest.approx(lsap_optimum(rates), rel=1e-12)
+
+    def test_screen_matches_per_carrier_loop(self):
+        # one screen per rotation against the loop over every carrier:
+        # the same map and the same objective bits, on integer,
+        # half-integer, continuous and staircase rates, M != K included,
+        # plus tied instances built here
+        rng = np.random.default_rng(13)
+        draws = [lambda m, k: rng.integers(0, 4, (m, k)) * 1.0,
+                 lambda m, k: rng.integers(0, 7, (m, k)) / 2.0,
+                 lambda m, k: rng.uniform(0, 5, (m, k)),
+                 lambda m, k: STAIRCASE_RATES[rng.integers(0, 6, (m, k))]]
+        instances = [draws[i % 4](*rng.integers(1, 30, 2)) for i in range(320)]
+        for n in (3, 6, 15, 40):
+            # all maps tied (row plus column offsets), repeated carriers
+            # and terminals, and repeated blocks of a rectangular shape
+            instances.append(np.ones((n, n)))
+            instances.append(rng.integers(0, 3, (n, 1)) * 1.0
+                             + rng.integers(0, 3, (1, n)))
+            instances.append(np.kron(np.ones((2, 2)), rng.integers(0, 3, (n, n))))
+            instances.append(np.kron(rng.integers(0, 2, (n, n)), np.ones((2, 3))))
+        rotated = 0
+        for rates in instances:
+            want, rotations, objective = per_carrier_tie_break(rates)
+            a = cg.assign_hungarian(rates)
+            assert a.terminal_of == want, rates.shape
+            assert a.objective.hex() == objective.hex(), rates.shape
+            rotated += rotations > 0
+        assert rotated >= 100                      # the rotations are tested too
 
     def test_one_assignment_solve(self, monkeypatch):
         calls = []
@@ -463,20 +541,24 @@ class TestRem:
         assert near[0, 0] == pytest.approx(at_ref[0, 0], rel=1e-12)
 
     def test_interference_matches_station_loop(self):
-        def station_loop(stations, xy, n_carriers):
+        def station_loop(stations, xy, n_carriers, squared=True):
+            # squared: the path-loss factor from d^2 = dx^2 + dy^2, as the
+            # table forms it; otherwise from the distance np.hypot gives
             mask_db, ref_km = 25.0, 1.0
             out = np.zeros((n_carriers, xy.shape[0]))
             for x, y, tx_dbw, azimuth, beamwidth, carrier in zip(
                     stations.x_km, stations.y_km, stations.tx_dbw,
                     stations.azimuth_deg, stations.beamwidth_deg,
                     stations.carrier):
-                d = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
-                az = np.degrees(np.arctan2(xy[:, 1] - y, xy[:, 0] - x))
+                dx, dy = xy[:, 0] - x, xy[:, 1] - y
+                if squared:
+                    loss = ref_km ** 2 / np.maximum(dx ** 2 + dy ** 2, ref_km ** 2)
+                else:
+                    loss = (ref_km / np.maximum(np.hypot(dx, dy), ref_km)) ** 2
+                az = np.degrees(np.arctan2(dy, dx))
                 off = np.abs((az - azimuth + 180) % 360 - 180)
                 gain_db = np.where(off <= beamwidth / 2, 0.0, -mask_db)
-                p = (10 ** ((tx_dbw + gain_db) / 10)
-                     * (ref_km / np.maximum(d, ref_km)) ** 2)
-                out[carrier] += p
+                out[carrier] += 10 ** ((tx_dbw + gain_db) / 10) * loss
             return out
 
         rng = np.random.default_rng(8)
@@ -500,6 +582,11 @@ class TestRem:
             want = station_loop(stations, xy, m)
             assert got.shape == want.shape
             assert np.array_equal(got, want)       # bit for bit
+            # the distance's root and square round differently: the two
+            # formulas agree to a few units in the last place
+            np.testing.assert_allclose(
+                got, station_loop(stations, xy, m, squared=False),
+                rtol=1e-15, atol=0)
 
     def test_end_to_end_shared_band_gain(self):
         # full pipeline: REM -> interference -> SINR -> rates -> assignment
