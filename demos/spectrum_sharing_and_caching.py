@@ -37,10 +37,10 @@ print("\nbroadcast/unicast threshold, K=500 stations, I=100 files, "
       "R_uc/R_bc = 3:")
 for alpha in (0.8, 1.2, 1.6):
     model = caching.PopularityModel(library_size=100, alpha=alpha)
-    i_hat = caching.optimal_threshold(model, 1.0, 500, 3.0, 1.0)
-    plan = caching.delivery_times(i_hat, model, 1.0, 500, 3.0, 1.0)
+    plan = caching.delivery_plan(model, 1.0, 500, 3.0, 1.0)
+    i_hat = plan.i_hat
     line = (f"  alpha = {alpha}:  broadcast ranks < {i_hat}, "
-            f"T_tot = {plan.t_tot:7.2f}")
+            f"T_tot = {plan.t_tot[i_hat - 1]:7.2f}")
     if alpha > 1:
         cont = caching.continuous_threshold(model, 500, 3.0, 1.0)
         line += f"  (continuous optimum {cont:.2f})"

@@ -3,7 +3,8 @@
 Files ranked 1..I by popularity are delivered either by a single
 broadcast (ranks below the threshold, cached by every base station) or
 by on-demand unicast to each of the K base stations. The threshold
-minimising the total transmission time is found exhaustively.
+minimising the total transmission time is found exhaustively, ties
+going to the lowest threshold.
 """
 from __future__ import annotations
 
@@ -43,56 +44,47 @@ class PopularityModel:
         return float(np.sum(self._weights()))
 
 
+TIE_RTOL = 1e-12   # totals this close to the least one, relative, are ties
+
+
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """Unicast and broadcast delivery times of one threshold."""
+    """Unicast and broadcast delivery times at every threshold 1..I+1.
 
-    t_uc: float
-    t_bc: float
+    Entry t - 1 holds threshold t; entry 0 is pure unicast and entry I
+    pure broadcast.
+    """
+
+    t_uc: np.ndarray
+    t_bc: np.ndarray
 
     @property
-    def t_tot(self) -> float:
+    def t_tot(self) -> np.ndarray:
         return self.t_uc + self.t_bc
 
+    @property
+    def i_hat(self) -> int:
+        """The lowest threshold whose total is within ``TIE_RTOL`` of the
+        least total, so that a round-off difference breaks no tie."""
+        t = self.t_tot
+        best = t.min()
+        return int(np.argmax(t - best <= TIE_RTOL * best)) + 1
 
-def _check_link(file_size_bits, n_stations, rate_uc, rate_bc):
+
+def delivery_plan(model: PopularityModel, file_size_bits: float,
+                  n_stations: int, rate_uc: float, rate_bc: float) -> DeliveryPlan:
+    """Delivery times of every threshold t = 1..I+1.
+
+    T_tot(t) = s * (K * sum_{i>=t} f[i] / R_uc + (t-1)/R_bc). The tails are
+    one reverse cumulative sum of the pmf, smallest terms first, with an
+    exact 0 for t = I+1.
+    """
     if min(file_size_bits, rate_uc, rate_bc) <= 0 or n_stations < 1:
         raise ConfigurationError("sizes, rates and station count must be positive")
-
-
-def delivery_times(threshold: int, model: PopularityModel, file_size_bits: float,
-                   n_stations: int, rate_uc: float, rate_bc: float) -> DeliveryPlan:
-    """Exact delivery times for a given threshold.
-
-    T_tot = s * (K * sum_{i>=threshold} f[i] / R_uc + (threshold-1)/R_bc).
-    """
-    i_max = model.library_size + 1
-    if not 1 <= threshold <= i_max:
-        raise ConfigurationError("threshold must lie in 1..I+1")
-    _check_link(file_size_bits, n_stations, rate_uc, rate_bc)
-    f = model.pmf
-    tail = float(f[threshold - 1:].sum())
-    t_uc = file_size_bits * n_stations * tail / rate_uc
-    t_bc = file_size_bits * (threshold - 1) / rate_bc
-    return DeliveryPlan(t_uc=t_uc, t_bc=t_bc)
-
-
-def total_time_curve(model: PopularityModel, file_size_bits: float,
-                     n_stations: int, rate_uc: float, rate_bc: float) -> np.ndarray:
-    """T_tot over every threshold 1..I+1 (index 0 = pure unicast)."""
-    _check_link(file_size_bits, n_stations, rate_uc, rate_bc)
-    f = model.pmf
-    tails = np.concatenate([[1.0], 1.0 - np.cumsum(f)])
-    tails = np.clip(tails, 0.0, None)
-    ranks = np.arange(0, model.library_size + 1)
-    return file_size_bits * (n_stations * tails / rate_uc + ranks / rate_bc)
-
-
-def optimal_threshold(model: PopularityModel, file_size_bits: float,
-                      n_stations: int, rate_uc: float, rate_bc: float) -> int:
-    """Exhaustive minimiser of T_tot over 1..I+1, lowest rank on ties."""
-    curve = total_time_curve(model, file_size_bits, n_stations, rate_uc, rate_bc)
-    return int(np.argmin(curve)) + 1
+    tails = np.append(np.cumsum(model.pmf[::-1])[::-1], 0.0)
+    return DeliveryPlan(
+        t_uc=file_size_bits * n_stations * tails / rate_uc,
+        t_bc=file_size_bits * np.arange(model.library_size + 1) / rate_bc)
 
 
 def continuous_threshold(model: PopularityModel, n_stations: int,

@@ -257,18 +257,15 @@ def cmd_caching_threshold(cfg: dict, out: Path):
     for alpha in cfg["alphas"]:
         model = caching.PopularityModel(library_size=cfg["library_size"],
                                         alpha=alpha)
-        i_hat = caching.optimal_threshold(model, cfg["file_size_bits"],
-                                          cfg["n_stations"], rate_uc, rate_bc)
-        plan = caching.delivery_times(i_hat, model, cfg["file_size_bits"],
-                                      cfg["n_stations"], rate_uc, rate_bc)
+        plan = caching.delivery_plan(model, cfg["file_size_bits"],
+                                     cfg["n_stations"], rate_uc, rate_bc)
+        i_hat, t_tot = plan.i_hat, plan.t_tot
         rows.append((alpha, cfg["n_stations"], cfg["library_size"],
-                     cfg["rate_ratio"], i_hat, plan.t_uc, plan.t_bc,
-                     plan.t_tot))
-        curve = caching.total_time_curve(model, cfg["file_size_bits"],
-                                         cfg["n_stations"], rate_uc, rate_bc)
+                     cfg["rate_ratio"], i_hat, float(plan.t_uc[i_hat - 1]),
+                     float(plan.t_bc[i_hat - 1]), float(t_tot[i_hat - 1])))
         write_csv(out / f"caching_curve_alpha{_fmt(float(alpha))}.csv",
                   ["threshold", "t_tot"],
-                  [(i + 1, float(t)) for i, t in enumerate(curve)])
+                  [(i + 1, float(t)) for i, t in enumerate(t_tot)])
     write_csv(out / "caching_threshold.csv",
               ["alpha", "K", "I", "rate_ratio", "i_hat", "T_uc", "T_bc",
                "T_tot"], rows)
@@ -343,13 +340,16 @@ def main(argv=None) -> int:
                 os.replace(path, out / path.name)
         done = True
     except (ConfigurationError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError, FloatingPointError, OverflowError) as exc:
+            UnicodeDecodeError, FloatingPointError, OverflowError,
+            MemoryError) as exc:
         # numpy's and Python's float errors name only the operation; an
         # overflow in Python's float arithmetic carries (errno, text)
         if isinstance(exc, ArithmeticError):
             what = (f"overflow: {exc.args[-1]}"
                     if isinstance(exc, OverflowError) and exc.args else exc)
             exc = f"{args.subcommand}: floating-point fault: {what}"
+        elif isinstance(exc, MemoryError):    # numpy's names the size asked for
+            exc = f"{args.subcommand}: {exc or 'out of memory'}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -106,8 +106,8 @@ def _sums_sorted(w: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
 
 def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
-                  extra: Sequence[float], rng: np.random.Generator,
-                  n_data: int, n_pilot: int) -> np.ndarray:
+                  extra: Sequence[float], rng: np.random.Generator
+                  ) -> np.ndarray:
     """Draw the (len(extra), K, M) statistics of whole frames from their laws.
 
     Frame (k, m) has channel h[k, m], and row p holds the frames at noise
@@ -129,7 +129,7 @@ def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
     share its data normals: each has a frame's law, as the data normals are
     independent of the outer draws, but they are not independent.
     """
-    n, m = n_data + n_pilot, h.shape[1]
+    n, m = N_DATA + N_PILOT, h.shape[1]
     a2 = _power("snr_db", snr_db)
     extra = np.asarray(extra, dtype=float)[:, None, None]
     if kind == "ced":
@@ -137,14 +137,14 @@ def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
         v = v0 + extra
         return v / (2 * n) * (c + (z + np.sqrt(2 * n * np.abs(h) ** 2 * a2
                                                 / v)) ** 2)
-    chi = rng.chisquare(2 * (n_pilot - 1), h.shape)
+    chi = rng.chisquare(2 * (N_PILOT - 1), h.shape)
     if kind == "edscp":
-        return (v0 + extra) / 2 * chi / n_pilot
+        return (v0 + extra) / 2 * chi / N_PILOT
     g = np.abs(h)
     e = rng.standard_normal(h.shape + (2,)).view(complex)[..., 0]
     out = np.empty((len(extra), *h.shape))
     # (re, im) along axis 1, so that each row sorted and summed is contiguous
-    bufs = np.empty((2, min(_EDSCD_CHUNK, m), 2, n_data))
+    bufs = np.empty((2, min(_EDSCD_CHUNK, m), 2, N_DATA))
     blocks = [bufs[j % 2, :m - lo] for j, lo in
               enumerate(range(0, m, _EDSCD_CHUNK))]
     # Imported here, as it takes ~10 ms. The helper draws block j + 1, in
@@ -161,7 +161,7 @@ def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
                 v = v0[:, lo:hi] + extra
                 sd = np.sqrt(v / 2)
                 h_hat = (g[:, lo:hi]
-                         + np.sqrt(v / (2 * a2 * n_pilot)) * e[:, lo:hi])
+                         + np.sqrt(v / (2 * a2 * N_PILOT)) * e[:, lo:hi])
                 h_abs = np.abs(h_hat)
                 # data mean rotated by -arg(h_hat), in units of sd: (re, im),
                 # reduced as one row of means per row and outer draw
@@ -174,7 +174,7 @@ def _sample_stats(kind: str, h: np.ndarray, snr_db: float, v0: np.ndarray,
                 # decisions, sum |xd - h_hat a s_d|^2 expands to sum |y|^2
                 # - sqrt(2) a |h_hat| sum(|Re y| + |Im y|) + N_d a^2 |h_hat|^2.
                 data_res = (sd ** 2 * sq - np.sqrt(2 * a2) * h_abs * sd * ab
-                            + n_data * a2 * h_abs ** 2)
+                            + N_DATA * a2 * h_abs ** 2)
                 out[:, :, lo:hi] = (v / 2 * chi[:, lo:hi] + data_res) / n
         finally:
             ahead.exception()       # wait for the draw in flight
@@ -204,8 +204,7 @@ def calibrate_threshold(detector: DetectorConfig, pfa_target: float,
              else (1, n_mc))
     h = _draw_channels(rng, shape[0] * shape[1], fade_db).reshape(shape)
     v0 = np.full(shape, 10 ** (detector.noise_uncertainty_db / 10))
-    t = _sample_stats(detector.kind, h, snr_db, v0, [0.0], rng, N_DATA,
-                      N_PILOT)
+    t = _sample_stats(detector.kind, h, snr_db, v0, [0.0], rng)
     return _quantile(t.ravel(), 1.0 - pfa_target)
 
 
@@ -252,8 +251,7 @@ def pd_curve(detector: DetectorConfig, isnr_grid_db: Sequence[float],
     v0 = 10 ** (rng.uniform(-eps_db, eps_db, (1, n_mc)) / 10)
     a2 = _power("snr_db", snr_db)
     extra = [_power("isnr_db", v) * (a2 + 1.0) for v in grid]
-    t = _sample_stats(detector.kind, h, snr_db, v0, extra, rng, N_DATA,
-                      N_PILOT)[:, 0]
+    t = _sample_stats(detector.kind, h, snr_db, v0, extra, rng)[:, 0]
     rows = []
     for isnr_db, hits in zip(grid, np.count_nonzero(t > detector.threshold,
                                                     axis=1).tolist()):

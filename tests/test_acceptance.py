@@ -184,14 +184,14 @@ class TestAcceptance:
         s, k, i, r_uc, r_bc = 1.0, 500, 100, 3.0, 1.0
         for alpha in (1.2, 1.6):
             m = caching.PopularityModel(library_size=i, alpha=alpha)
-            curve = caching.total_time_curve(m, s, k, r_uc, r_bc)
-            assert curve[0] == pytest.approx(s * k / r_uc, rel=1e-12)
-            assert curve[i] == pytest.approx(s * i / r_bc, rel=1e-12)
-            i_hat = caching.optimal_threshold(m, s, k, r_uc, r_bc)
+            plan = caching.delivery_plan(m, s, k, r_uc, r_bc)
+            assert plan.t_tot[0] == pytest.approx(s * k / r_uc, rel=1e-12)
+            assert plan.t_tot[i] == s * i / r_bc
+            i_hat = plan.i_hat
             cont = caching.continuous_threshold(m, k, r_uc, r_bc)
             assert abs(i_hat - cont) <= 1.0
         m = caching.PopularityModel(library_size=200, alpha=1.2)
-        hats = [caching.optimal_threshold(m, s, kk, r_uc, r_bc)
+        hats = [caching.delivery_plan(m, s, kk, r_uc, r_bc).i_hat
                 for kk in (1, 10, 100, 1000)]
         assert hats == sorted(hats)
         report(7, "caching boundary/derivative checks",

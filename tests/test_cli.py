@@ -246,6 +246,16 @@ class TestConfigFaults:
                                  {**SMALL_CONFIGS["detection-pd"], "n_mc": 0})
         assert "n_mc" in err
 
+    @pytest.mark.parametrize("sub, cfg", [
+        ("caching-threshold", {"library_size": 10 ** 15}),
+        ("rate-region", {"lam_points": 10 ** 15}),
+        ("detection-pd", {"n_mc": 10 ** 15, "detectors": ["ced"]}),
+        ("carrier-assign", {"n_terminals": 10 ** 15})])
+    def test_impossible_allocation(self, tmp_path, capsys, sub, cfg):
+        # a petabyte request fails at once, before any memory is touched
+        err = self.fails_cleanly(tmp_path, capsys, sub, cfg)
+        assert err.startswith(f"error: {sub}: Unable to allocate")
+
     def test_failure_part_way_leaves_no_files(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "caching-threshold",
                            {**FAST_CONFIGS["caching-threshold"],
@@ -527,6 +537,18 @@ class TestCsvContracts:
         assert (out / "caching_curve_alpha1.2.csv").exists()
         body = (out / "caching_threshold.csv").read_bytes().decode()
         assert body.startswith("alpha,K,I,rate_ratio,i_hat,T_uc,T_bc,T_tot")
+
+    def test_caching_flat_curve_breaks_tie_to_unicast(self, tmp_path):
+        # uniform popularity and K/(I R_uc) = 1/R_bc: every threshold costs
+        # the same, so the lowest one is the optimum
+        out = run(tmp_path, "caching-threshold",
+                  {"alphas": [0.0], "n_stations": 100, "library_size": 100,
+                   "rate_ratio": 1.0}, "t")
+        curve = (out / "caching_curve_alpha0.csv").read_bytes().decode()
+        rows = [ln.split(",") for ln in curve.split("\r\n")[1:] if ln]
+        assert [t for _, t in rows] == ["100"] * 101
+        summary = (out / "caching_threshold.csv").read_bytes().decode()
+        assert summary.split("\r\n")[1] == "0,100,100,1,1,100,0,100"
 
     def test_carrier_assign_summary(self, tmp_path):
         out = run(tmp_path, "carrier-assign", FAST_CONFIGS["carrier-assign"],

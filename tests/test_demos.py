@@ -14,7 +14,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+    # pytest's warning filter does not reach the subprocess
+    res = subprocess.run([sys.executable, "-W", "error", str(script)],
+                         cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr

@@ -187,7 +187,7 @@ def sample(kind, sums="sorted", extra=CASE_EXTRA, n_mc=4000):
     rng = np.random.default_rng(41)
     h = dt._draw_channels(rng, n_mc, 4.0)[None]
     v0 = 10 ** (rng.uniform(-2.0, 2.0, (1, n_mc)) / 10)
-    return sampler(kind, h, 6.0, v0, extra, rng, 460, 56, sums=sums)[:, 0]
+    return sampler(kind, h, 6.0, v0, extra, rng, sums=sums)[:, 0]
 
 
 def crossed(sums="sorted", m=1000, seed=43):
@@ -198,7 +198,7 @@ def crossed(sums="sorted", m=1000, seed=43):
     shape = (dt._EDSCD_SHARE, m)
     h = dt._draw_channels(rng, shape[0] * m, 4.0).reshape(shape)
     v0 = np.full(shape, 10 ** (PINNED_DB / 10))
-    return sampler("edscd", h, 6.0, v0, [0.0], rng, 460, 56, sums=sums)[0]
+    return sampler("edscd", h, 6.0, v0, [0.0], rng, sums=sums)[0]
 
 
 @pytest.fixture(scope="module")
@@ -318,12 +318,12 @@ class TestExactSampler:
 
     @staticmethod
     def check_rotation_identity(p, share):
-        n_mc, nd, n_p, a2 = 6, 460, 56, 10 ** 0.6
+        n_mc, nd, n_p, a2 = 6, dt.N_DATA, dt.N_PILOT, 10 ** 0.6
         rng = np.random.default_rng(3)
         h = dt._draw_channels(rng, share * n_mc, 4.0).reshape(share, n_mc)
         v0 = 10 ** (rng.uniform(-2.0, 2.0, (share, n_mc)) / 10)
         t = [sampler("edscd", h, 6.0, v0, CASE_EXTRA,
-                     np.random.default_rng(42), nd, n_p, sums=sums)[p]
+                     np.random.default_rng(42), sums=sums)[p]
              for sums in SUMS]
         rng = np.random.default_rng(42)
         v = v0 + CASE_EXTRA[p]
