@@ -36,7 +36,8 @@ class PopularityModel:
     @property
     def pmf(self) -> np.ndarray:
         """Normalised pmf over the ranks, non-increasing."""
-        return self._weights() / self.normalizer
+        w = self._weights()
+        return w / float(np.sum(w))
 
     @property
     def normalizer(self) -> float:

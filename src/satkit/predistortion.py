@@ -16,10 +16,14 @@ amplifier.
 The fit's Gram is a sum over the burst of s = |x|^2 times polynomials of
 degree at most 8 in s wherever the amplifier does not clip. So it runs on the
 5-node Gauss rule (exact to degree 9) of each block of ``_GAUSS_BLOCK`` = 512
-sorted s, built per fit by a Lanczos process and one batched eigh. A block
-that can clip at the current coefficients, a block with fewer than 5
+sorted s, built by a Lanczos process and one batched eigh (``BurstRules``).
+A block that can clip at the current coefficients, a block with fewer than 5
 distinct points and the partial last block run on their samples, so the
-clip branch still sees every clipping sample.
+clip branch still sees every clipping sample. A training burst's rules are
+built once, at drive 1, and cached under its front end's key (symbol count,
+seed, IMUX, jitter level). The drive d scales every s by d^2, and with it
+every node, weight and block end, and keeps the samples' order; so one set
+of rules serves every drive, exactly up to rounding.
 
 The fit's normal equations come from one dgemm on a float view and the
 equalizer's from one zgemm: a threaded level-1/2 BLAS call (zgemv, zgelsd,
@@ -242,8 +246,40 @@ def _spd_gram(hpa: HpaParams, values: np.ndarray, weights: np.ndarray):
     return gram
 
 
-def _burst_gram(hpa: HpaParams, s: np.ndarray):
-    """``_spd_gram`` of a burst's s = |x|^2 as a function of p alone.
+@dataclass(frozen=True)
+class BurstRules:
+    """The fit's view of a burst: its sorted s = |x|^2 and the Gauss rule
+    of each full block of ``_GAUSS_BLOCK`` of them (``_gauss_rules``).
+
+    ``values`` holds every block's nodes, block by block, then the sorted s;
+    ``weights`` the nodes' weights, then the sorted s again; ``ok`` whether
+    each full block has a rule.
+    """
+
+    values: np.ndarray
+    weights: np.ndarray
+    ok: np.ndarray
+
+    @classmethod
+    def of(cls, s: np.ndarray) -> "BurstRules":
+        s = np.sort(s)
+        nodes, weights, ok = _gauss_rules(s)
+        return cls(np.concatenate([nodes.ravel(), s]),
+                   np.concatenate([weights.ravel(), s]), ok)
+
+    @property
+    def n_samples(self) -> int:
+        return self.values.size - self.ok.size * _GAUSS_NODES
+
+    def scaled(self, factor: float) -> "BurstRules":
+        """The rules of ``factor`` * s, for a factor > 0: the measure
+        sum_i c*s_i*delta(t - c*s_i) has the nodes and the weights of
+        sum_i s_i*delta(t - s_i) times c, and the same order of samples."""
+        return BurstRules(self.values * factor, self.weights * factor, self.ok)
+
+
+def _burst_gram(hpa: HpaParams, rules: BurstRules):
+    """``_spd_gram`` of a burst's ``rules`` as a function of p alone.
 
     Below r_sat every entry of the Gram is s times a polynomial of degree
     at most 8 in s, which a block's Gauss rule (degree 2*5 - 1 = 9) sums
@@ -252,12 +288,11 @@ def _burst_gram(hpa: HpaParams, s: np.ndarray):
     partial last block. On [lo, hi] no sample clips when hi*max(|g(lo)|^2,
     |g(hi)|^2) <= r_sat^2, since |g|^2 is convex in s.
     """
-    s = np.sort(s)
-    nodes, weights, ok = _gauss_rules(s)
-    nb, m = ok.size, nodes.size
+    ok = rules.ok
+    nb, m = ok.size, ok.size * _GAUSS_NODES
+    s = rules.values[m:]
     ends = s[:nb * _GAUSS_BLOCK].reshape(nb, _GAUSS_BLOCK)[:, [0, -1]].T
-    gram = _spd_gram(hpa, np.concatenate([nodes.ravel(), s]),
-                     np.concatenate([weights.ravel(), s]))
+    gram = _spd_gram(hpa, rules.values, rules.weights)
     node_at = np.arange(m).reshape(nb, _GAUSS_NODES)
     sample_at = m + np.arange(nb * _GAUSS_BLOCK).reshape(nb, _GAUSS_BLOCK)
     tail_at = np.arange(m + nb * _GAUSS_BLOCK, m + s.size)
@@ -272,7 +307,7 @@ def _burst_gram(hpa: HpaParams, s: np.ndarray):
     return burst_gram
 
 
-def fit_spd(hpa: HpaParams, training_waveform: np.ndarray):
+def fit_spd(hpa: HpaParams, training: np.ndarray | BurstRules):
     """Direct-learning least-squares fit of the SPD coefficients.
 
     Minimises the mean squared error between the amplifier output and
@@ -284,17 +319,23 @@ def fit_spd(hpa: HpaParams, training_waveform: np.ndarray):
     parameters and the MSE trace: the starting value, then one entry per
     accepted step. Each step's normal equations are summed on Gauss rules
     of |x|^2 (``_burst_gram``), which below clipping give the per-sample
-    sums to round-off.
+    sums to round-off. ``training`` is the waveform x, whose rules are
+    built here, or the ``BurstRules`` of its |x|^2, fitted as given:
+    ``train_spd`` passes a training burst's cached rules scaled to the drive.
     """
-    x = np.asarray(training_waveform, complex)
-    if not np.isfinite(x).all():
-        raise ConfigurationError("training waveform must be finite")
-    if not np.any(x):
-        raise ConfigurationError("training waveform is all zero")
-    gram = _burst_gram(hpa, x.real ** 2 + x.imag ** 2)
+    if isinstance(training, BurstRules):
+        rules = training
+    else:
+        x = np.asarray(training, complex)
+        if not np.isfinite(x).all():
+            raise ConfigurationError("training waveform must be finite")
+        if not np.any(x):
+            raise ConfigurationError("training waveform is all zero")
+        rules = BurstRules.of(x.real ** 2 + x.imag ** 2)
+    gram = _burst_gram(hpa, rules)
     p = np.array([(1 / hpa.alpha).real, (1 / hpa.alpha).imag, 0.0, 0.0])
     g = gram(p)
-    trace = [g[4, 4] / x.size]
+    trace = [g[4, 4] / rules.n_samples]
     lam = LM_LAMBDA0
     for _ in range(LM_MAX_ITER):
         jtj = g[:4, :4]
@@ -307,7 +348,7 @@ def fit_spd(hpa: HpaParams, training_waveform: np.ndarray):
             continue
         done = g[4, 4] - g_new[4, 4] <= LM_FTOL * g_new[4, 4]
         p, g, lam = p + step, g_new, lam / 10
-        trace.append(g[4, 4] / x.size)
+        trace.append(g[4, 4] / rules.n_samples)
         if done:
             break
     return (SpdParams(gamma=complex(p[0], p[1]), delta=complex(p[2], p[3])),
@@ -475,20 +516,36 @@ def _front_end(n_symbols: int, seed: int, imux: Optional[FilterSpec],
     return symbols, z, e, noise, nfft
 
 
+@lru_cache(maxsize=8)
+def _training_rules(n_symbols: int, seed: int, imux: Optional[FilterSpec],
+                    sigma_j: float) -> BurstRules:
+    """Read-only ``BurstRules`` of the drive-1 training burst: the
+    ``_front_end`` waveform of the same key, with no OMUX."""
+    x = _front_end(n_symbols, seed, imux, None, sigma_j, False)[1]
+    rules = BurstRules.of(x.real ** 2 + x.imag ** 2)
+    for part in (rules.values, rules.weights, rules.ok):
+        part.flags.writeable = False
+    return rules
+
+
 def train_spd(config: ChainConfig, hpa: HpaParams) -> SpdParams:
     """Fit SPD coefficients on a training burst seen at the SPD's location.
 
     The burst is the drive-1 front end of ``N_TRAIN_SYMBOLS`` symbols from
     ``TRAIN_SEED`` with no OMUX, scaled by the drive. Onboard, it passes
     the IMUX and, for a jitter-aware SPD, the sampling jitter (jitter-
-    cognizant training); on ground it is the shaped waveform alone.
+    cognizant training); on ground it is the shaped waveform alone. The
+    burst's rules are built at drive 1 once per key (``_training_rules``)
+    and scaled by the drive squared, which is exact at drive 1 and
+    elsewhere differs from rules built on the scaled burst by round-off
+    alone: there s = |d*x|^2 is rounded after the product, not before.
     """
     onboard = config.spd_location == "onboard"
-    burst = _front_end(N_TRAIN_SYMBOLS, TRAIN_SEED,
-                       config.imux if onboard else None, None,
-                       config.sigma_j if onboard and config.jitter_aware
-                       else 0.0, False)[1]
-    return fit_spd(hpa, burst * config.drive)[0]
+    rules = _training_rules(N_TRAIN_SYMBOLS, TRAIN_SEED,
+                            config.imux if onboard else None,
+                            config.sigma_j if onboard and config.jitter_aware
+                            else 0.0)
+    return fit_spd(hpa, rules.scaled(config.drive ** 2))[0]
 
 
 def _equalized_sinr(rx_symbols: np.ndarray, symbols: np.ndarray,

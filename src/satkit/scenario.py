@@ -87,17 +87,19 @@ def hex_layout(n_beams: int) -> np.ndarray:
     """(n_beams, 2) axial coordinates of a hexagonal beam spiral."""
     if n_beams < 1:
         raise ConfigurationError("need at least one beam")
-    coords = [(0, 0)]
-    ring = 1
-    dirs = [(-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)]
-    while len(coords) < n_beams:
-        q, r = ring, 0
-        for dq, dr in dirs:
-            for _ in range(ring):
-                coords.append((q, r))
-                q, r = q + dq, r + dr
-        ring += 1
-    return np.array(coords[:n_beams], int)
+    coords = np.empty((n_beams, 2), int)    # an impossible size fails here
+    coords[0] = 0
+    # ring R walks six sides of R steps each, side j from R*corners[j]
+    dirs = np.array([(-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)])
+    corners = np.cumsum([(1, 0), *dirs[:-1]], axis=0)
+    done, ring = 1, 1
+    while done < n_beams:
+        steps = np.arange(ring)[:, None]
+        walk = (ring * corners[:, None] + steps * dirs[:, None]).reshape(-1, 2)
+        take = min(walk.shape[0], n_beams - done)
+        coords[done:done + take] = walk[:take]
+        done, ring = done + take, ring + 1
+    return coords
 
 
 def default_scenario(n_beams: int = 71, n_u: int = 2,
@@ -263,10 +265,12 @@ def average_cir(scenario: Scenario, reuse_factor: int, n_mc: int = 200,
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
     colors = reuse_colors(scenario, reuse_factor)
-    # scalar draws, in this order per sample, fix the RNG stream
-    draws = [(rng.integers(scenario.K), rng.uniform(), rng.uniform(0, 2 * np.pi))
-             for _ in range(n_mc)]
-    k, u, ph = map(np.array, zip(*draws))
+    # scalar draws, in this order per sample, fix the RNG stream; the
+    # arrays come first, so that an impossible n_mc fails at once
+    k, u, ph = np.empty(n_mc, int), np.empty(n_mc), np.empty(n_mc)
+    for i in range(n_mc):
+        k[i], u[i], ph[i] = (rng.integers(scenario.K), rng.uniform(),
+                             rng.uniform(0, 2 * np.pi))
     r = BEAM_RADIUS_KM * np.sqrt(u)
     pos = scenario.beam_centers[k] + np.stack([r * np.cos(ph),
                                                r * np.sin(ph)], axis=1)

@@ -43,6 +43,17 @@ class TestZipfPmf:
         m = ca.PopularityModel(library_size=50, alpha=1.3)
         assert m.pmf[0] == pytest.approx(1.0 / m.normalizer, rel=1e-12)
 
+    def test_pmf_forms_the_weights_once(self, monkeypatch):
+        calls, weights = [], ca.PopularityModel._weights
+        monkeypatch.setattr(ca.PopularityModel, "_weights",
+                            lambda self: calls.append(1) or weights(self))
+        m = ca.PopularityModel(library_size=1000, alpha=1.2)
+        f = m.pmf
+        assert len(calls) == 1
+        w = weights(m)
+        np.testing.assert_array_equal(f, w / float(np.sum(w)))
+        assert m.normalizer == float(np.sum(w))
+
 
 def model(alpha=1.2, size=100):
     return ca.PopularityModel(library_size=size, alpha=alpha)

@@ -256,6 +256,35 @@ class TestConfigFaults:
         err = self.fails_cleanly(tmp_path, capsys, sub, cfg)
         assert err.startswith(f"error: {sub}: Unable to allocate")
 
+    @pytest.mark.parametrize("sub, cfg", [
+        ("channel-report", {"n_mc": 10 ** 15}),
+        ("channel-report", {"n_beams": 10 ** 15}),
+        ("precoding-bench", {"cases": [[10 ** 15, 2]]})],
+        ids=["n_mc", "n_beams", "precoding_K"])
+    def test_impossible_size_fails_before_any_loop(self, tmp_path, sub, cfg):
+        # these sizes used to grow Python lists, of beams or of draws, until
+        # the machine ran out of memory. The run is a child process with its
+        # address space capped at 4 GiB: should a list grow again, it stops
+        # there with Python's bare MemoryError, which names no size
+        cfg_path, out = tmp_path / "c.json", tmp_path / "o"
+        cfg_path.write_text(json.dumps(cfg))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+                "from satkit import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None,
+                                      [src, os.environ.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-c", code, sub, "--config", str(cfg_path),
+             "--out", str(out)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        err = res.stderr.strip().splitlines()
+        assert res.returncode == 1
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {sub}: Unable to allocate")
+        assert not out.exists()
+
     def test_failure_part_way_leaves_no_files(self, tmp_path, capsys):
         self.fails_cleanly(tmp_path, capsys, "caching-threshold",
                            {**FAST_CONFIGS["caching-threshold"],

@@ -213,15 +213,19 @@ class TestFrontEnd:
                 part[0] = 0.0
 
     def test_none_and_onboard_rows_share_one_entry(self):
-        # the onboard rows' training burst is the one other entry
+        # the onboard rows' training burst is the one other entry, read
+        # once, when its rules are built
         hpa = pd.HpaParams()
         pd._front_end.cache_clear()
+        pd._training_rules.cache_clear()
         for location, drive in [("none", 1.3), ("onboard", 0.8),
                                 ("none", 0.5), ("onboard", 2.0)]:
             config = pd.ChainConfig(spd_location=location, drive=drive)
             pd.evaluate_chain(config, hpa, n_symbols=300, seed=9)
         info = pd._front_end.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+        assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+        info = pd._training_rules.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         # on ground: its own burst and front end
         pd.evaluate_chain(pd.ChainConfig(spd_location="onground"), hpa,
                           n_symbols=300, seed=9)
@@ -444,7 +448,8 @@ class TestSpdGram:
             x = cached_burst(
                 config.imux if location == "onboard" else None,
                 config.sigma_j if location == "onboard" else 0.0) * drive
-            gram = pd._burst_gram(hpa, x.real ** 2 + x.imag ** 2)
+            gram = pd._burst_gram(
+                hpa, pd.BurstRules.of(x.real ** 2 + x.imag ** 2))
             fit, _ = pd.fit_spd(hpa, x)
             for p in (start, [fit.gamma.real, fit.gamma.imag,
                               fit.delta.real, fit.delta.imag]):
@@ -460,7 +465,8 @@ class TestSpdGram:
         hpa = pd.HpaParams()
         x = cached_burst(pd.ChainConfig().imux, 0.005) * 0.6
         fit, _ = pd.fit_spd(hpa, x)
-        gram = pd._burst_gram(hpa, x.real ** 2 + x.imag ** 2)
+        gram = pd._burst_gram(hpa,
+                              pd.BurstRules.of(x.real ** 2 + x.imag ** 2))
         for p in ([1.0, 0.0, 0.0, 0.0], [fit.gamma.real, fit.gamma.imag,
                                          fit.delta.real, fit.delta.imag]):
             assert wirtinger_gram(hpa, x, p)[1] == 0
@@ -881,6 +887,17 @@ def burst_drawn_per_call(config):
                                      None, sigma_j, False)[:2]
 
 
+# train_spd scales the drive-1 burst's rules by d^2, where a fit on the
+# scaled burst rounds s = |d*x|^2 after the product: the fits then agree to
+# round-off, here bounded relative to each coefficient
+TRAIN_RTOL = 1e-13
+
+
+def assert_fits_agree(got, want, rtol=TRAIN_RTOL):
+    for a, b in ((got.gamma, want.gamma), (got.delta, want.delta)):
+        assert abs(a - b) <= rtol * abs(b)
+
+
 class TestTrainSpd:
     @pytest.mark.parametrize("cfg", [
         dict(spd_location="onboard", sigma_j=0.05),
@@ -889,17 +906,81 @@ class TestTrainSpd:
         dict(spd_location="onground", sigma_j=0.05)],
         ids=["onboard_aware", "onboard_blind", "no_imux", "onground"])
     def test_matches_the_burst_drawn_per_call(self, cfg):
-        # train_spd fits the drive-1 burst scaled by the drive; without
-        # jitter, the burst is the sample-by-sample shaping and IMUX
+        # train_spd fits the drive-1 burst's rules scaled by the drive
+        # squared: bit for bit the fit on the burst at drive 1, the same to
+        # round-off elsewhere; without jitter, the burst is the
+        # sample-by-sample shaping and IMUX
         hpa = pd.HpaParams()
+        s, burst = burst_drawn_per_call(pd.ChainConfig(**cfg))
+        assert pd.train_spd(pd.ChainConfig(**cfg), hpa) == pd.fit_spd(hpa,
+                                                                      burst)[0]
         for drive in (1.7, 0.4):
             config = pd.ChainConfig(drive=drive, **cfg)
-            s, burst = burst_drawn_per_call(config)
-            assert pd.train_spd(config, hpa) == pd.fit_spd(hpa, burst * drive)[0]
+            assert_fits_agree(pd.train_spd(config, hpa),
+                              pd.fit_spd(hpa, burst * drive)[0])
         if cfg.get("jitter_aware", True) and cfg["spd_location"] == "onboard":
             return
         want = imux_output(s) if cfg["spd_location"] == "onboard" else shaped(s)
         assert np.abs(burst - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("cfg", [
+        dict(spd_location="onboard"),
+        dict(spd_location="onboard", jitter_aware=False),
+        dict(spd_location="onground")],
+        ids=["onboard_aware", "onboard_blind", "onground"])
+    def test_default_trainings_at_every_curve_drive(self, cfg):
+        # spd-bench's three trainings, at every drive its curves visit
+        hpa = pd.HpaParams()
+        burst = burst_drawn_per_call(pd.ChainConfig(**cfg))[1]
+        for drive in pd.DRIVE_GRID:
+            config = pd.ChainConfig(drive=float(drive), **cfg)
+            assert_fits_agree(pd.train_spd(config, hpa),
+                              pd.fit_spd(hpa, burst * drive)[0])
+
+    def test_fits_that_stop_on_round_off_agree_to_the_loop_tolerance(self):
+        # at sigma_j = 0.05 and drive 0.80 the summed cost stalls at 2.8e-5,
+        # its last evaluations agreeing to 14 digits: one fit accepts a step
+        # there and stops, the other rejects three, so its last step is
+        # damped more. Both costs agree
+        # to round-off; a cost known to eps resolves p only to
+        # sqrt(eps*cost/lambda_min(J^T J)) = 7.6e-11 there, 4e-10 of delta,
+        # and the coefficients are 2.2e-11 (relative) apart
+        hpa = pd.HpaParams()
+        cfg = dict(spd_location="onboard", sigma_j=0.05)
+        burst = burst_drawn_per_call(pd.ChainConfig(**cfg))[1]
+        rules = pd._training_rules(pd.N_TRAIN_SYMBOLS, pd.TRAIN_SEED,
+                                   pd.ChainConfig().imux, 0.05)
+        for drive in pd.DRIVE_GRID:
+            got, trace = pd.fit_spd(hpa, rules.scaled(drive ** 2))
+            want, want_trace = pd.fit_spd(hpa, burst * drive)
+            assert got == pd.train_spd(pd.ChainConfig(drive=float(drive),
+                                                      **cfg), hpa)
+            assert abs(trace[-1] - want_trace[-1]) <= 1e-13 * want_trace[-1]
+            assert_fits_agree(got, want, rtol=1e-9)
+
+    def test_default_run_builds_each_bursts_rules_once(self, monkeypatch):
+        # spd-bench's 28 fits use two bursts, onboard and on ground
+        built, fits = [], []
+        gauss_rules, fit_spd = pd._gauss_rules, pd.fit_spd
+        monkeypatch.setattr(pd, "_gauss_rules",
+                            lambda s: built.append(s.size) or gauss_rules(s))
+        monkeypatch.setattr(pd, "fit_spd",
+                            lambda *a: fits.append(a) or fit_spd(*a))
+        pd._training_rules.cache_clear()
+        pd.spd_benchmark(pd.HpaParams(), [2.0, 4.0, 6.0, 8.0])
+        assert len(fits) == 28
+        assert len(built) == 2
+
+    def test_cached_rules_are_read_only(self):
+        config = pd.ChainConfig(spd_location="onboard", drive=2.0)
+        first = pd.train_spd(config, pd.HpaParams())
+        rules = pd._training_rules(pd.N_TRAIN_SYMBOLS, pd.TRAIN_SEED,
+                                   config.imux, config.sigma_j)
+        for part in (rules.values, rules.weights, rules.ok):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0
+        assert pd.train_spd(config, pd.HpaParams()) == first
 
     def test_cached_burst_is_read_only(self):
         config = pd.ChainConfig(spd_location="onboard", drive=2.0)

@@ -60,6 +60,29 @@ def cir_per_sample(scn, colors, n_mc, rng):
     return float(10 * np.log10(np.mean(ratios))) if ratios else np.inf
 
 
+def spiral_walk(n_beams):
+    """The beam spiral one step at a time, as an oracle: ring R starts at
+    (R, 0) and takes R steps along each of six directions."""
+    coords, ring = [(0, 0)], 1
+    while len(coords) < n_beams:
+        q, r = ring, 0
+        for dq, dr in [(-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)]:
+            for _ in range(ring):
+                coords.append((q, r))
+                q, r = q + dq, r + dr
+        ring += 1
+    return np.array(coords[:n_beams], int)
+
+
+class TestHexLayout:
+    def test_matches_the_step_walk(self):
+        # every count from one beam to part-way round the eighth ring
+        for n in range(1, 200):
+            got = sc.hex_layout(n)
+            assert got.dtype == np.dtype(int)
+            np.testing.assert_array_equal(got, spiral_walk(n))
+
+
 class TestScenarioValidation:
     def test_rejects_bad_reuse_factor(self):
         # a factor outside {1,2,3,4} must not fall back to another pattern
