@@ -2,16 +2,17 @@
 
 The amplifier is a memoryless third-order Volterra model y = a*r +
 b*|r|^2*r whose drive is clipped at the AM/AM peak r_sat; output
-back-off (OBO) is defined against that peak. The SPD is a third-order
-polynomial fitted by direct-learning least squares (a Levenberg-Marquardt
-loop on 4x4 normal equations); ``build_lut`` returns |x| bin edges and
-the SPD's complex gain per bin. Every linear stage of the transponder
-chain (shaping, IMUX, jitter derivative, OMUX, matched filter) is a
-product on one power-of-two FFT grid per waveform length, which none of
-them wraps. The draws and the stages before the drive are computed once
-per seed and placement, and the drive scales their waveform. The
-drive-to-OBO curve stops at the lowest target, and its points end at the
-amplifier.
+back-off (OBO) is defined against that peak. ``HpaParams`` takes only a
+saturating amplifier, one whose AM/AM curve has that peak, so the rest
+of the chain may assume it. The SPD is a third-order polynomial fitted
+by direct-learning least squares (a Levenberg-Marquardt loop on 4x4
+normal equations); ``build_lut`` returns |x| bin edges and the SPD's
+complex gain per bin. Every linear stage of the transponder chain
+(shaping, IMUX, jitter derivative, OMUX, matched filter) is a product on
+one power-of-two FFT grid per waveform length, which none of them wraps.
+The draws and the stages before the drive are computed once per seed and
+placement, and the drive scales their waveform. The drive-to-OBO curve
+stops at the lowest target, and its points end at the amplifier.
 
 The fit's Gram is a sum over the burst of s = |x|^2 times polynomials of
 degree at most 8 in s wherever the amplifier does not clip. So it runs on the
@@ -55,8 +56,11 @@ class HpaParams:
             raise ConfigurationError("amplifier coefficients must be finite")
         try:
             with np.errstate(over="raise", invalid="raise"):
-                in_range = (not np.isfinite(self.r_sat)
-                            or 0 < self.p_sat < math.inf)
+                if not np.isfinite(self.r_sat):
+                    raise ConfigurationError(
+                        "amplifier coefficients give no saturation point: "
+                        "|y(r)| has no interior maximum to back off from")
+                in_range = 0 < self.p_sat < math.inf
         except (OverflowError, FloatingPointError):
             in_range = False
         if not in_range:
@@ -66,10 +70,12 @@ class HpaParams:
 
     @property
     def r_sat(self) -> float:
-        """Input amplitude of the AM/AM maximum (inf for a linear device).
+        """Input amplitude of the AM/AM maximum.
 
         |y(r)|^2 = r^2*(|a|^2 + 2*Re(conj(a)*b)*r^2 + |b|^2*r^4); its first
-        interior stationary point solves a quadratic in r^2.
+        interior stationary point solves a quadratic in r^2. It is inf where
+        |y| has no such maximum (b = 0, a = 0, Re(conj(a)*b) >= 0 or a
+        negative discriminant), which ``HpaParams`` rejects.
         """
         a2 = abs(self.alpha) ** 2
         b2 = abs(self.beta) ** 2
@@ -86,8 +92,6 @@ class HpaParams:
     def p_sat(self) -> float:
         """Saturated output power |y(r_sat)|^2."""
         rs = self.r_sat
-        if not np.isfinite(rs):
-            raise ConfigurationError("linear amplifier has no saturation point")
         return float(abs(self.alpha * rs + self.beta * rs ** 3) ** 2)
 
 
@@ -99,10 +103,7 @@ def _clip(r: np.ndarray, limit: float) -> np.ndarray:
 
 def hpa_apply(params: HpaParams, r: np.ndarray) -> np.ndarray:
     """Amplifier response; drive magnitude is clipped at r_sat."""
-    r = np.asarray(r, complex)
-    rs = params.r_sat
-    if np.isfinite(rs):
-        r = _clip(r, rs)
+    r = _clip(np.asarray(r, complex), params.r_sat)
     return params.alpha * r + params.beta * np.abs(r) ** 2 * r
 
 
@@ -117,12 +118,10 @@ class SpdParams:
         return self.gamma + self.delta * np.asarray(magnitude) ** 2
 
 
-def spd_apply(params: SpdParams, x: np.ndarray,
-              clip_at: Optional[float] = None) -> np.ndarray:
-    """Polynomial predistortion, optionally clamped at an output magnitude."""
+def spd_apply(params: SpdParams, x: np.ndarray, clip_at: float) -> np.ndarray:
+    """Polynomial predistortion, clamped at an output magnitude."""
     x = np.asarray(x, complex)
-    r = params.gamma * x + params.delta * np.abs(x) ** 2 * x
-    return r if clip_at is None else _clip(r, clip_at)
+    return _clip(params.gamma * x + params.delta * np.abs(x) ** 2 * x, clip_at)
 
 
 def build_lut(params: SpdParams, dynamic_range: float, n_bins: int):
@@ -204,7 +203,7 @@ def _spd_gram(hpa: HpaParams, values: np.ndarray, weights: np.ndarray):
     are allocated once per fit and filled in place.
     """
     a, b, rs = hpa.alpha, hpa.beta, hpa.r_sat
-    c_sat = a * rs + b * rs ** 3 if np.isfinite(rs) else 0.0
+    c_sat = a * rs + b * rs ** 3
     rt = np.sqrt(weights)
     cols = np.empty((7, values.size), complex)  # rows 2-6 are scratch at first
     d = cols.view(float)                        # fresh ones per call cost more
@@ -574,18 +573,14 @@ def _amplify(config: ChainConfig, hpa: HpaParams, n_symbols: int, seed: int):
         spd = train_spd(config, hpa)
     front = _front_end(n_symbols, seed, config.imux, config.omux,
                        config.sigma_j, config.spd_location == "onground")
-    clip = hpa.r_sat if np.isfinite(hpa.r_sat) else None
     z = front[1] * config.drive
     if config.spd_location == "onground":
-        x = np.fft.fft(spd_apply(spd, z, clip_at=clip), front[4])
+        x = np.fft.fft(spd_apply(spd, z, clip_at=hpa.r_sat), front[4])
         z = _imux_and_jitter(x, z.size, config.imux, front[2])
     elif config.spd_location == "onboard":
-        z = spd_apply(spd, z, clip_at=clip)
+        z = spd_apply(spd, z, clip_at=hpa.r_sat)
     y = hpa_apply(hpa, z)
-    # a linear device (no r_sat) has no back-off reference
-    obo = (10 * np.log10(hpa.p_sat / np.mean(np.abs(y) ** 2))
-           if clip is not None else np.inf)
-    return front, y, float(obo)
+    return front, y, float(10 * np.log10(hpa.p_sat / np.mean(np.abs(y) ** 2)))
 
 
 def evaluate_chain(config: ChainConfig, hpa: HpaParams, n_symbols: int = 4000,
@@ -619,37 +614,38 @@ def evaluate_chain(config: ChainConfig, hpa: HpaParams, n_symbols: int = 4000,
     return ChainResult(sinr_db=float(sinr), obo_db=obo)
 
 
-def obo_vs_drive(config: ChainConfig, hpa: HpaParams,
-                 drives: Sequence[float]) -> np.ndarray:
-    """OBO (dB) achieved at each drive level, SPD refitted per drive.
+def obo_vs_drive(config: ChainConfig, hpa: HpaParams, drive: float) -> float:
+    """OBO (dB) achieved at one drive level, the SPD refitted at it.
 
-    Each point runs the chain up to the amplifier, on ``CURVE_SYMBOLS``
+    The point runs the chain up to the amplifier, on ``CURVE_SYMBOLS``
     symbols with seed ``CURVE_SEED``.
     """
-    return np.array([
-        _amplify(replace(config, drive=float(dr)), hpa, CURVE_SYMBOLS,
-                 CURVE_SEED)[2] for dr in drives])
+    return _amplify(replace(config, drive=float(drive)), hpa, CURVE_SYMBOLS,
+                    CURVE_SEED)[2]
 
 
 def drive_for_obo(config: ChainConfig, hpa: HpaParams,
-                  obo_target_db: float | Sequence[float]) -> float | np.ndarray:
-    """Drive level reaching a target OBO, interpolated on ``DRIVE_GRID``'s curve.
+                  obo_targets_db: Sequence[float]) -> np.ndarray:
+    """Drives reaching the target OBOs, interpolated on ``DRIVE_GRID``'s curve.
 
-    ``obo_target_db`` is one target (a float is returned) or a sequence
-    of them (an array of drives is returned). The curve stops at the first
-    drive whose OBO is below every target: OBO falls with drive, so no
-    later drive brackets a target.
+    The curve stops at the first drive whose OBO is below every target:
+    OBO falls with drive, so no later drive brackets a target.
     """
-    target = np.asarray(obo_target_db, float)
+    target = np.asarray(obo_targets_db, float)
     obo = []
     for dr in DRIVE_GRID:
-        obo.extend(obo_vs_drive(config, hpa, [dr]))
+        obo.append(obo_vs_drive(config, hpa, dr))
         if obo[-1] < target.min(initial=np.inf):
             break
     obo = np.array(obo)
     order = np.argsort(obo)
-    if not np.all((obo[order[0]] <= target) & (target <= obo[order[-1]])):
-        raise ConfigurationError("OBO target outside the drive grid's range")
+    lo, hi = obo[order[0]], obo[order[-1]]
+    outside = target[~((lo <= target) & (target <= hi))]
+    if outside.size:
+        raise ConfigurationError(
+            f"OBO target {', '.join(f'{t:g}' for t in outside)} dB outside "
+            f"the drive grid's range: {obo.size} of its {DRIVE_GRID.size} "
+            f"drives walked, reaching {lo:.2f} to {hi:.2f} dB")
     return np.exp(np.interp(target, obo[order], np.log(DRIVE_GRID)[order]))
 
 

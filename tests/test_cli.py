@@ -8,11 +8,12 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from satkit import cli, detection
+from satkit import cli, detection, predistortion
 
 FAST_CONFIGS = {
     "channel-report": {"n_beams": 7, "n_mc": 5},
@@ -23,13 +24,14 @@ FAST_CONFIGS = {
     "rate-region": {"p_values": [1.0, 10.0], "lam_points": 3,
                     "strategies": ["ian", "hk"]},
 }
-# every subcommand at a small size, so each config sweep run is quick
+# every subcommand at a small size, so each config sweep run is quick; the
+# onboard SPD makes every spd-bench case reach fit_spd
 SMALL_CONFIGS = {
     **FAST_CONFIGS,
     "precoding-bench": {"cases": [[4, 1]]},
     "detection-pd": {"detectors": ["ced"], "n_mc": 100, "n_mc_calib": 500,
                      "isnr_grid_db": [0.0, 4.0]},
-    "spd-bench": {"obo_grid_db": [4.0], "modes": ["none"], "n_symbols": 300,
+    "spd-bench": {"obo_grid_db": [4.0], "modes": ["onboard"], "n_symbols": 300,
                   "lut_bins": 8},
 }
 
@@ -241,6 +243,34 @@ class TestConfigFaults:
         self.fails_cleanly(tmp_path, capsys, "spd-bench",
                            {**SMALL_CONFIGS["spd-bench"], **cfg})
 
+    @pytest.mark.parametrize("cfg", [
+        {"beta_re": 0.0, "beta_im": 0.0}, {"beta_re": 0.3},
+        {"alpha_re": 0.0, "alpha_im": 0.0}], ids=["linear", "expansive",
+                                                  "no_linear_term"])
+    @pytest.mark.parametrize("mode", ["none", "onboard", "onground"])
+    def test_amplifier_without_saturation(self, tmp_path, capsys,
+                                          monkeypatch, cfg, mode):
+        # each used to search all 12 curve drives and report an OBO target
+        # outside the drive grid, or, alpha = 0 with an SPD placed, to end
+        # in a ZeroDivisionError traceback from the fit's 1/alpha start;
+        # now the amplifier is rejected before the chain runs
+        calls = Counter()
+        for name in ("_amplify", "fit_spd"):
+            monkeypatch.setattr(predistortion, name, lambda *a, _name=name,
+                                **k: calls.update([_name]))
+        err = self.fails_cleanly(tmp_path, capsys, "spd-bench",
+                                 {**SMALL_CONFIGS["spd-bench"], **cfg,
+                                  "modes": [mode]})
+        assert "no saturation point" in err
+        assert not calls
+
+    @pytest.mark.parametrize("target", [0.0, 100.0])
+    def test_unreachable_obo_target(self, tmp_path, capsys, target):
+        err = self.fails_cleanly(tmp_path, capsys, "spd-bench",
+                                 {**SMALL_CONFIGS["spd-bench"],
+                                  "obo_grid_db": [target]})
+        assert f"OBO target {target:g} dB outside" in err
+
     def test_fault_in_a_pd_point_job(self, tmp_path, capsys):
         err = self.fails_cleanly(tmp_path, capsys, "detection-pd",
                                  {**SMALL_CONFIGS["detection-pd"], "n_mc": 0})
@@ -407,7 +437,7 @@ ALTERNATIVES = {
     "detection-pd": {"detectors": ["edscp"], "eps_db": 1.0, "snr_db": 3.0,
                      "pfa": 0.05, "n_mc": 120, "n_mc_calib": 600,
                      "fade_db": 2.0, "isnr_grid_db": [0.0, 2.0], "seed": 1},
-    "spd-bench": {"obo_grid_db": [5.0], "modes": ["onboard"],
+    "spd-bench": {"obo_grid_db": [5.0], "modes": ["none"],
                   "alpha_re": 1.1, "alpha_im": 0.1, "beta_re": -0.2,
                   "beta_im": 0.02, "sigma_j": 0.01, "snr_db": 30.0,
                   "n_symbols": 400, "lut_bins": 4, "seed": 1},

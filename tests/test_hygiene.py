@@ -1,10 +1,11 @@
 """Source-level guards.
 
 Every public name, optional parameter and dataclass field of ``satkit``
-has a user outside the tests, no parameter is None at every such call,
-every private function has a reference in ``src/``, and every import a
-use. A user is code in ``src/``, ``demos/`` or a non-test file of
-``benchmarks/``; names are matched as written.
+has a user outside the tests, every defaulted dataclass field a setter
+there, no parameter is None at every such call, every private function
+has a reference in ``src/``, and every import a use. A user is code in
+``src/``, ``demos/`` or a non-test file of ``benchmarks/``; names are
+matched as written.
 """
 import ast
 from collections import Counter
@@ -20,6 +21,12 @@ USER_FILES = {p: ast.parse(p.read_text())
 # Kept without a reader outside the tests: ill_conditioned is the one
 # observable of mmse_multicast's conditioning guard.
 NO_READER_ALLOWED = {"precoding.PrecodeMatrix.ill_conditioned"}
+# Kept at their defaults outside the tests: imux and omux are None in the
+# filter-free AWGN chain whose SINR has a closed form, and jitter_aware is
+# False in the comparison of blind against jitter-aware SPD training.
+NO_SETTER_ALLOWED = {"predistortion.ChainConfig.imux",
+                     "predistortion.ChainConfig.omux",
+                     "predistortion.ChainConfig.jitter_aware"}
 
 
 def read_names(node):
@@ -102,16 +109,47 @@ def test_every_optional_parameter_is_passed_outside_the_tests():
     assert not unpassed, sorted(unpassed)
 
 
+def public_dataclasses():
+    """(qualified name, key of its statement, class) per public dataclass."""
+    for p, tree in MODULES.items():
+        for cls in tree.body:
+            if (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    and any("dataclass" in read_names(d)
+                            for d in cls.decorator_list)):
+                yield f"{p.stem}.{cls.name}", (p, cls.lineno), cls
+
+
 def test_every_dataclass_field_is_read_outside_the_tests():
     reads = {n.attr for _, node in users() for n in ast.walk(node)
              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unread = {f"{p.stem}.{cls.name}.{f.target.id}"
-              for p, tree in MODULES.items() for cls in tree.body
-              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-              and any("dataclass" in read_names(d) for d in cls.decorator_list)
+    unread = {f"{name}.{f.target.id}" for name, _, cls in public_dataclasses()
               for f in cls.body if isinstance(f, ast.AnnAssign)
               and f.target.id not in reads}
     assert unread == NO_READER_ALLOWED
+
+
+def test_every_defaulted_dataclass_field_is_set_outside_the_tests():
+    """A call sets a field by position or keyword in a call to its class,
+    or by a keyword of ``replace``. A defaulted field that no call sets
+    holds one value outside the tests: its other values are test-only."""
+    calls = [(key, c) for key, node in users() for c in ast.walk(node)
+             if isinstance(c, ast.Call)]
+    replaced = {k.arg for _, c in calls for k in c.keywords
+                if getattr(c.func, "id", getattr(c.func, "attr", None))
+                == "replace"}
+    unset = set()
+    for name, key, cls in public_dataclasses():
+        fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
+        mine = [c for k, c in calls if k != key and cls.name == getattr(
+            c.func, "id", getattr(c.func, "attr", None))]
+        given = {k.arg for c in mine for k in c.keywords}  # None: a ** splat
+        given |= {f.target.id for f in
+                  fields[:max((len(c.args) for c in mine), default=0)]}
+        if None not in given:
+            unset |= {f"{name}.{f.target.id}" for f in fields
+                      if f.value is not None
+                      and f.target.id not in given | replaced}
+    assert unset == NO_SETTER_ALLOWED
 
 
 def test_no_unused_imports_in_src_tests_and_demos():

@@ -36,14 +36,18 @@ class TestHpaParams:
         assert hpa.p_sat == pytest.approx(y[turn] ** 2, rel=1e-6)
 
     def test_linear_device_has_no_saturation(self):
-        hpa = pd.HpaParams(alpha=2.0, beta=0.0)
-        assert hpa.r_sat == np.inf
-        with pytest.raises(ConfigurationError):
-            hpa.p_sat
+        # no OBO is defined without a saturation point, so it is rejected
+        with pytest.raises(ConfigurationError, match="no saturation point"):
+            pd.HpaParams(alpha=2.0, beta=0.0)
 
     def test_expansive_device_has_no_saturation(self):
-        # positive cross term: |y| grows monotonically
-        assert pd.HpaParams(alpha=1.0, beta=0.2).r_sat == np.inf
+        # |y| grows monotonically with a positive cross term, with no
+        # linear term (the fit's 1/alpha start used to divide by zero) and
+        # with a cross term too weak for a turning point (disc < 0)
+        for alpha, beta in [(1.0, 0.2), (0.0, -0.15 + 0.05j),
+                            (1.0, -0.1 + 0.5j)]:
+            with pytest.raises(ConfigurationError, match="no saturation point"):
+                pd.HpaParams(alpha=alpha, beta=beta)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ConfigurationError):
@@ -264,7 +268,8 @@ class TestSpdPolynomialAndLut:
         p = pd.SpdParams(gamma=1.1 - 0.2j, delta=0.05 + 0.01j)
         x = np.array([0.2, 0.5 + 0.5j, -1.0j])
         want = p.gamma * x + p.delta * np.abs(x) ** 2 * x
-        np.testing.assert_allclose(pd.spd_apply(p, x), want, rtol=1e-12)
+        np.testing.assert_allclose(pd.spd_apply(p, x, clip_at=10.0), want,
+                                   rtol=1e-12)
 
     def test_output_clamp(self):
         p = pd.SpdParams(gamma=3.0, delta=0.0)
@@ -275,7 +280,7 @@ class TestSpdPolynomialAndLut:
         p = pd.SpdParams(gamma=1.05, delta=0.12 - 0.04j)
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 2.0, 4000) * np.exp(2j * np.pi * rng.random(4000))
-        exact = pd.spd_apply(p, x)
+        exact = pd.spd_apply(p, x, clip_at=4.0)      # above every |output|
         errs = []
         for n_bins in (32, 64, 128):
             edges, gains = pd.build_lut(p, 2.0, n_bins)
@@ -298,6 +303,10 @@ def training_burst(seed=4, n=3000, scale=0.6):
         / np.sqrt(2)
 
 
+# saturating far above any test signal: r_sat 1.8e4, p_sat 1.5e8
+NEARLY_LINEAR_BETA = -1e-9
+
+
 def cached_burst(imux, sigma_j):
     """The read-only drive-1 burst that train_spd scales and fits."""
     return pd._front_end(pd.N_TRAIN_SYMBOLS, pd.TRAIN_SEED, imux, None,
@@ -306,7 +315,7 @@ def cached_burst(imux, sigma_j):
 
 class TestFitSpd:
     def test_identity_amplifier_yields_identity_spd(self):
-        hpa = pd.HpaParams(alpha=1.0, beta=0.0)
+        hpa = pd.HpaParams(alpha=1.0, beta=NEARLY_LINEAR_BETA)
         params, trace = pd.fit_spd(hpa, training_burst())
         assert abs(params.gamma - 1.0) < 1e-6
         assert abs(params.delta) < 1e-6
@@ -315,7 +324,7 @@ class TestFitSpd:
     def test_linear_amplifier_inverts_gain(self):
         # the fit starts at gamma = 1/alpha and must move to the identity,
         # since the target response is alpha * input
-        hpa = pd.HpaParams(alpha=2.0 - 0.5j, beta=0.0)
+        hpa = pd.HpaParams(alpha=2.0 - 0.5j, beta=NEARLY_LINEAR_BETA)
         params, trace = pd.fit_spd(hpa, training_burst())
         assert abs(params.gamma - 1.0) < 1e-6
         assert abs(params.delta) < 1e-6
@@ -327,7 +336,8 @@ class TestFitSpd:
         x *= 0.6 * hpa.r_sat / np.max(np.abs(x))
         params, trace = pd.fit_spd(hpa, x)
         raw = np.mean(np.abs(pd.hpa_apply(hpa, x) - hpa.alpha * x) ** 2)
-        lin = np.mean(np.abs(pd.hpa_apply(hpa, pd.spd_apply(params, x))
+        lin = np.mean(np.abs(pd.hpa_apply(hpa, pd.spd_apply(params, x,
+                                                            hpa.r_sat))
                              - hpa.alpha * x) ** 2)
         assert lin < 0.05 * raw
         assert trace[-1] <= trace[0]
@@ -618,13 +628,13 @@ class TestFilterSpec:
 
 class TestChain:
     def test_awgn_reference_closed_form(self):
-        # linear device, no filters, no jitter: SINR = SNR + 20 log10(drive)
+        # a device linear over the signal, no filters, no jitter:
+        # SINR = SNR + 20 log10(drive)
         cfg = pd.ChainConfig(spd_location="none", sigma_j=0.0, imux=None,
                              omux=None, snr_db=30.0, drive=0.5)
-        hpa = pd.HpaParams(alpha=1.0, beta=0.0)
+        hpa = pd.HpaParams(alpha=1.0, beta=NEARLY_LINEAR_BETA)
         res = pd.evaluate_chain(cfg, hpa, n_symbols=4000, seed=0)
         assert res.sinr_db == pytest.approx(30.0 + 20 * np.log10(0.5), abs=0.2)
-        assert res.obo_db == np.inf
 
     def test_determinism(self):
         cfg = pd.ChainConfig(spd_location="onboard", drive=1.2)
@@ -636,25 +646,25 @@ class TestChain:
     def test_obo_decreases_with_drive(self):
         cfg = pd.ChainConfig(spd_location="none")
         hpa = pd.HpaParams()
-        obo = pd.obo_vs_drive(cfg, hpa, np.geomspace(0.2, 4.0, 6))
+        obo = [pd.obo_vs_drive(cfg, hpa, d) for d in np.geomspace(0.2, 4, 6)]
         assert all(a > b for a, b in zip(obo, obo[1:]))
         assert np.isfinite(obo).all()
 
     def test_drive_for_obo_round_trip(self):
         cfg = pd.ChainConfig(spd_location="none")
         hpa = pd.HpaParams()
-        dr = pd.drive_for_obo(cfg, hpa, 4.0)
+        dr, = pd.drive_for_obo(cfg, hpa, [4.0])
         res = pd.evaluate_chain(pd.ChainConfig(spd_location="none", drive=dr),
                                 hpa, n_symbols=pd.CURVE_SYMBOLS,
                                 seed=pd.CURVE_SEED)
         assert res.obo_db == pytest.approx(4.0, abs=0.3)
-        # a sequence of targets gives the same drive per target
+        # more targets give the same drive per target
         both = pd.drive_for_obo(cfg, hpa, [4.0, 6.0])
         assert both[0] == dr and both[1] < dr
 
     def test_obo_target_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            pd.drive_for_obo(pd.ChainConfig(), pd.HpaParams(), -30.0)
+        with pytest.raises(ConfigurationError, match="target -30 dB outside"):
+            pd.drive_for_obo(pd.ChainConfig(), pd.HpaParams(), [-30.0])
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -699,7 +709,8 @@ class TestDriveForObo:
         ids=["none", "onboard", "onground", "sigma_j", "no_imux"])
     def test_walk_equals_interpolation_on_the_whole_curve(self, cfg):
         config, hpa = pd.ChainConfig(**cfg), pd.HpaParams()
-        obo = pd.obo_vs_drive(config, hpa, pd.DRIVE_GRID)
+        obo = np.array([pd.obo_vs_drive(config, hpa, dr)
+                        for dr in pd.DRIVE_GRID])
         order = np.argsort(obo)
         for target in ([2.0, 4.0, 6.0, 8.0], [4.0], [1.0, 8.0]):
             want = np.exp(np.interp(target, obo[order],
@@ -717,7 +728,7 @@ class TestDriveForObo:
         chain = pd.evaluate_chain(config, hpa,
                                   n_symbols=pd.CURVE_SYMBOLS,
                                   seed=pd.CURVE_SEED)
-        assert pd.obo_vs_drive(config, hpa, [1.3])[0] == chain.obo_db
+        assert pd.obo_vs_drive(config, hpa, 1.3) == chain.obo_db
         _, _, obo = pd._amplify(config, hpa, 600, 4)
         assert obo == pd.evaluate_chain(config, hpa, n_symbols=600,
                                         seed=4).obo_db
