@@ -3,11 +3,12 @@
 Rates are bits/s/Hz. The channel is described by power gains g_ij =
 |gain of transmitter i at receiver j|^2 and per-user powers, normalised
 to unit noise at each receiver (as the scenario module's channels are).
+A set of rate points is a ``RateRegion`` of arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -43,59 +44,62 @@ class TwoUserChannel:
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    r1: float
-    r2: float
-    strategy: str
-    params: tuple = ()
-
-    def dominates(self, other: "RatePoint", tol: float = 0.0) -> bool:
-        return self.r1 >= other.r1 - tol and self.r2 >= other.r2 - tol
-
-
-@dataclass(frozen=True)
 class RateRegion:
-    points: Tuple[RatePoint, ...]
+    """Rate points of one strategy: R1, R2 and the parameters of each point.
+
+    ``params`` has one row per point and one column per parameter: none
+    for ian and snd, the public user for scd, β for fdm, (λ1, λ2) for hk.
+    """
+
+    r1: np.ndarray
+    r2: np.ndarray
+    params: np.ndarray
+
+    @classmethod
+    def join(cls, regions: Sequence["RateRegion"]) -> "RateRegion":
+        """The points of every region, in order."""
+        return cls(*(np.concatenate([getattr(r, f) for r in regions])
+                     for f in ("r1", "r2", "params")))
 
     @property
-    def frontier(self) -> Tuple[RatePoint, ...]:
-        return pareto_frontier(self.points)
+    def frontier(self) -> np.ndarray:
+        return pareto_frontier(self.r1, self.r2)
 
 
-def _c(snr: float) -> float:
+def _c(snr):
     """log2(1 + snr), the capacity every strategy's rates are built from."""
-    if not np.isfinite(snr):
-        raise ConfigurationError(f"SNR of {snr!r}: a power or gain is "
-                                 f"beyond the float range")
-    return float(np.log2(1.0 + snr))
+    if not np.isfinite(snr).all():
+        raise ConfigurationError("an SNR is not finite: a power or gain is "
+                                 "beyond the float range")
+    return np.log2(1.0 + snr)
 
 
-def rate_ian(ch: TwoUserChannel) -> RatePoint:
+def rate_ian(ch: TwoUserChannel) -> RateRegion:
     """Both receivers treat the interfering signal as noise."""
     r1 = _c(ch.p1 * ch.g11 / (1.0 + ch.p2 * ch.g21))
     r2 = _c(ch.p2 * ch.g22 / (1.0 + ch.p1 * ch.g12))
-    return RatePoint(r1, r2, "ian")
+    return RateRegion(np.array([r1]), np.array([r2]), np.empty((1, 0)))
 
 
-def rate_scd(ch: TwoUserChannel, order: int = 1) -> RatePoint:
+def rate_scd(ch: TwoUserChannel) -> RateRegion:
     """Sequential cancellation: one user fully public, decoded then removed.
 
-    ``order`` names the public (cancelled) user. For order=1, user 1's
-    message must be decodable at both receivers; receiver 2 then enjoys
-    an interference-free own rate.
+    One point per public (cancelled) user, 1 then 2. With user 1 public,
+    its message must be decodable at both receivers; receiver 2 then
+    enjoys an interference-free own rate.
     """
-    if order == 1:
-        r1 = min(_c(ch.p1 * ch.g11 / (1.0 + ch.p2 * ch.g21)),
-                 _c(ch.p1 * ch.g12 / (1.0 + ch.p2 * ch.g22)))
-        r2 = _c(ch.p2 * ch.g22)
-        return RatePoint(r1, r2, "scd", params=(1,))
-    if order == 2:
-        sw = rate_scd(ch.swapped(), order=1)
-        return RatePoint(sw.r2, sw.r1, "scd", params=(2,))
-    raise ConfigurationError("order must be 1 or 2")
+    def user1_public(c):
+        return (min(_c(c.p1 * c.g11 / (1.0 + c.p2 * c.g21)),
+                    _c(c.p1 * c.g12 / (1.0 + c.p2 * c.g22))),
+                _c(c.p2 * c.g22))
+
+    a1, a2 = user1_public(ch)
+    b2, b1 = user1_public(ch.swapped())
+    return RateRegion(np.array([a1, b1]), np.array([a2, b2]),
+                      np.array([[1.0], [2.0]]))
 
 
-def rate_snd(ch: TwoUserChannel) -> RatePoint:
+def rate_snd(ch: TwoUserChannel) -> RateRegion:
     """Simultaneous non-unique decoding rates.
 
     Receiver i jointly decodes the interfering stream (without caring
@@ -106,6 +110,7 @@ def rate_snd(ch: TwoUserChannel) -> RatePoint:
     interference as noise.
     """
     ian = rate_ian(ch)
+    ian1, ian2 = ian.r1[0], ian.r2[0]
 
     def rx(own_p, own_g, int_p, int_g, m_int, ian_own):
         if m_int >= _c(int_p * int_g):          # the skip condition
@@ -114,67 +119,60 @@ def rate_snd(ch: TwoUserChannel) -> RatePoint:
         sum_cap = _c(own_p * own_g + int_p * int_g)
         return max(ian_own, min(own_cap, sum_cap - m_int))
 
-    r1 = rx(ch.p1, ch.g11, ch.p2, ch.g21, ian.r2, ian.r1)
-    r2 = rx(ch.p2, ch.g22, ch.p1, ch.g12, ian.r1, ian.r2)
-    return RatePoint(max(r1, 0.0), max(r2, 0.0), "snd")
+    r1 = rx(ch.p1, ch.g11, ch.p2, ch.g21, ian2, ian1)
+    r2 = rx(ch.p2, ch.g22, ch.p1, ch.g12, ian1, ian2)
+    return RateRegion(np.array([max(r1, 0.0)]), np.array([max(r2, 0.0)]),
+                      np.empty((1, 0)))
 
 
-def rate_fdm(ch: TwoUserChannel, beta: float = 0.5) -> RatePoint:
-    """Orthogonal frequency split, fraction beta of the band to user 1."""
-    if not 0.0 < beta < 1.0:
+def rate_fdm(ch: TwoUserChannel, beta: Sequence[float]) -> RateRegion:
+    """Orthogonal frequency split, one point per fraction β of the band
+    given to user 1."""
+    beta = np.asarray(beta, dtype=float)
+    if not ((0.0 < beta) & (beta < 1.0)).all():
         raise ConfigurationError("beta must lie strictly inside (0,1)")
     r1 = beta * _c(ch.p1 * ch.g11 / beta)
     r2 = (1 - beta) * _c(ch.p2 * ch.g22 / (1 - beta))
-    return RatePoint(r1, r2, "fdm", params=(beta,))
-
-
-def _mac_caps(order, powers, noise):
-    """Successive-decoding capacities of each message for one receiver.
-
-    Each message sees the noise plus the messages decoded after it.
-    """
-    caps = {}
-    for m in reversed(order):
-        caps[m] = _c(powers[m] / noise)
-        noise += powers[m]
-    return caps
-
-
-def hk_corner(ch: TwoUserChannel, lam1: float, lam2: float) -> RatePoint:
-    """Achievable corner point for one private-power split (λ1, λ2).
-
-    Each receiver successively decodes the interferer's public message,
-    its own public message and finally its own private message; the
-    interferer's private part stays noise. A public message's rate is
-    the minimum of its decoding capacities at the two receivers (no
-    time sharing).
-    """
-    if not (0.0 <= lam1 <= 1.0 and 0.0 <= lam2 <= 1.0):
-        raise ConfigurationError("power splits must lie in [0,1]")
-    pow1 = {(1, "c"): (1 - lam1) * ch.p1 * ch.g11,
-            (2, "c"): (1 - lam2) * ch.p2 * ch.g21,
-            (1, "p"): lam1 * ch.p1 * ch.g11}
-    n1 = 1.0 + lam2 * ch.p2 * ch.g21
-    pow2 = {(1, "c"): (1 - lam1) * ch.p1 * ch.g12,
-            (2, "c"): (1 - lam2) * ch.p2 * ch.g22,
-            (2, "p"): lam2 * ch.p2 * ch.g22}
-    n2 = 1.0 + lam1 * ch.p1 * ch.g12
-    caps1 = _mac_caps([(2, "c"), (1, "c"), (1, "p")], pow1, n1)
-    caps2 = _mac_caps([(1, "c"), (2, "c"), (2, "p")], pow2, n2)
-    r1c = min(caps1[(1, "c")], caps2[(1, "c")])
-    r2c = min(caps1[(2, "c")], caps2[(2, "c")])
-    return RatePoint(r1c + caps1[(1, "p")], r2c + caps2[(2, "p")],
-                     "hk", params=(lam1, lam2))
+    return RateRegion(r1, r2, beta[:, None])
 
 
 def hk_region(ch: TwoUserChannel,
               lam_grid: Optional[Sequence[float]] = None) -> RateRegion:
-    """Union of no-time-sharing rate-splitting corners over a λ grid."""
-    if lam_grid is None:
-        lam_grid = np.linspace(0.0, 1.0, 21)
-    points = [hk_corner(ch, float(lam1), float(lam2))
-              for lam1 in lam_grid for lam2 in lam_grid]
-    return RateRegion(points=tuple(points))
+    """No-time-sharing rate-splitting corners, one per (λ1, λ2) of a grid.
+
+    λi is the share of user i's power in its private message. Receiver 1
+    successively decodes 2's public message, its own public message and
+    its private message; receiver 2 decodes 1c, 2c, 2p. Each message sees
+    the noise, the interferer's private part and the messages decoded
+    after it. A public message's rate is the minimum of its decoding
+    capacities at the two receivers. Points run over λ2 within λ1.
+    """
+    lam = np.linspace(0.0, 1.0, 21) if lam_grid is None else np.asarray(
+        lam_grid, dtype=float)
+    if not ((0.0 <= lam) & (lam <= 1.0)).all():
+        raise ConfigurationError("power splits must lie in [0,1]")
+    lam1, lam2 = lam[:, None], lam[None, :]
+    # products and sums in the scalar reference's order: bit-identical rates
+    # receiver 1: powers of 2c, 1c and 1p, and the noise with 2p in it
+    c2, c1 = (1 - lam2) * ch.p2 * ch.g21, (1 - lam1) * ch.p1 * ch.g11
+    p1 = lam1 * ch.p1 * ch.g11
+    noise = 1.0 + lam2 * ch.p2 * ch.g21
+    cap1_p1 = _c(p1 / noise)
+    noise = noise + p1
+    cap1_c1 = _c(c1 / noise)
+    cap1_c2 = _c(c2 / (noise + c1))
+    # receiver 2: powers of 1c, 2c and 2p, and the noise with 1p in it
+    c1, c2 = (1 - lam1) * ch.p1 * ch.g12, (1 - lam2) * ch.p2 * ch.g22
+    p2 = lam2 * ch.p2 * ch.g22
+    noise = 1.0 + lam1 * ch.p1 * ch.g12
+    cap2_p2 = _c(p2 / noise)
+    noise = noise + p2
+    cap2_c2 = _c(c2 / noise)
+    cap2_c1 = _c(c1 / (noise + c2))
+    r1 = np.minimum(cap1_c1, cap2_c1) + cap1_p1
+    r2 = np.minimum(cap1_c2, cap2_c2) + cap2_p2
+    grid = np.column_stack((np.repeat(lam, len(lam)), np.tile(lam, len(lam))))
+    return RateRegion(r1.ravel(), r2.ravel(), grid)
 
 
 STRATEGIES = ("ian", "scd", "snd", "fdm", "hk")
@@ -189,43 +187,42 @@ def region_sweep(template: TwoUserChannel, p_values: Sequence[float],
         raise ConfigurationError(
             f"unknown strategies {unknown}; choose from {list(STRATEGIES)}")
     fdm_grid = np.linspace(0.05, 0.95, 19)
-    out: Dict[str, List[RatePoint]] = {s: [] for s in strategies}
+    rate = {"ian": rate_ian, "scd": rate_scd, "snd": rate_snd,
+            "fdm": lambda ch: rate_fdm(ch, fdm_grid),
+            "hk": lambda ch: hk_region(ch, lam_grid)}
+    parts = {s: [] for s in strategies}
     for p in p_values:
         ch = replace(template, p1=float(p), p2=float(p))
-        if "ian" in out:
-            out["ian"].append(rate_ian(ch))
-        if "scd" in out:
-            out["scd"].append(rate_scd(ch, 1))
-            out["scd"].append(rate_scd(ch, 2))
-        if "snd" in out:
-            out["snd"].append(rate_snd(ch))
-        if "fdm" in out:
-            out["fdm"].extend(rate_fdm(ch, float(b)) for b in fdm_grid)
-        if "hk" in out:
-            out["hk"].extend(hk_region(ch, lam_grid).points)
-    return {s: RateRegion(points=tuple(pts)) for s, pts in out.items()}
+        for s, regions in parts.items():
+            regions.append(rate[s](ch))
+    return {s: RateRegion.join(regions) for s, regions in parts.items()}
 
 
-def pareto_frontier(points: Iterable[RatePoint]) -> Tuple[RatePoint, ...]:
-    """Maximal non-dominated subset, sorted by R1 (input-order independent)."""
-    lookup = {}
-    for p in points:                       # one pass: points may be a generator
-        lookup.setdefault((p.r1, p.r2), p)
-    frontier = []
-    best_r2 = -np.inf
-    for r1, r2 in sorted(lookup, reverse=True):     # descending r1
-        if r2 > best_r2:
-            frontier.append(lookup[(r1, r2)])
-            best_r2 = r2
-    return tuple(reversed(frontier))
+def pareto_frontier(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Mask of the points that no point of other rates dominates.
+
+    Equal points share one verdict; the mask does not depend on the
+    points' order.
+    """
+    order = np.lexsort((-r2, -r1))              # descending R1, then R2
+    s1, s2 = r1[order], r2[order]
+    n = len(order)
+    # the running maximum of R2 before each run of equal points
+    new = np.ones(n, dtype=bool)
+    new[1:] = (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
+    start = np.maximum.accumulate(np.where(new, np.arange(n), 0))
+    best = np.concatenate(([-np.inf], np.maximum.accumulate(s2)))
+    mask = np.empty(n, dtype=bool)
+    mask[order] = s2 > best[start]
+    return mask
 
 
-def frontier_dominates(frontier_a: Sequence[RatePoint],
-                       frontier_b: Sequence[RatePoint]) -> bool:
-    """True when every point of frontier_b is dominated by some point of a.
+def frontier_dominates(a: RateRegion, b: RateRegion) -> bool:
+    """True when every point of b is dominated by some point of a.
 
     Rates within ``DOMINANCE_TOL`` of each other count as equal.
     """
-    return all(any(a.dominates(b, DOMINANCE_TOL) for a in frontier_a)
-               for b in frontier_b)
-
+    fa, fb = a.frontier, b.frontier
+    covered = ((a.r1[fa, None] >= b.r1[fb] - DOMINANCE_TOL)
+               & (a.r2[fa, None] >= b.r2[fb] - DOMINANCE_TOL))
+    return bool(covered.any(axis=0).all())

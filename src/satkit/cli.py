@@ -73,8 +73,9 @@ def _reject_constant(token: str):
 
 
 def _finite_float(token: str) -> float:
-    """``json.load`` hook for a JSON number, which may overflow to inf (1e400)."""
-    value = float(token)
+    """``json.load`` hook for a JSON number, which may overflow to inf (1e400);
+    -0.0 is read as 0.0, which passes every range check as 0.0 does."""
+    value = float(token) + 0.0
     if not math.isfinite(value):
         _reject_constant(token)
     return value
@@ -169,11 +170,11 @@ def cmd_rate_region(cfg: dict, out: Path):
                                   strategies=tuple(cfg["strategies"]),
                                   lam_grid=lam_grid)
     for strat, region in regions.items():
-        frontier = {(p.r1, p.r2) for p in region.frontier}
-        rows = [(p.strategy, p.params[0] if p.params else "",
-                 p.params[1] if len(p.params) > 1 else "",
-                 p.r1, p.r2, (p.r1, p.r2) in frontier)
-                for p in region.points]
+        n, k = region.params.shape
+        # columns as Python values: _fmt writes a numpy bool as True
+        params = region.params.T.tolist() + [[""] * n] * (2 - k)
+        rows = zip([strat] * n, *params, region.r1.tolist(),
+                   region.r2.tolist(), region.frontier.tolist())
         write_csv(out / f"rate_region_{strat}.csv",
                   ["strategy", "param1", "param2", "R1", "R2", "on_frontier"],
                   rows)

@@ -1,17 +1,22 @@
+import contextlib
 import csv
 import functools
 import inspect
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satkit import cli, detection, predistortion
 
@@ -47,6 +52,11 @@ def run(tmp_path, sub, cfg, name, extra=()):
 
 def csv_bytes(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+
+def output_bytes(out_dir):
+    """Every output file, manifest included, by name."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
 class TestManifestRoundTrip:
@@ -108,6 +118,17 @@ class TestConfigResolution:
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1 and len(err) == 1 and "takes no seed" in err[0]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub, key", [("detection-pd", "fade_db"),
+                                          ("detection-pd", "eps_db"),
+                                          ("carrier-assign", "area_km")])
+    def test_negative_zero_runs_as_zero(self, tmp_path, sub, key):
+        # -0.0 passed the range checks and then ended in a ValueError
+        # traceback from Generator.uniform(0.0, -0.0)
+        outs = [run(tmp_path, sub, {**SMALL_CONFIGS[sub], key: x}, name)
+                for name, x in (("plus", 0.0), ("minus", -0.0))]
+        plus, minus = map(output_bytes, outs)
+        assert "manifest.json" in plus and plus == minus
 
 
 class TestConfigFaults:
@@ -289,13 +310,15 @@ class TestConfigFaults:
     @pytest.mark.parametrize("sub, cfg", [
         ("channel-report", {"n_mc": 10 ** 15}),
         ("channel-report", {"n_beams": 10 ** 15}),
-        ("precoding-bench", {"cases": [[10 ** 15, 2]]})],
-        ids=["n_mc", "n_beams", "precoding_K"])
+        ("precoding-bench", {"cases": [[10 ** 15, 2]]}),
+        ("rate-region", {"lam_points": 10 ** 5})],
+        ids=["n_mc", "n_beams", "precoding_K", "lam_points"])
     def test_impossible_size_fails_before_any_loop(self, tmp_path, sub, cfg):
-        # these sizes used to grow Python lists, of beams or of draws, until
-        # the machine ran out of memory. The run is a child process with its
-        # address space capped at 4 GiB: should a list grow again, it stops
-        # there with Python's bare MemoryError, which names no size
+        # these sizes used to grow Python lists, of beams, of draws or of
+        # rate points, until the machine ran out of memory; the 10**10 points
+        # of the λ grid outlasted the 60 s limit. The run is a child process
+        # with its address space capped at 4 GiB: should a list grow again,
+        # it stops there with Python's bare MemoryError, which names no size
         cfg_path, out = tmp_path / "c.json", tmp_path / "o"
         cfg_path.write_text(json.dumps(cfg))
         code = ("import resource, sys\n"
@@ -389,42 +412,77 @@ def sweep_cases(defaults):
     return cases
 
 
-@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
-def test_config_fault_sweep(tmp_path, capsys, sub):
-    """Each sweep case either runs or fails cleanly.
+def contract_fault(sub, cfg_path, out):
+    """Run one config; return how it breaks the contract, or None.
 
     A run exits 0 with a manifest, no header-only CSV and only finite
     numbers but the ``INF_COLUMNS``' inf, or exits 1 with one ``error:``
     line (a warning counts as a line) and no --out directory.
     """
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            rc = cli.main([sub, "--config", str(cfg_path), "--out", str(out)])
+        except Exception as exc:                # a traceback
+            rc = repr(exc)
+    err = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+    if rc == 0:
+        # a nan or inf, as cli._fmt writes them
+        err += [f"{p.name}:{name}={cell}" for p in out.glob("*.csv")
+                for row in csv.DictReader(p.read_text().splitlines())
+                for name, cell in row.items() if cell in ("nan", "inf", "-inf")
+                and not (cell == "inf" and name in INF_COLUMNS)]
+        ok = (not err and (out / "manifest.json").exists()
+              and all(p.read_bytes().count(b"\r\n") > 1
+                      for p in out.glob("*.csv")))
+    else:
+        ok = (rc == 1 and len(err) == 1 and err[0].startswith("error:")
+              and not out.exists())
+    return None if ok else f"exit {rc}, stderr {err}"
+
+
+@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
+def test_config_fault_sweep(tmp_path, sub):
+    """Each sweep case either runs or fails cleanly (``contract_fault``)."""
     broken = []
     for i, case in enumerate(sweep_cases(cli.SUBCOMMANDS[sub][1])):
         cfg_path, out = tmp_path / f"{i}.json", tmp_path / f"o{i}"
         cfg_path.write_text(json.dumps({**SMALL_CONFIGS[sub], **case}))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                rc = cli.main([sub, "--config", str(cfg_path),
-                               "--out", str(out)])
-            except Exception as exc:                # a traceback
-                rc = repr(exc)
-        err = (capsys.readouterr().err.splitlines()
-               + [str(w.message) for w in caught])
-        if rc == 0:
-            # a nan or inf, as cli._fmt writes them
-            err += [f"{p.name}:{name}={cell}" for p in out.glob("*.csv")
-                    for row in csv.DictReader(p.read_text().splitlines())
-                    for name, cell in row.items() if cell in ("nan", "inf", "-inf")
-                    and not (cell == "inf" and name in INF_COLUMNS)]
-            ok = (not err and (out / "manifest.json").exists()
-                  and all(p.read_bytes().count(b"\r\n") > 1
-                          for p in out.glob("*.csv")))
-        else:
-            ok = (rc == 1 and len(err) == 1 and err[0].startswith("error:")
-                  and not out.exists())
-        if not ok:
-            broken.append(f"{case}: exit {rc}, stderr {err}")
+        fault = contract_fault(sub, cfg_path, out)
+        if fault:
+            broken.append(f"{case}: {fault}")
     assert not broken, "\n".join(broken)
+
+
+# floats without nan or inf, so signed zeros and subnormals come up
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+RATE_REGION_DRAWS = {
+    "direct_db": FINITE, "cross_db": FINITE,
+    "p_values": st.lists(FINITE, max_size=3),
+    "lam_points": st.integers(1, 25),
+    "strategies": st.lists(st.sampled_from(
+        [*cli.SUBCOMMANDS["rate-region"][1]["strategies"], "bogus"]),
+        max_size=3)}
+
+
+@given(st.fixed_dictionaries({}, optional=RATE_REGION_DRAWS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@example({"p_values": [0.0, -0.0, 5e-324], "direct_db": -0.0,
+          "lam_points": 1})
+def test_rate_region_config_contract(case):
+    """A drawn rate-region config keeps the contract, and a run that exits
+    0 replays byte for byte from its manifest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg_path, out, replay = tmp / "c.json", tmp / "first", tmp / "replay"
+        cfg_path.write_text(json.dumps(case))
+        assert contract_fault("rate-region", cfg_path, out) is None
+        if out.exists():
+            assert contract_fault("rate-region", out / "manifest.json",
+                                  replay) is None
+            assert output_bytes(out) == output_bytes(replay)
 
 
 # one other valid value for every config key of every subcommand
