@@ -9,10 +9,24 @@ by direct-learning least squares (a Levenberg-Marquardt loop on 4x4
 normal equations); ``build_lut`` returns |x| bin edges and the SPD's
 complex gain per bin. Every linear stage of the transponder chain
 (shaping, IMUX, jitter derivative, OMUX, matched filter) is a product on
-one power-of-two FFT grid per waveform length, which none of them wraps.
-The draws and the stages before the drive are computed once per seed and
-placement, and the drive scales their waveform. The drive-to-OBO curve
-stops at the lowest target, and its points end at the amplifier.
+one power-of-two FFT grid per waveform length. No transmit stage wraps.
+The OMUX and the matched filter are one product, OMUX x RRC, whose
+response wraps at most into the first 2*SPAN*OVERSAMPLING received
+samples, which nothing reads; the OMUX output's cut at n samples is kept
+by subtracting the matched filter's response to the OMUX samples past n,
+and the noise enters as the matched filter's response to the unit noise
+(``_receive``). The draws and the stages before the drive are computed
+once per seed and placement, and the drive scales their waveform. The
+drive-to-OBO curve stops at the lowest target, and its points end at the
+amplifier.
+
+Six caches hand out read-only arrays for the life of the process: the
+pulse's or a filter's spectrum per FFT length, the jitter derivative's
+spectrum per FFT length, the front end per (symbol count, seed, IMUX, OMUX,
+jitter level, on ground), a training burst's ``BurstRules``, the receive
+side's OMUX x RRC spectrum and OMUX taps per (FFT length, OMUX), and the
+matched filter's response to a front end's noise, built by a chain row's
+first evaluation and never by a training burst or a drive-curve point.
 
 The fit's Gram is a sum over the burst of s = |x|^2 times polynomials of
 degree at most 8 in s wherever the amplifier does not clip. So it runs on the
@@ -72,21 +86,22 @@ class HpaParams:
     def r_sat(self) -> float:
         """Input amplitude of the AM/AM maximum.
 
-        |y(r)|^2 = r^2*(|a|^2 + 2*Re(conj(a)*b)*r^2 + |b|^2*r^4); its first
-        interior stationary point solves a quadratic in r^2. It is inf where
-        |y| has no such maximum (b = 0, a = 0, Re(conj(a)*b) >= 0 or a
-        negative discriminant), which ``HpaParams`` rejects.
+        With c the cosine of the angle between a and b, |y(r)|^2 = r^2*(|a|^2
+        + 2*c*|a|*|b|*r^2 + |b|^2*r^4); its first interior stationary point
+        is r^2 = (|a|/|b|)*(-2c - sqrt(4c^2 - 3))/3, a form that squares
+        neither coefficient, so a |b| whose square underflows keeps its
+        digits. It is inf where |y| has no such maximum (b = 0, a = 0, c >= 0
+        or 4c^2 < 3), which ``HpaParams`` rejects.
         """
-        a2 = abs(self.alpha) ** 2
-        b2 = abs(self.beta) ** 2
-        cross = (np.conj(self.alpha) * self.beta).real
-        if b2 == 0:
-            return np.inf
-        disc = 4 * cross ** 2 - 3 * a2 * b2
-        if cross >= 0 or disc < 0:
-            return np.inf
-        u = (-2 * cross - np.sqrt(disc)) / (3 * b2)
-        return float(np.sqrt(u))
+        a, b = abs(self.alpha), abs(self.beta)
+        if a == 0 or b == 0:
+            return math.inf
+        c = ((self.alpha / a).conjugate() * (self.beta / b)).real
+        disc = 4 * c * c - 3
+        if c >= 0 or disc < 0:
+            return math.inf
+        # a float64 quotient, whose overflow numpy's error state can raise
+        return math.sqrt(np.float64(a) / b * (-2 * c - math.sqrt(disc)) / 3)
 
     @property
     def p_sat(self) -> float:
@@ -95,16 +110,29 @@ class HpaParams:
         return float(abs(self.alpha * rs + self.beta * rs ** 3) ** 2)
 
 
-def _clip(r: np.ndarray, limit: float) -> np.ndarray:
-    """r with every magnitude above ``limit`` scaled down to it."""
-    m = np.abs(r)
-    return np.where(m > limit, r * (limit / np.maximum(m, 1e-300)), r)
+def _clip(r: np.ndarray, m: np.ndarray, limit: float) -> np.ndarray:
+    """r, of magnitudes m, with every magnitude above ``limit`` scaled down
+    to it: r itself when none is above."""
+    over = m > limit
+    if not over.any():
+        return r
+    return np.where(over, r * (limit / np.maximum(m, 1e-300)), r)
 
 
 def hpa_apply(params: HpaParams, r: np.ndarray) -> np.ndarray:
     """Amplifier response; drive magnitude is clipped at r_sat."""
-    r = _clip(np.asarray(r, complex), params.r_sat)
-    return params.alpha * r + params.beta * np.abs(r) ** 2 * r
+    r = np.asarray(r, complex)
+    m = np.abs(r)
+    clipped = _clip(r, m, params.r_sat)
+    if clipped is not r:
+        m = np.abs(clipped)
+    # summed in place, with one full-length temporary fewer; complex(beta)
+    # keeps the cubic term's array complex for a real beta too
+    cubic = complex(params.beta) * m ** 2
+    cubic *= clipped
+    y = params.alpha * clipped
+    y += cubic
+    return y
 
 
 @dataclass(frozen=True)
@@ -121,7 +149,11 @@ class SpdParams:
 def spd_apply(params: SpdParams, x: np.ndarray, clip_at: float) -> np.ndarray:
     """Polynomial predistortion, clamped at an output magnitude."""
     x = np.asarray(x, complex)
-    return _clip(params.gamma * x + params.delta * np.abs(x) ** 2 * x, clip_at)
+    cubic = complex(params.delta) * np.abs(x) ** 2      # as in hpa_apply
+    cubic *= x
+    u = params.gamma * x
+    u += cubic
+    return _clip(u, np.abs(u), clip_at)
 
 
 def build_lut(params: SpdParams, dynamic_range: float, n_bins: int):
@@ -338,7 +370,16 @@ def fit_spd(hpa: HpaParams, training: np.ndarray | BurstRules):
     lam = LM_LAMBDA0
     for _ in range(LM_MAX_ITER):
         jtj = g[:4, :4]
-        step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g[:4, 4])
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)),
+                                   -g[:4, 4])
+        except np.linalg.LinAlgError:
+            # a zero on the diagonal, which no damping lifts: as when every
+            # sample clips and g is real, so that Re gamma moves no error
+            raise ConfigurationError(
+                "SPD fit has singular normal equations: a coefficient changes "
+                "no sample's error, as when the amplifier (r_sat "
+                f"{hpa.r_sat:.3g}) clips every training sample") from None
         if np.sqrt(step @ step) <= LM_XTOL * (LM_XTOL + np.sqrt(p @ p)):
             break
         g_new = gram(p + step)
@@ -386,11 +427,19 @@ class FilterSpec:
     def response(self, nfft: int) -> np.ndarray:
         """gain*(1 + z^-1)^N / prod(1 - p_k z^-1) at z = exp(2j*pi*k/nfft):
         on n + ``length`` points or more, its product with a length-n
-        waveform's spectrum is the filtered waveform's."""
+        waveform's spectrum is the filtered waveform's. Numerator and
+        denominator take one factor per pole, multiplied in place."""
         gain, poles = self._zpk()
         zinv = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
-        return (gain * (1 + zinv) ** self.order
-                / np.prod(1 - np.outer(poles, zinv), axis=0))
+        zero = 1 + zinv
+        num, den = gain * zero, 1 - poles[0] * zinv
+        factor = np.empty_like(zinv)
+        for pole in poles[1:]:
+            num *= zero
+            den *= np.subtract(1, np.multiply(pole, zinv, out=factor),
+                               out=factor)
+        num /= den
+        return num
 
 
 # the transponder chain: QPSK symbols shaped by a root-raised-cosine pulse,
@@ -516,6 +565,36 @@ def _front_end(n_symbols: int, seed: int, imux: Optional[FilterSpec],
 
 
 @lru_cache(maxsize=8)
+def _receiver(nfft: int, omux: Optional[FilterSpec]):
+    """Read-only receive side on nfft points: the spectrum of the OMUX and
+    the matched filter in series, and the OMUX's first ``omux.length`` +
+    2*SPAN*OVERSAMPLING taps (None without an OMUX)."""
+    if omux is None:
+        return _spectrum(nfft), None
+    response = omux.response(nfft)
+    taps = np.fft.ifft(response)[:omux.length + 2 * SPAN * OVERSAMPLING]
+    spectrum = response * _spectrum(nfft)
+    for part in (spectrum, taps):
+        part.flags.writeable = False
+    return spectrum, taps
+
+
+@lru_cache(maxsize=8)
+def _noise_response(n_symbols: int, seed: int, imux: Optional[FilterSpec],
+                    omux: Optional[FilterSpec], sigma_j: float,
+                    onground: bool) -> np.ndarray:
+    """Read-only matched-filter response to the unit noise of the
+    ``_front_end`` of the same key: its first n + 2*SPAN*OVERSAMPLING
+    samples."""
+    _, _, _, noise, nfft = _front_end(n_symbols, seed, imux, omux, sigma_j,
+                                      onground)
+    r = np.fft.ifft(np.fft.fft(noise, nfft)
+                    * _spectrum(nfft))[:noise.size + 2 * SPAN * OVERSAMPLING]
+    r.flags.writeable = False
+    return r
+
+
+@lru_cache(maxsize=8)
 def _training_rules(n_symbols: int, seed: int, imux: Optional[FilterSpec],
                     sigma_j: float) -> BurstRules:
     """Read-only ``BurstRules`` of the drive-1 training burst: the
@@ -554,13 +633,14 @@ def _equalized_sinr(rx_symbols: np.ndarray, symbols: np.ndarray,
     # row r: the taps' inputs rx[r:r + n_taps], then the symbol at r + half
     windows = sliding_window_view(rx_symbols, n_taps)[:n - 2 * half]
     data = np.concatenate([windows, symbols[half:n - half, None]], axis=1)
-    mat, ref = data[:, :n_taps], data[:, n_taps]
+    ref = data[:, n_taps]
     # normal equations from one zgemm; lstsq keeps the minimum-norm taps
-    # when mat is rank-deficient (an all-zero rx gives w = 0)
+    # when the windows are rank-deficient (an all-zero rx gives w = 0)
     gram = data.conj().T @ data
     w, *_ = np.linalg.lstsq(gram[:n_taps, :n_taps], gram[:n_taps, n_taps],
                             rcond=None)
-    err = (mat * w).sum(axis=1) - ref
+    # the equalizer's output, sum_k rx[r + k]*w[k], as a correlation
+    err = np.convolve(rx_symbols, w[::-1], "valid")[:ref.size] - ref
     mse = float(np.mean(np.abs(err) ** 2))
     sig = float(np.mean(np.abs(ref) ** 2))
     return 10 * np.log10(sig / max(mse, 1e-300))
@@ -583,6 +663,38 @@ def _amplify(config: ChainConfig, hpa: HpaParams, n_symbols: int, seed: int):
     return front, y, float(10 * np.log10(hpa.p_sat / np.mean(np.abs(y) ** 2)))
 
 
+def _receive(config: ChainConfig, n_symbols: int, seed: int, nfft: int,
+             y: np.ndarray) -> np.ndarray:
+    """The receive matched filter's first n + 2*SPAN*OVERSAMPLING output
+    samples for amplifier output y: OMUX output cut at n, AWGN, RRC.
+
+    The OMUX and the matched filter run as one product on the nfft grid.
+    The grid holds n + ``omux.length``, so the product's response, 2*SPAN*
+    OVERSAMPLING longer, wraps into r[:2*SPAN*OVERSAMPLING] at most, which
+    the timing search and the symbols never read. The cut at n is kept by
+    taking out the matched filter's response to the OMUX output samples n
+    onwards, formed from y's last ``omux.length`` samples. The noise enters
+    as the matched filter's response to the front end's unit noise.
+    """
+    n, base = y.size, 2 * SPAN * OVERSAMPLING
+    spectrum, taps = _receiver(nfft, config.omux)
+    x = np.fft.fft(y, nfft)
+    x *= spectrum
+    r = np.fft.ifft(x)[:n + base]
+    if taps is not None:
+        m = min(n, config.omux.length)
+        dropped = np.convolve(taps[1:m + base], y[n - m:], "valid")
+        r[n:] -= np.convolve(dropped, rrc_taps(ROLLOFF, SPAN,
+                                               OVERSAMPLING))[:base]
+    # the scaled noise response goes through x's buffer, free by now
+    r += np.multiply(np.sqrt(10 ** (-config.snr_db / 10) / 2),
+                     _noise_response(n_symbols, seed, config.imux,
+                                     config.omux, config.sigma_j,
+                                     config.spd_location == "onground"),
+                     out=x[:n + base])
+    return r
+
+
 def evaluate_chain(config: ChainConfig, hpa: HpaParams, n_symbols: int = 4000,
                    seed: int = 0) -> ChainResult:
     """Run the transmit chain once and measure OBO and data-aided SINR.
@@ -597,15 +709,11 @@ def evaluate_chain(config: ChainConfig, hpa: HpaParams, n_symbols: int = 4000,
     if n_symbols < EQ_TAPS:
         raise ConfigurationError(
             f"n_symbols must be >= {EQ_TAPS}, the equalizer's tap count")
-    (s, _, _, noise, nfft), y, obo = _amplify(config, hpa, n_symbols, seed)
-    if config.omux is not None:
-        y = np.fft.ifft(np.fft.fft(y, nfft)
-                       * _spectrum(nfft, config.omux))[:y.size]
-    y = y + np.sqrt(10 ** (-config.snr_db / 10) / 2) * noise
-    # receive matched filter, then an integer timing search over a window
-    # covering the filters' group delays (the first best correlation)
+    (s, _, _, _, nfft), y, obo = _amplify(config, hpa, n_symbols, seed)
+    r = _receive(config, n_symbols, seed, nfft, y)
+    # an integer timing search over a window covering the filters' group
+    # delays (the first best correlation)
     os_, base = OVERSAMPLING, 2 * SPAN * OVERSAMPLING
-    r = np.fft.ifft(np.fft.fft(y, nfft) * _spectrum(nfft))[:y.size + base]
     probe = s[:400]
     corr = [abs(np.vdot(probe, r[t:t + probe.size * os_:os_]))
             for t in range(base, base + 6 * os_)]

@@ -1,8 +1,10 @@
 """Reference models of ``predistortion`` that only the tests use: the
 least-squares amplifier fit that the chain's cubic model is checked
-against, the SPD fit with its Gram summed over every sample, and the LUT
+against, the SPD fit with its Gram summed over every sample, the LUT
 apply rule that gives ``build_lut``'s bin edges and gains their meaning
-(per-bin gain times input, the bin chosen by |x|)."""
+(per-bin gain times input, the bin chosen by |x|), a filter's response
+from the outer product of its poles and the grid, and the receive side
+in two passes, the OMUX and then the matched filter."""
 import numpy as np
 
 from satkit import predistortion as pd
@@ -68,3 +70,27 @@ def fit_spd_per_sample(hpa: HpaParams, x: np.ndarray):
             break
     return (pd.SpdParams(gamma=complex(p[0], p[1]), delta=complex(p[2], p[3])),
             np.array(trace))
+
+
+def response_outer(spec: pd.FilterSpec, nfft: int) -> np.ndarray:
+    """``FilterSpec.response`` with the denominator from one order x nfft
+    outer product and the numerator from a complex power."""
+    gain, poles = spec._zpk()
+    zinv = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
+    return (gain * (1 + zinv) ** spec.order
+            / np.prod(1 - np.outer(poles, zinv), axis=0))
+
+
+def receive_two_pass(config: pd.ChainConfig, n_symbols: int, seed: int,
+                     nfft: int, y: np.ndarray) -> np.ndarray:
+    """``predistortion._receive`` pass by pass: the OMUX output of y on the
+    nfft grid, cut at its n samples, plus the front end's noise, then the
+    matched filter, keeping n + 2*SPAN*OVERSAMPLING samples."""
+    noise = pd._front_end(n_symbols, seed, config.imux, config.omux,
+                          config.sigma_j, config.spd_location == "onground")[3]
+    if config.omux is not None:
+        y = np.fft.ifft(np.fft.fft(y, nfft)
+                        * response_outer(config.omux, nfft))[:y.size]
+    y = y + np.sqrt(10 ** (-config.snr_db / 10) / 2) * noise
+    return np.fft.ifft(np.fft.fft(y, nfft) * pd._spectrum(nfft))[
+        :y.size + 2 * pd.SPAN * pd.OVERSAMPLING]

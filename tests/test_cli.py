@@ -467,22 +467,44 @@ RATE_REGION_DRAWS = {
         max_size=3)}
 
 
+def assert_contract_and_replay(sub, case):
+    """A drawn config keeps the contract, and a run that exits 0 replays
+    byte for byte from its manifest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg_path, out, replay = tmp / "c.json", tmp / "first", tmp / "replay"
+        cfg_path.write_text(json.dumps(case))
+        assert contract_fault(sub, cfg_path, out) is None
+        if out.exists():
+            assert contract_fault(sub, out / "manifest.json", replay) is None
+            assert output_bytes(out) == output_bytes(replay)
+
+
 @given(st.fixed_dictionaries({}, optional=RATE_REGION_DRAWS))
 @settings(derandomize=True, max_examples=100, deadline=None)
 @example({"p_values": [0.0, -0.0, 5e-324], "direct_db": -0.0,
           "lam_points": 1})
 def test_rate_region_config_contract(case):
-    """A drawn rate-region config keeps the contract, and a run that exits
-    0 replays byte for byte from its manifest."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        cfg_path, out, replay = tmp / "c.json", tmp / "first", tmp / "replay"
-        cfg_path.write_text(json.dumps(case))
-        assert contract_fault("rate-region", cfg_path, out) is None
-        if out.exists():
-            assert contract_fault("rate-region", out / "manifest.json",
-                                  replay) is None
-            assert output_bytes(out) == output_bytes(replay)
+    assert_contract_and_replay("rate-region", case)
+
+
+SPD_BENCH_DRAWS = {
+    **{key: FINITE for key in ("alpha_re", "alpha_im", "beta_re", "beta_im",
+                               "sigma_j", "snr_db")},
+    "obo_grid_db": st.lists(FINITE, max_size=3),
+    "modes": st.lists(st.sampled_from(
+        [*cli.SUBCOMMANDS["spd-bench"][1]["modes"], "bogus"]), max_size=3),
+    "n_symbols": st.integers(11, 300),
+    "lut_bins": st.integers(-1, 16),
+    "seed": st.integers(-1, 2 ** 32)}
+
+
+@given(st.fixed_dictionaries({}, optional=SPD_BENCH_DRAWS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@example({"n_symbols": 11, "modes": ["onground", "none"],
+          "obo_grid_db": [4.0, -0.0], "lut_bins": 3, "beta_im": -0.0})
+def test_spd_bench_config_contract(case):
+    assert_contract_and_replay("spd-bench", case)
 
 
 # one other valid value for every config key of every subcommand

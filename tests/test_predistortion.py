@@ -13,6 +13,7 @@ from scipy import signal
 from scipy.optimize import least_squares, minimize
 
 from predistortion_reference import (FitError, fit_hpa, fit_spd_per_sample,
+                                     receive_two_pass, response_outer,
                                      spd_apply_lut)
 from satkit import predistortion as pd
 from satkit.scenario import ConfigurationError
@@ -44,8 +45,10 @@ class TestHpaParams:
         # |y| grows monotonically with a positive cross term, with no
         # linear term (the fit's 1/alpha start used to divide by zero) and
         # with a cross term too weak for a turning point (disc < 0)
+        # (1e200 used to overflow its square, giving the saturation power
+        # message)
         for alpha, beta in [(1.0, 0.2), (0.0, -0.15 + 0.05j),
-                            (1.0, -0.1 + 0.5j)]:
+                            (1.0, -0.1 + 0.5j), (1.0, 1e200 + 0.05j)]:
             with pytest.raises(ConfigurationError, match="no saturation point"):
                 pd.HpaParams(alpha=alpha, beta=beta)
 
@@ -54,13 +57,31 @@ class TestHpaParams:
             pd.HpaParams(alpha=np.nan)
 
     @pytest.mark.parametrize("alpha, beta", [
-        (1e300, -0.15 + 0.05j), (1.0, 1e200 + 0.05j), (1e100, -1e60),
-        (1e-200, -0.15 + 0.05j)])
+        (1e300, -0.15 + 0.05j), (1.0, -1e-310), (1e-200, -0.15 + 0.05j)])
     def test_rejects_a_saturation_power_beyond_floats(self, alpha, beta):
         # each used to end in an OverflowError from r_sat or p_sat, or in a
-        # p_sat of 0 that made the OBO NaN
+        # p_sat of 0 that made the OBO NaN; at beta = -1e-310, |alpha|/|beta|
+        # overflows
         with pytest.raises(ConfigurationError, match="saturation power"):
             pd.HpaParams(alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("beta", [-1e-150, -1e-160, -1e-170, -1e-180,
+                                      -1e-190, -1e-200])
+    def test_r_sat_of_a_beta_whose_square_underflows(self, beta):
+        # y = r + beta*r^3 peaks at r^2 = 1/(3|beta|); beta^2 is subnormal
+        # at -1e-160 and 0 below, which used to read as no saturation point
+        hpa = pd.HpaParams(alpha=1.0, beta=beta)
+        assert hpa.r_sat == pytest.approx(math.sqrt(1 / (3 * abs(beta))),
+                                          rel=1e-15)
+        assert hpa.p_sat == pytest.approx(4 / (27 * abs(beta)), rel=1e-14)
+
+    def test_r_sat_of_coefficients_whose_squares_overflow(self):
+        # |alpha|^2 = 1e200 and the cross term's square 1e320 used to
+        # overflow; y = a*r - |b|*r^3 peaks at r^2 = a/(3|b|), p_sat =
+        # 4a^3/(27|b|) = 1.5e239
+        hpa = pd.HpaParams(alpha=1e100, beta=-1e60)
+        assert hpa.r_sat == pytest.approx(math.sqrt(1e40 / 3), rel=1e-15)
+        assert hpa.p_sat == pytest.approx(4e300 / 27e60, rel=1e-14)
 
 
 class TestHpaApply:
@@ -222,18 +243,30 @@ class TestFrontEnd:
         hpa = pd.HpaParams()
         pd._front_end.cache_clear()
         pd._training_rules.cache_clear()
+        pd._noise_response.cache_clear()
         for location, drive in [("none", 1.3), ("onboard", 0.8),
                                 ("none", 0.5), ("onboard", 2.0)]:
             config = pd.ChainConfig(spd_location=location, drive=drive)
             pd.evaluate_chain(config, hpa, n_symbols=300, seed=9)
+        # the fourth hit is the noise response's, on its one miss
         info = pd._front_end.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
         info = pd._training_rules.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        # on ground: its own burst and front end
+        info = pd._noise_response.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        # on ground: its own burst, front end and noise response
         pd.evaluate_chain(pd.ChainConfig(spd_location="onground"), hpa,
                           n_symbols=300, seed=9)
         assert pd._front_end.cache_info().currsize == 4
+        assert pd._noise_response.cache_info().currsize == 2
+
+    def test_curve_points_compute_no_noise_response(self):
+        pd._noise_response.cache_clear()
+        for location in ("none", "onboard", "onground"):
+            pd.drive_for_obo(pd.ChainConfig(spd_location=location),
+                             pd.HpaParams(), [2.0, 8.0])
+        assert pd._noise_response.cache_info().misses == 0
 
     def test_seeds_draw_apart(self):
         config = pd.ChainConfig()
@@ -418,6 +451,14 @@ class TestFitSpd:
         x[7] = np.nan
         with pytest.raises(ConfigurationError):
             pd.fit_spd(pd.HpaParams(), x)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e-100, -0.15 + 0.05j),
+                                             (1.0, -1e300 + 0.05j)])
+    def test_amplifier_clipping_every_sample_rejected(self, alpha, beta):
+        # at the start point g = 1/alpha is real, so the clipped samples'
+        # errors do not move with Re gamma: these ended in LinAlgError
+        with pytest.raises(ConfigurationError, match="singular normal"):
+            pd.fit_spd(pd.HpaParams(alpha=alpha, beta=beta), training_burst())
 
     def test_zero_waveform_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -615,8 +656,22 @@ class TestFilterSpec:
         np.testing.assert_allclose(z, want, rtol=0,
                                    atol=1e-8 * np.abs(want).max())
 
+    @pytest.mark.parametrize("nfft", [64, 1000, 8192, 65536])
+    def test_response_matches_the_outer_product(self, nfft):
+        # relative to each frequency's value, down to the zeros' floor at
+        # z = -1 and through the passband of poles near z = 1
+        for order in range(1, 9):
+            for cutoff in (0.01, 0.05, 0.13, 0.3, 0.5, 0.9, 0.99):
+                spec = pd.FilterSpec(order=order, cutoff=cutoff)
+                want = response_outer(spec, nfft)
+                got = spec.response(nfft)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
     def test_cached_spectra_are_read_only(self):
-        for spectrum in (pd._spectrum(64), pd._spectrum(64, pd.FilterSpec())):
+        omux = pd.ChainConfig().omux
+        for spectrum in (pd._spectrum(64), pd._spectrum(64, pd.FilterSpec()),
+                         *pd._receiver(1024, omux), pd._receiver(1024, None)[0],
+                         pd._noise_response(11, 0, None, omux, 0.0, False)):
             with pytest.raises(ValueError):
                 spectrum[0] = 1.0
 
@@ -624,6 +679,58 @@ class TestFilterSpec:
     def test_invalid_spec(self, order, cutoff):
         with pytest.raises(ConfigurationError):
             pd.FilterSpec(order=order, cutoff=cutoff)
+
+
+def chain_receive(config, n_symbols, seed):
+    """The matched filter's output for ``config`` as evaluate_chain forms
+    it, the two-pass reference's, and the grid's nfft."""
+    (_, _, _, _, nfft), y, _ = pd._amplify(config, pd.HpaParams(), n_symbols,
+                                           seed)
+    return (pd._receive(config, n_symbols, seed, nfft, y),
+            receive_two_pass(config, n_symbols, seed, nfft, y), nfft)
+
+
+class TestReceive:
+    @pytest.mark.parametrize("location", ["none", "onboard", "onground"])
+    @pytest.mark.parametrize("cfg, n_symbols", [
+        ({}, 4000), ({"omux": None}, 4000), ({"imux": None}, 4042),
+        ({}, 11), ({}, 30), ({"sigma_j": 0.0}, 1000),
+        ({"sigma_j": 0.05}, 1000)],
+        ids=["default", "no_omux", "no_imux_wraps", "11_symbols",
+             "30_symbols", "no_jitter", "sigma_j"])
+    def test_one_product_matches_the_two_passes(self, location, cfg,
+                                                n_symbols):
+        # every sample the timing search and the symbols read, r[base:];
+        # where the product's response fits the grid, every sample
+        config = pd.ChainConfig(spd_location=location, drive=1.3, **cfg)
+        got, want, nfft = chain_receive(config, n_symbols, 5)
+        base = 2 * pd.SPAN * pd.OVERSAMPLING
+        n = want.size - base
+        tail = 0 if config.omux is None else config.omux.length
+        start = base if n + tail + base > nfft else 0
+        err = np.abs(got - want)[start:].max()
+        assert err <= 1e-12 * np.abs(want[start:]).max()
+
+    def test_wrap_and_cut_cases_occur(self):
+        # the no-IMUX grid at 4042 symbols wraps the product into r[:base],
+        # and at 11 symbols the OMUX is longer than the waveform
+        base = 2 * pd.SPAN * pd.OVERSAMPLING
+        omux = pd.ChainConfig().omux
+        nfft = pd._front_end(4042, 5, None, omux, 0.005, False)[4]
+        assert 8 * 4042 + base + omux.length + base > nfft
+        assert 8 * 11 + base < omux.length
+
+    def test_the_dropped_omux_samples_reach_the_last_symbols(self):
+        # without the correction the chain reads r[n + 2] at the defaults
+        config = pd.ChainConfig()
+        got, want, _ = chain_receive(config, 4000, 0)
+        (_, _, _, _, nfft), y, _ = pd._amplify(config, pd.HpaParams(), 4000,
+                                               0)
+        spectrum, _ = pd._receiver(nfft, config.omux)
+        uncut = np.fft.ifft(np.fft.fft(y, nfft) * spectrum)[:got.size]
+        n = y.size
+        assert np.abs(uncut - got)[n:n + 3].max() > 1e-6 * np.abs(got).max()
+        assert np.abs(got - want)[n:].max() <= 1e-12 * np.abs(want).max()
 
 
 class TestChain:
@@ -805,8 +912,10 @@ class TestEqualizedSinr:
         assert got == pytest.approx(self.lstsq_sinr_db(rx, s, 11), abs=1e-9)
 
     @staticmethod
-    def rolled_sinr_db(rx, symbols, n_taps):
-        # the data matrix from n_taps rolled copies of rx and one stack
+    def rolled_sinr_db(rx, symbols, n_taps, correlate=True):
+        # the data matrix from n_taps rolled copies of rx and one stack; the
+        # error from a correlation of rx with the taps, as the equalizer
+        # forms it, or from the matrix's row sums
         n, half = symbols.size, n_taps // 2
         cols = [np.roll(rx, half - t) for t in range(n_taps)]
         data = np.stack(cols + [symbols], axis=1)[half:n - half]
@@ -814,7 +923,9 @@ class TestEqualizedSinr:
         gram = data.conj().T @ data
         w, *_ = np.linalg.lstsq(gram[:n_taps, :n_taps], gram[:n_taps, n_taps],
                                 rcond=None)
-        mse = float(np.mean(np.abs((mat * w).sum(axis=1) - ref) ** 2))
+        err = (np.convolve(rx, w[::-1], "valid")[:ref.size] if correlate
+               else (mat * w).sum(axis=1)) - ref
+        mse = float(np.mean(np.abs(err) ** 2))
         sig = float(np.mean(np.abs(ref) ** 2))
         return 10 * np.log10(sig / max(mse, 1e-300))
 
@@ -827,6 +938,17 @@ class TestEqualizedSinr:
             rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
         assert pd._equalized_sinr(rx, s, n_taps) == self.rolled_sinr_db(
             rx, s, n_taps)
+
+    @pytest.mark.parametrize("n_taps", [pd.EQ_TAPS, 4, 1])
+    def test_error_correlation_matches_the_row_sums(self, n_taps):
+        # the same SINR as the error from the data matrix times the taps,
+        # to round-off
+        rng = np.random.default_rng(n_taps)
+        s = pd.QPSK[rng.integers(4, size=3000)]
+        rx = np.convolve(s, [0.1j, 1.0, -0.2])[1:s.size + 1] + 0.01 * (
+            rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
+        assert pd._equalized_sinr(rx, s, n_taps) == pytest.approx(
+            self.rolled_sinr_db(rx, s, n_taps, correlate=False), abs=1e-12)
 
     def test_zero_rx_gives_zero_db(self):
         s = pd.QPSK[np.random.default_rng(7).integers(4, size=500)]
@@ -871,10 +993,15 @@ def run():
 
 run()       # one-off start-up work, on any thread, is not the chain's
 workers_settle()
-before = cpu_ticks()
-run()
-after = cpu_ticks()
+# one call lasts about one clock tick: repeat it until the main thread has
+# gained 20 ticks, so that the workers' share has a base to be read against
 main = str(os.getpid())
+before = cpu_ticks()
+for _ in range(1000):
+    run()
+    after = cpu_ticks()
+    if after[main] - before[main] >= 20:
+        break
 print(after[main] - before[main],
       sum(after[t] - before.get(t, 0) for t in after if t != main))
 """
