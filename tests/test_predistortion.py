@@ -45,12 +45,16 @@ class TestHpaParams:
         # |y| grows monotonically with a positive cross term, with no
         # linear term (the fit's 1/alpha start used to divide by zero) and
         # with a cross term too weak for a turning point (disc < 0)
-        # (1e200 used to overflow its square, giving the saturation power
-        # message)
         for alpha, beta in [(1.0, 0.2), (0.0, -0.15 + 0.05j),
-                            (1.0, -0.1 + 0.5j), (1.0, 1e200 + 0.05j)]:
+                            (1.0, -0.1 + 0.5j)]:
             with pytest.raises(ConfigurationError, match="no saturation point"):
                 pd.HpaParams(alpha=alpha, beta=beta)
+
+    def test_expansive_device_whose_cross_term_square_overflows(self):
+        # Re(conj(alpha)*beta) = 1e200 > 0, so |y| grows monotonically; the
+        # square 1e400 used to overflow and gave the saturation power message
+        with pytest.raises(ConfigurationError, match="no saturation point"):
+            pd.HpaParams(alpha=1.0, beta=1e200 + 0.05j)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ConfigurationError):
